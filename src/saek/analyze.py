@@ -10,11 +10,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from itertools import accumulate
+from typing import Optional, Sequence, Union
 
 from . import hangul
 from .errors import EmptyUtterance
-from .lexicon import Ending, EndingKind, Lexicon, WhKind, _check_cond, default_lexicon
+from .lexicon import Ending, Lexicon, WhKind, _check_cond, default_lexicon
 
 # sentence punctuation dropped up front (ASR-style input carries none)
 PUNCTUATION = ".?!,…~"
@@ -54,24 +55,24 @@ class WhHit:
 class NegationProfile:
     preverbal_an: bool = False
     suffix_ci_ma: bool = False
-    suffix_ci_anh: bool = False
-    malgo: Optional[int] = None
+    malgo: Optional[int] = None  # first 말고 token, never the last token
     danger_pred: bool = False
     conditional_myen: bool = False
 
 
 @dataclass(frozen=True)
 class NormalizedUtterance:
+    """Normalized text, its tokens and every utterance-level feature."""
+
     raw: str
     text: str
     tokens: tuple[Eojeol, ...]
+    offsets: tuple[int, ...]  # char offset of each token within ``text``
+    wh_hits: tuple[WhHit, ...]
+    negation: NegationProfile
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
-
-    def token_offset(self, index: int) -> int:
-        """Char offset of token ``index`` within ``text``."""
-        return sum(len(t.surface) + 1 for t in self.tokens[:index])
 
 
 class Analyzer:
@@ -83,17 +84,27 @@ class Analyzer:
     # -- normalization -------------------------------------------------
 
     def normalize(self, raw: str) -> NormalizedUtterance:
-        """NFC, punctuation stripped, whitespace collapsed, tokens analyzed."""
+        """NFC, punctuation stripped, whitespace collapsed, tokens analyzed;
+        every utterance-level feature is computed here, once."""
         text = unicodedata.normalize("NFC", raw)
         text = _PUNCT_RE.sub(" ", text)
         text = _WS_RE.sub(" ", text).strip()
         if not text:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
         surfaces = text.split(" ")
+        offsets = tuple(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
         tokens = self._analyze_tokens(surfaces)
-        return NormalizedUtterance(raw=raw, text=text, tokens=tokens)
+        wh_hits = self.find_wh(tokens, offsets)
+        wh_tokens = {i for hit in wh_hits for i in range(hit.token_start, hit.token_end)}
+        tokens = tuple(
+            replace(t, is_wh=i in wh_tokens, is_negator=self._is_negator(t.surface))
+            for i, t in enumerate(tokens)
+        )
+        return NormalizedUtterance(
+            raw, text, tokens, offsets, wh_hits, self.profile_negation(surfaces)
+        )
 
-    def _analyze_tokens(self, surfaces: list[str]) -> tuple[Eojeol, ...]:
+    def _analyze_tokens(self, surfaces: list[str]) -> list[Eojeol]:
         lex = self.lexicon
         voc = [self._is_vocative(surfaces, i) for i in range(len(surfaces))]
 
@@ -118,12 +129,7 @@ class Analyzer:
                 tokens.append(Eojeol(surface, stem=stem, ending=ending))
             else:
                 tokens.append(self.strip_josa(Eojeol(surface, stem=surface)))
-
-        tokens = self._flag_wh(tokens)
-        tokens = [
-            replace(t, is_negator=self._is_negator(t.surface)) for t in tokens
-        ]
-        return tuple(tokens)
+        return tokens
 
     # -- per-token operations -------------------------------------------
 
@@ -151,17 +157,6 @@ class Analyzer:
             stem = stem[: -len(suffix)]
         return stem
 
-    def detect_ending(self, token: Union[Eojeol, str]) -> Optional[tuple[EndingKind, str]]:
-        """Classify the sentence-final ending of one token, longest match."""
-        surface = token.surface if isinstance(token, Eojeol) else token
-        ending = self.lexicon.match_ending(surface)
-        if ending is not None:
-            return (ending.kind, ending.surface)
-        cue = self.lexicon.match_cue([surface])
-        if cue is not None:
-            return (EndingKind.DECLARATIVE_CUE, cue[-1])
-        return None
-
     def _is_vocative(self, surfaces: list[str], index: int) -> bool:
         """Noun + 야/아 not in predicate position (e.g. trailing name calls)."""
         surface = surfaces[index]
@@ -187,34 +182,40 @@ class Analyzer:
         )
 
     def _is_negator(self, surface: str) -> bool:
-        lex = self.lexicon
-        if surface in lex.negation:
-            return True
-        if any(surface.endswith("지" + s) for s, k in lex.negation.items() if k == "ma"):
-            return True
-        return surface.endswith("지말고")
+        return surface in self.lexicon.negation or any(
+            self.fused_negator(surface, kind) for kind in ("ma", "malgo")
+        )
 
-    def _flag_wh(self, tokens: list[Eojeol]) -> list[Eojeol]:
-        flagged = set()
-        for hit in self._wh_hits(tokens):
-            flagged.update(range(hit.token_start, hit.token_end))
-        return [
-            replace(t, is_wh=True) if i in flagged else t for i, t in enumerate(tokens)
-        ]
+    # -- negation cues ----------------------------------------------------
+
+    def fused_negator(self, surface: str, kind: str) -> Optional[str]:
+        """The ``kind`` negator fused onto a -지 predicate (나가지마 -> 마)."""
+        for neg in self.lexicon.negation_by_kind[kind]:
+            if surface.endswith("지" + neg):
+                return neg
+        return None
+
+    def is_malgo(self, surface: str) -> bool:
+        """Coordinating 말고, alone or fused onto its -지 predicate."""
+        malgo = self.lexicon.negation_by_kind["malgo"]
+        return surface in malgo or self.fused_negator(surface, "malgo") is not None
+
+    def is_conditional(self, surface: str) -> bool:
+        """A -(으)면 conditional clause token (the disjunction 아니면 is not)."""
+        return surface.endswith("면") and surface != "아니면" and len(surface) > 1
+
+    def strip_preverbal(self, core: str) -> str:
+        """``core`` without a fused preverbal negator (안매 -> 매)."""
+        for neg in self.lexicon.negation_by_kind["preverbal"]:
+            if core.startswith(neg) and len(core) > len(neg):
+                return core[len(neg) :]
+        return core
 
     # -- utterance-level features ---------------------------------------
 
-    def find_wh(self, u: NormalizedUtterance) -> tuple[WhHit, ...]:
-        return self._wh_hits(list(u.tokens))
-
-    def _wh_hits(self, tokens: list[Eojeol]) -> tuple[WhHit, ...]:
+    def find_wh(self, tokens: Sequence[Eojeol], offsets: Sequence[int]) -> tuple[WhHit, ...]:
         lex = self.lexicon
         hits: list[WhHit] = []
-        offsets: list[int] = []
-        pos = 0
-        for t in tokens:
-            offsets.append(pos)
-            pos += len(t.surface) + 1
         i = 0
         while i < len(tokens):
             if i + 1 < len(tokens):
@@ -241,55 +242,36 @@ class Analyzer:
             i += 1
         return tuple(hits)
 
-    def profile_negation(self, u: NormalizedUtterance) -> NegationProfile:
+    def profile_negation(self, surfaces: Sequence[str]) -> NegationProfile:
         lex = self.lexicon
-        surfaces = u.surfaces()
         last = len(surfaces) - 1
 
-        ma_surfaces = {s for s, k in lex.negation.items() if k == "ma"}
-        suffix_ci_ma = False
-        for i, s in enumerate(surfaces):
-            if s.endswith("지") and i + 1 <= last and surfaces[i + 1] in ma_surfaces:
-                suffix_ci_ma = True
-            if any(s.endswith("지" + m) for m in ma_surfaces):
-                suffix_ci_ma = True
-
-        suffix_ci_anh = any("지않" in s for s in surfaces) or any(
-            s.endswith("지") and i + 1 <= last and surfaces[i + 1].startswith("않")
+        ma = lex.negation_by_kind["ma"]
+        suffix_ci_ma = any(
+            (s.endswith("지") and i < last and surfaces[i + 1] in ma)
+            or self.fused_negator(s, "ma") is not None
             for i, s in enumerate(surfaces)
         )
-
-        malgo: Optional[int] = None
-        for i, s in enumerate(surfaces[:-1]):  # never the last token
-            if s == "말고" or s.endswith("지말고"):
-                malgo = i
-                break
-
-        myen_idx: Optional[int] = None
-        for i, s in enumerate(surfaces[:-1]):
-            if s.endswith("면") and s != "아니면" and len(s) > 1:
-                myen_idx = i
-                break
-
+        malgo = next((i for i in range(last) if self.is_malgo(surfaces[i])), None)
+        myen_idx = next((i for i in range(last) if self.is_conditional(surfaces[i])), None)
         danger = lex.is_danger_predicate(surfaces)
 
         preverbal = False
         scope = myen_idx if myen_idx is not None else last
         for i, s in enumerate(surfaces):
-            if s in ("안", "못") and i <= scope:
+            if s in lex.negation_by_kind["preverbal"] and i <= scope:
                 # the negator inside a danger pair (안 돼) is not preverbal
                 if i < last and (s, surfaces[i + 1]) in lex.danger_pairs:
                     continue
                 preverbal = True
         if myen_idx is not None:
             core = surfaces[myen_idx][:-1]
-            if core.startswith(("안", "못")) and len(core) >= 2:
+            if self.strip_preverbal(core) != core:
                 preverbal = True
 
         return NegationProfile(
             preverbal_an=preverbal,
             suffix_ci_ma=suffix_ci_ma,
-            suffix_ci_anh=suffix_ci_anh,
             malgo=malgo,
             danger_pred=danger,
             conditional_myen=myen_idx is not None,

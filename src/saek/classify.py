@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Optional
 
-from .analyze import Analyzer, NormalizedUtterance
+from .analyze import NormalizedUtterance
 from .errors import Unclassifiable, WrongSuperType
 from .lexicon import (
     EndingKind,
@@ -102,17 +102,16 @@ class Classification:
 
 
 class Classifier:
-    """First-match rule cascade over analyzer features."""
+    """First-match rule cascade over the features ``normalize`` computed."""
 
-    def __init__(self, lexicon: Optional[Lexicon] = None, analyzer: Optional[Analyzer] = None):
+    def __init__(self, lexicon: Optional[Lexicon] = None):
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self.analyzer = analyzer if analyzer is not None else Analyzer(self.lexicon)
 
     def classify(self, u: NormalizedUtterance) -> Classification:
         lex = self.lexicon
         surfaces = u.surfaces()
-        profile = self.analyzer.profile_negation(u)
-        wh_hits = self.analyzer.find_wh(u)
+        profile = u.negation
+        wh_hits = u.wh_hits
 
         bearer_idx = next(
             (i for i, t in enumerate(u.tokens) if t.ending is not None), None
@@ -121,11 +120,11 @@ class Classifier:
         cue = lex.match_cue(surfaces)
 
         def token_span(i: int) -> tuple[int, int]:
-            start = u.token_offset(i)
+            start = u.offsets[i]
             return (start, start + len(surfaces[i]))
 
         def ending_span(i: int) -> tuple[int, int]:
-            start = u.token_offset(i)
+            start = u.offsets[i]
             t = u.tokens[i]
             return (start + len(t.stem), start + len(t.surface))
 
@@ -203,9 +202,8 @@ class Classifier:
         # (5) negated clause coordinated onto a positive imperative
         if profile.malgo is not None and imperative and bearer_idx is not None:
             m = profile.malgo
-            negated = surfaces[m].endswith("지말고") or (
-                m > 0 and surfaces[m - 1].endswith("지")
-            )
+            fused = surfaces[m] not in lex.negation_by_kind["malgo"]  # 놀지말고
+            negated = fused or (m > 0 and surfaces[m - 1].endswith("지"))
             if negated and bearer_idx > m:
                 return Classification(
                     IntentLabel.STRONG_REQUIREMENT,

@@ -125,20 +125,6 @@ def _parse_row(line: str, line_no: int, format: str) -> Union[CorpusEntry, LoadE
     return CorpusEntry(IntentLabel(value), utterance, argument, category, line_no)
 
 
-def serialize(entries: Iterable[CorpusEntry]) -> list[str]:
-    """TSV lines that reload to identical entries."""
-    lines = []
-    for e in entries:
-        cols = [str(int(e.label)), e.utterance]
-        if e.gold_argument is not None:
-            arg = e.gold_argument
-            if e.gold_category is not None:
-                arg = f"{arg} ({e.gold_category})"
-            cols.append(arg)
-        lines.append("\t".join(cols))
-    return lines
-
-
 def stats(entries: Sequence[CorpusEntry]) -> CorpusStats:
     """Per-label tallies plus whole-corpus and within-supertype fractions."""
     if not entries:

@@ -91,7 +91,7 @@ class Engine:
     def __init__(self, lexicon: Optional[Lexicon] = None):
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
         self.analyzer = Analyzer(self.lexicon)
-        self.classifier = Classifier(self.lexicon, self.analyzer)
+        self.classifier = Classifier(self.lexicon)
         self.extractor = Extractor(self.lexicon, self.analyzer)
 
     @classmethod

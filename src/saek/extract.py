@@ -83,8 +83,7 @@ class Extractor:
                 info="info-seeking" in rules,
                 universal="universal-quantifier" in rules,
             )
-        profile = self.analyzer.profile_negation(u)
-        return self.extract_command(u.tokens, negativeness(c.label), profile)
+        return self.extract_command(u.tokens, negativeness(c.label), u.negation)
 
     # -- shared helpers ---------------------------------------------------
 
@@ -107,7 +106,7 @@ class Extractor:
             return True
         if stem in lex.pronouns or e.surface in lex.pronouns:
             return True
-        if e.surface in ("안", "못"):
+        if e.surface in lex.negation_by_kind["preverbal"]:
             return True
         if e.ending is None and stem in lex.lightverb_stems:
             return True  # bare light verb forms (하는, 했던) carry no content
@@ -122,7 +121,7 @@ class Extractor:
         """말고 marks rejected material: only the clause after it survives."""
         cut = None
         for i, t in enumerate(items[:-1]):
-            if t.surface == "말고" or t.surface.endswith("지말고"):
+            if self.analyzer.is_malgo(t.surface):
                 cut = i
         return items[cut + 1 :] if cut is not None else items
 
@@ -441,7 +440,11 @@ class Extractor:
         ]
         if neg is Negativeness.SR:
             if profile.malgo is not None:
-                return self._sr_from_malgo(items)
+                # a bearer with a pronoun stem (전해) is not in items, so 말고 can be last
+                if not any(self.analyzer.is_malgo(t.surface) for t in items[:-1]):
+                    raise ExtractionFailed("coordination marker vanished before extraction")
+                # _requirement keeps only what follows the last 말고
+                return self._requirement(items, IntentLabel.STRONG_REQUIREMENT)
             return self._sr_from_double_negation(items)
         if neg is Negativeness.PH:
             if profile.suffix_ci_ma:
@@ -467,8 +470,7 @@ class Extractor:
         return items[start:end]
 
     def _ph_from_negative_imperative(self, items: list[Eojeol]) -> Argument:
-        lex = self.lexicon
-        ma = {s for s, k in lex.negation.items() if k == "ma"}
+        ma = self.lexicon.negation_by_kind["ma"]
         pred_idx: Optional[int] = None
         pred_text = ""
         for i, t in enumerate(items):
@@ -476,7 +478,7 @@ class Extractor:
             if s.endswith("지") and i + 1 < len(items) and items[i + 1].surface in ma:
                 pred_idx, pred_text = i, s
                 break
-            fused = next((m for m in ma if s.endswith("지" + m)), None)
+            fused = self.analyzer.fused_negator(s, "ma")
             if fused is not None:
                 pred_idx, pred_text = i, s[: -len(fused)]
                 break
@@ -492,7 +494,7 @@ class Extractor:
     def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
         for i, t in enumerate(items[:-1]):
             s = t.surface
-            if s.endswith("면") and s != "아니면" and len(s) > 1:
+            if self.analyzer.is_conditional(s):
                 core = s[:-2] if (s.endswith("으면") and len(s) > 2) else s[:-1]
                 return i, core
         raise ExtractionFailed("no conditional clause found")
@@ -506,23 +508,11 @@ class Extractor:
         text = " ".join(parts + [core + "지", "않기"])
         return Argument(text, ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION)
 
-    def _sr_from_malgo(self, items: list[Eojeol]) -> Argument:
-        split = None
-        for i, t in enumerate(items[:-1]):
-            if t.surface == "말고" or t.surface.endswith("지말고"):
-                split = i
-                break
-        if split is None:
-            raise ExtractionFailed("coordination marker vanished before extraction")
-        arg = self._requirement(items[split + 1 :])
-        return Argument(arg.text, arg.category, IntentLabel.STRONG_REQUIREMENT, arg.notes)
-
     def _sr_from_double_negation(self, items: list[Eojeol]) -> Argument:
         idx, core = self._conditional_core(items)
-        if core.startswith(("안", "못")) and len(core) >= 2:
-            core = core[1:]
+        core = self.analyzer.strip_preverbal(core)
         span = self._trim_subordinate(items, idx)
-        span = [t for t in span if t.surface not in ("안", "못")]
+        span = [t for t in span if t.surface not in self.lexicon.negation_by_kind["preverbal"]]
         nominal = self._nominalize_stem(core, span)
         parts = self._clean_parts([self._command_content(t) for t in span])
         if not nominal:
@@ -530,7 +520,9 @@ class Extractor:
         text = " ".join(parts + [nominal]) if parts else nominal
         return Argument(text, ArgumentCategory.REQUIREMENT, IntentLabel.STRONG_REQUIREMENT)
 
-    def _requirement(self, items: list[Eojeol]) -> Argument:
+    def _requirement(
+        self, items: list[Eojeol], label: IntentLabel = IntentLabel.REQUIREMENT
+    ) -> Argument:
         items = self._after_malgo(items)
         if not items:
             raise ExtractionFailed("empty required action")
@@ -553,9 +545,7 @@ class Extractor:
         parts = self._clean_parts([self._command_content(t) for t in rest])
         if not nominal:
             raise ExtractionFailed("empty required action")
-        return Argument(
-            " ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, IntentLabel.REQUIREMENT
-        )
+        return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, label)
 
     def _nominalize_stem(self, stem: str, preceding: list[Eojeol]) -> str:
         """Attach the -기 nominalizer; a bare light verb folds onto the

@@ -128,6 +128,8 @@ ROLES = {
     "nostrip",
 }
 
+NEGATION_KINDS = ("ma", "malgo", "anh", "preverbal")
+
 _ENDING_KINDS = {
     "int": EndingKind.INTERROGATIVE,
     "imp": EndingKind.IMPERATIVE,
@@ -157,7 +159,10 @@ def _check_cond(cond: str, stem_final: str) -> bool:
 
 @dataclass
 class Lexicon:
-    """Immutable-after-load view of every correspondence table."""
+    """Every correspondence table, plus the views ``_finish`` derives from them.
+
+    Tables must not be mutated after ``_finish``: nothing enforces this, and
+    the derived views would go stale."""
 
     josa: dict[str, Josa] = field(default_factory=dict)
     vocative: dict[str, str] = field(default_factory=dict)  # surface -> cond
@@ -182,11 +187,19 @@ class Lexicon:
     _josa_by_len: list[str] = field(default_factory=list)
     _ending_by_len: list[str] = field(default_factory=list)
     _wh_by_pos: list[str] = field(default_factory=list)
+    # negation kind -> its surfaces, longest first
+    negation_by_kind: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _finish(self) -> None:
         self._josa_by_len = sorted(self.josa, key=len, reverse=True)
         self._ending_by_len = sorted(self.endings, key=len, reverse=True)
         self._wh_by_pos = sorted(self.wh_surfaces, key=len, reverse=True)
+        by_len = sorted(self.negation, key=len, reverse=True)
+        self.negation_by_kind = {
+            kind: tuple(s for s in by_len if self.negation[s] == kind) for kind in NEGATION_KINDS
+        }
         self._validate()
 
     def _validate(self) -> None:
@@ -367,7 +380,7 @@ def _add_entry(
             lex.wh_nouns[kind] = lex.wh_nouns.get(kind, ()) + (surface,)
     elif role == "negation":
         kind = attrs.get("kind", "")
-        if kind not in ("ma", "malgo", "anh", "preverbal"):
+        if kind not in NEGATION_KINDS:
             raise LexiconError(f"{where}: negation needs kind=ma|malgo|anh|preverbal")
         lex.negation[surface] = kind
     elif role == "danger":

@@ -18,8 +18,8 @@ def analyzer(lexicon):
 
 
 @pytest.fixture(scope="session")
-def classifier(lexicon, analyzer):
-    return Classifier(lexicon, analyzer)
+def classifier(lexicon):
+    return Classifier(lexicon)
 
 
 @pytest.fixture(scope="session")

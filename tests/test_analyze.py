@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from saek.analyze import Eojeol, PUNCTUATION
 from saek.errors import EmptyUtterance
-from saek.lexicon import EndingKind
 
 
 def test_normalize_golden_question(analyzer):
@@ -75,16 +74,6 @@ def test_strip_josa_fuzz_never_aborts_and_reconstructs(analyzer):
         assert out.stem + (out.particle or "") == token
 
 
-def test_detect_ending_examples(analyzer):
-    kind, surface = analyzer.detect_ending("했어")
-    assert kind is EndingKind.INTERROGATIVE and surface == "어"
-    kind, _ = analyzer.detect_ending("바랍니다")
-    assert kind is EndingKind.IMPERATIVE
-    assert analyzer.detect_ending("사과") is None
-    kind, _ = analyzer.detect_ending("궁금해요")
-    assert kind is EndingKind.DECLARATIVE_CUE or kind is EndingKind.IMPERATIVE
-
-
 def test_ending_assigned_to_last_non_vocative(analyzer):
     u = analyzer.normalize("어디 있니 로비야")
     assert u.tokens[2].is_vocative
@@ -117,36 +106,36 @@ def test_reconstruction_invariant(analyzer):
 
 
 def test_profile_negation_negative_imperative(analyzer):
-    p = analyzer.profile_negation(analyzer.normalize("태풍 오니까 밖에 나가지 마"))
+    p = analyzer.normalize("태풍 오니까 밖에 나가지 마").negation
     assert p.suffix_ci_ma is True
     assert p.malgo is None and not p.danger_pred
 
 
 def test_profile_negation_double_negation(analyzer):
-    p = analyzer.profile_negation(analyzer.normalize("안전띠 안매면 큰일나"))
+    p = analyzer.normalize("안전띠 안매면 큰일나").negation
     assert p.preverbal_an and p.conditional_myen and p.danger_pred
 
 
 def test_profile_negation_plain_request(analyzer):
-    p = analyzer.profile_negation(analyzer.normalize("인적사항 확인 바랍니다"))
+    p = analyzer.normalize("인적사항 확인 바랍니다").negation
     assert p == type(p)()  # every field at its negative default
 
 
 def test_profile_negation_malgo_index(analyzer):
-    p = analyzer.profile_negation(analyzer.normalize("욕심부리지 말고 지금 팔아"))
+    p = analyzer.normalize("욕심부리지 말고 지금 팔아").negation
     assert p.malgo == 1
 
 
 def test_profile_negation_danger_pair_not_preverbal(analyzer):
-    p = analyzer.profile_negation(analyzer.normalize("가면 안 돼"))
+    p = analyzer.normalize("가면 안 돼").negation
     assert p.conditional_myen and p.danger_pred and not p.preverbal_an
-    p = analyzer.profile_negation(analyzer.normalize("안 가면 안 돼"))
+    p = analyzer.normalize("안 가면 안 돼").negation
     assert p.preverbal_an
 
 
 def test_wh_hits_multi_token(analyzer):
     u = analyzer.normalize("대구 몇 시에 도착이야")
-    hits = analyzer.find_wh(u)
+    hits = u.wh_hits
     assert len(hits) == 1
     assert hits[0].token_start == 1 and hits[0].token_end == 3
     assert u.text[hits[0].char_start : hits[0].char_end] == "몇 시"

@@ -56,18 +56,6 @@ def test_load_paired_keeps_non_category_parens():
     assert entries[0].gold_category is None
 
 
-def test_round_trip_serialize_load(fixtures_dir):
-    with open(fixtures_dir / "paired13.tsv", encoding="utf-8") as fh:
-        entries, errors = corpus.load(fh, format="paired")
-    assert not errors and len(entries) == 13
-    lines = corpus.serialize(entries)
-    reloaded, errors = corpus.load(lines, format="paired")
-    assert not errors
-    assert [
-        (e.label, e.utterance, e.gold_argument, e.gold_category) for e in entries
-    ] == [(e.label, e.utterance, e.gold_argument, e.gold_category) for e in reloaded]
-
-
 def test_stats_six_row_uniform():
     entries, _ = corpus.load(f"{i}\t창문 열어줘" for i in range(6))
     s = corpus.stats(entries)

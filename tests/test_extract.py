@@ -128,6 +128,39 @@ def test_malgo_drop_applies_to_every_route(analyzer, classifier, extractor):
         assert not banned & set(got.text.split())
 
 
+# Inputs that repeat a cue: negation coordination fires on the first 말고,
+# and the argument is whatever follows the last one.
+REPEATED_CUES = [
+    ("욕심부리지 말고 놀지 말고 지금 팔아", 5, "지금 팔기"),
+    ("놀지 말고 자지 말고 공부해", 5, "공부하기"),
+    ("사과 말고 배 살래 귤 살래", 1, "배 귤 중 살 것"),
+    ("비 오면 안 나가면 큰일나", 3, "비 오지 않기"),
+    ("너 놀지 말고 숙제해 철수야", 5, "숙제하기"),
+]
+
+
+@pytest.mark.parametrize("text, label, argument", REPEATED_CUES)
+def test_repeated_cue_outputs(engine, text, label, argument):
+    record = engine.process(text)
+    assert (record.label, record.argument, record.error) == (label, argument, None)
+
+
+def test_repeated_malgo_evidence_is_first_malgo(engine):
+    record = engine.process("욕심부리지 말고 놀지 말고 지금 팔아")
+    assert record.evidence == ({"rule": "negation-coordination", "span": [6, 8]},)
+
+
+def test_repeated_malgo_without_negated_clause_is_unclassifiable(engine):
+    assert engine.process("사과 말고 배 말고 귤 사").error == "unclassifiable"
+
+
+@pytest.mark.parametrize("bearer", ["전해", "너해", "나해", "제해"])
+def test_malgo_before_pronoun_stem_bearer_fails(engine, bearer):
+    # the bearer drops out with the pronouns, leaving 말고 with nothing after it
+    record = engine.process(f"걱정하지 말고 {bearer}")
+    assert (record.label, record.argument, record.error) == (5, None, "extraction-failed")
+
+
 def test_contraction_fallback_flagged_in_notes(analyzer, classifier, extractor):
     # a nonsense coda-ㅆ syllable outside the contraction table: raw stem + 은
     got = run(analyzer, classifier, extractor, "누가 긨니")

@@ -1,5 +1,8 @@
+from importlib import resources
+
 import pytest
 
+from saek import Engine
 from saek.errors import LexiconError, UnknownParticle
 from saek.lexicon import (
     ArgumentCategory,
@@ -121,8 +124,6 @@ def test_overlapping_josa_and_ending_is_load_error():
 
 
 def test_tables_behave_identically_across_instances():
-    from importlib import resources
-
     text = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8")
     a, b = default_lexicon(), parse_lexicon(text.splitlines())
     for token in ["오늘은", "버스로", "사과", "일정을", "학교에서는"]:
@@ -131,3 +132,13 @@ def test_tables_behave_identically_across_instances():
         assert (a.match_ending(token) is None) == (b.match_ending(token) is None)
         if a.match_ending(token):
             assert a.match_ending(token) == b.match_ending(token)
+
+
+def test_negation_rows_drive_behaviour():
+    text = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8")
+    extra = ["negation\t말구\tkind=malgo", "negation\t아니\tkind=preverbal"]
+    engine = Engine(parse_lexicon(text.splitlines() + extra))
+    coordinated = engine.process("놀지 말구 공부해")
+    assert (coordinated.label, coordinated.argument) == (5, "공부하기")
+    double_negation = engine.process("아니 먹으면 혼나")
+    assert (double_negation.label, double_negation.argument) == (5, "먹기")
