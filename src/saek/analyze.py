@@ -21,6 +21,8 @@ from .lexicon import Ending, Lexicon, WhKind, _check_cond, default_lexicon
 PUNCTUATION = ".?!,…~"
 _PUNCT_RE = re.compile("[" + re.escape(PUNCTUATION) + "]")
 _WS_RE = re.compile(r"\s+")
+# input bytes that were not UTF-8, kept as lone surrogates by errors="surrogateescape"
+UNDECODED_RE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -33,11 +35,9 @@ class Eojeol:
     ending: Optional[Ending] = None
     is_vocative: bool = False
     is_wh: bool = False
-    is_negator: bool = False
-
-    def content(self) -> str:
-        """Stem if anything was split off, else the surface."""
-        return self.stem if (self.particle or self.ending) else self.surface
+    negation: Optional[str] = None  # negation kind the token is, or carries fused onto -지
+    fused: Optional[str] = None  # that fused ma/malgo negator (나가지마 -> 마)
+    conditional: bool = False  # a -(으)면 conditional clause token
 
 
 @dataclass(frozen=True)
@@ -95,13 +95,11 @@ class Analyzer:
         offsets = tuple(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
         tokens = self._analyze_tokens(surfaces)
         wh_hits = self.find_wh(tokens, offsets)
-        wh_tokens = {i for hit in wh_hits for i in range(hit.token_start, hit.token_end)}
-        tokens = tuple(
-            replace(t, is_wh=i in wh_tokens, is_negator=self._is_negator(t.surface))
-            for i, t in enumerate(tokens)
-        )
+        for hit in wh_hits:
+            for i in range(hit.token_start, hit.token_end):
+                tokens[i] = replace(tokens[i], is_wh=True)
         return NormalizedUtterance(
-            raw, text, tokens, offsets, wh_hits, self.profile_negation(surfaces)
+            raw, text, tuple(tokens), offsets, wh_hits, self.profile_negation(tokens)
         )
 
     def _analyze_tokens(self, surfaces: list[str]) -> list[Eojeol]:
@@ -117,19 +115,32 @@ class Analyzer:
 
         tokens: list[Eojeol] = []
         for i, surface in enumerate(surfaces):
+            cues = self._cues(surface)
             if voc[i]:
                 marker = surface[-1]
-                tokens.append(
-                    Eojeol(surface, stem=surface[:-1], particle=marker, is_vocative=True)
-                )
+                tokens.append(Eojeol(surface, surface[:-1], marker, is_vocative=True, **cues))
                 continue
             ending = lex.match_ending(surface) if i == bearer else None
             if ending is not None:
                 stem = surface[: len(surface) - len(ending.surface)]
-                tokens.append(Eojeol(surface, stem=stem, ending=ending))
+                tokens.append(Eojeol(surface, stem, ending=ending, **cues))
             else:
-                tokens.append(self.strip_josa(Eojeol(surface, stem=surface)))
+                tokens.append(self.strip_josa(Eojeol(surface, surface, **cues)))
         return tokens
+
+    def _cues(self, surface: str) -> dict:
+        """The one definition of each token cue, as ``Eojeol`` fields: the
+        negation kind the token is (마, 말고, 안) or carries fused onto -지
+        (나가지마), and whether it is a -(으)면 conditional (아니면 is not)."""
+        lex = self.lexicon
+        cond = surface.endswith("면") and len(surface) > 1 and surface not in lex.disjunction
+        negation = lex.negation.get(surface)
+        if negation is None:
+            for kind in ("ma", "malgo"):
+                for neg in lex.negation_by_kind[kind]:
+                    if surface.endswith("지" + neg):
+                        return {"negation": kind, "fused": neg, "conditional": cond}
+        return {"negation": negation, "fused": None, "conditional": cond}
 
     # -- per-token operations -------------------------------------------
 
@@ -181,28 +192,7 @@ class Analyzer:
             self.lexicon.match_ending(s) is not None for s in surfaces[:index]
         )
 
-    def _is_negator(self, surface: str) -> bool:
-        return surface in self.lexicon.negation or any(
-            self.fused_negator(surface, kind) for kind in ("ma", "malgo")
-        )
-
     # -- negation cues ----------------------------------------------------
-
-    def fused_negator(self, surface: str, kind: str) -> Optional[str]:
-        """The ``kind`` negator fused onto a -지 predicate (나가지마 -> 마)."""
-        for neg in self.lexicon.negation_by_kind[kind]:
-            if surface.endswith("지" + neg):
-                return neg
-        return None
-
-    def is_malgo(self, surface: str) -> bool:
-        """Coordinating 말고, alone or fused onto its -지 predicate."""
-        malgo = self.lexicon.negation_by_kind["malgo"]
-        return surface in malgo or self.fused_negator(surface, "malgo") is not None
-
-    def is_conditional(self, surface: str) -> bool:
-        """A -(으)면 conditional clause token (the disjunction 아니면 is not)."""
-        return surface.endswith("면") and surface != "아니면" and len(surface) > 1
 
     def strip_preverbal(self, core: str) -> str:
         """``core`` without a fused preverbal negator (안매 -> 매)."""
@@ -242,26 +232,21 @@ class Analyzer:
             i += 1
         return tuple(hits)
 
-    def profile_negation(self, surfaces: Sequence[str]) -> NegationProfile:
+    def profile_negation(self, tokens: Sequence[Eojeol]) -> NegationProfile:
         lex = self.lexicon
-        last = len(surfaces) - 1
+        surfaces = [t.surface for t in tokens]
+        last = len(tokens) - 1
 
-        ma = lex.negation_by_kind["ma"]
-        suffix_ci_ma = any(
-            (s.endswith("지") and i < last and surfaces[i + 1] in ma)
-            or self.fused_negator(s, "ma") is not None
-            for i, s in enumerate(surfaces)
-        )
-        malgo = next((i for i in range(last) if self.is_malgo(surfaces[i])), None)
-        myen_idx = next((i for i in range(last) if self.is_conditional(surfaces[i])), None)
+        malgo = next((i for i in range(last) if tokens[i].negation == "malgo"), None)
+        myen_idx = next((i for i in range(last) if tokens[i].conditional), None)
         danger = lex.is_danger_predicate(surfaces)
 
         preverbal = False
         scope = myen_idx if myen_idx is not None else last
-        for i, s in enumerate(surfaces):
-            if s in lex.negation_by_kind["preverbal"] and i <= scope:
+        for i, t in enumerate(tokens):
+            if t.negation == "preverbal" and i <= scope:
                 # the negator inside a danger pair (안 돼) is not preverbal
-                if i < last and (s, surfaces[i + 1]) in lex.danger_pairs:
+                if i < last and (t.surface, surfaces[i + 1]) in lex.danger_pairs:
                     continue
                 preverbal = True
         if myen_idx is not None:
@@ -271,8 +256,20 @@ class Analyzer:
 
         return NegationProfile(
             preverbal_an=preverbal,
-            suffix_ci_ma=suffix_ci_ma,
+            suffix_ci_ma=negative_imperative(tokens) is not None,
             malgo=malgo,
             danger_pred=danger,
             conditional_myen=myen_idx is not None,
         )
+
+
+def negative_imperative(tokens: Sequence[Eojeol]) -> Optional[tuple[int, str]]:
+    """Index and text of the first -지 predicate a ma negator follows (나가지 마, 나가지마)."""
+    for i, t in enumerate(tokens):
+        if t.surface.endswith("지") and i + 1 < len(tokens):
+            after = tokens[i + 1]
+            if after.negation == "ma" and after.fused is None:
+                return i, t.surface
+        if t.negation == "ma" and t.fused is not None:
+            return i, t.surface[: -len(t.fused)]
+    return None

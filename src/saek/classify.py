@@ -181,8 +181,8 @@ class Classifier:
                         Evidence("parallel-clauses", token_span(bearer_idx)),
                     ),
                 )
-            if "아니면" in surfaces:
-                i = surfaces.index("아니면")
+            i = next((i for i, s in enumerate(surfaces) if s in lex.disjunction), None)
+            if i is not None:
                 return Classification(
                     IntentLabel.ALTERNATIVE,
                     evidence=(Evidence("disjunction", token_span(i)),),
@@ -202,7 +202,7 @@ class Classifier:
         # (5) negated clause coordinated onto a positive imperative
         if profile.malgo is not None and imperative and bearer_idx is not None:
             m = profile.malgo
-            fused = surfaces[m] not in lex.negation_by_kind["malgo"]  # 놀지말고
+            fused = u.tokens[m].fused is not None  # 놀지말고
             negated = fused or (m > 0 and surfaces[m - 1].endswith("지"))
             if negated and bearer_idx > m:
                 return Classification(
@@ -275,6 +275,6 @@ class Classifier:
                 continue
             if t.stem in lex.advdet:
                 quant = i
-            elif t.stem and t.stem not in lex.pronouns and not t.is_negator:
+            elif t.stem and t.stem not in lex.pronouns and t.negation is None:
                 has_noun = True
         return quant if (quant is not None and has_noun) else None

@@ -18,7 +18,7 @@ from typing import Optional, TextIO
 
 from . import corpus as corpus_mod
 from .engine import Engine, OutputRecord, TSV_COLUMNS, record_tsv_row
-from .errors import IoFailure, LexiconError
+from .errors import EmptyCorpus, IoFailure, LexiconError
 
 _TSV_HELP = "TSV column order: " + ", ".join(TSV_COLUMNS)
 
@@ -78,10 +78,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _open_input(path: Optional[str]) -> TextIO:
+    """UTF-8 text; a byte that is not UTF-8 becomes a lone surrogate, which the
+    engine and the corpus loader report for its line alone."""
     if path is None or path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return sys.stdin
+    return _open(path, "r")
+
+
+def _open(path: str, mode: str) -> TextIO:
     try:
-        return open(path, encoding="utf-8")
+        return open(path, mode, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -157,7 +165,7 @@ def _run_eval(engine: Engine, args: argparse.Namespace) -> int:
 
     failures_out: Optional[TextIO] = None
     if args.failures:
-        failures_out = open(args.failures, "w", encoding="utf-8")
+        failures_out = _open(args.failures, "w")
     try:
         predictions = []
         n_failures = 0
@@ -214,7 +222,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             return _run_validate(args)
         if args.command == "eval":
             return _run_eval(engine, args)
-    except (IoFailure, LexiconError) as exc:
+    except (EmptyCorpus, IoFailure, LexiconError) as exc:
         print(f"saek: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
-from .analyze import PUNCTUATION
+from .analyze import PUNCTUATION, UNDECODED_RE
 from .classify import IntentLabel
 from .errors import DegenerateMatrix, EmptyCorpus, IoFailure, LengthMismatch
 from .lexicon import ArgumentCategory
@@ -97,6 +97,8 @@ def load(
 
 
 def _parse_row(line: str, line_no: int, format: str) -> Union[CorpusEntry, LoadError]:
+    if UNDECODED_RE.search(line):
+        return LoadError(line_no, "invalid UTF-8")
     cols = line.split("\t")
     want = 2 if format == "labeled" else 3
     if len(cols) != want:

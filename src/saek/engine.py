@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .analyze import Analyzer
+from .analyze import UNDECODED_RE, Analyzer
 from .classify import (
     COMMAND_LABELS,
     Classifier,
@@ -104,6 +104,9 @@ class Engine:
         Failures come back as records with a typed ``error`` field; this
         method never raises on malformed input.
         """
+        if UNDECODED_RE.search(text):
+            text = " ".join(UNDECODED_RE.sub("\ufffd", text).split())
+            return OutputRecord(text=text, error="invalid-utf8")
         try:
             u = self.analyzer.normalize(text)
         except EmptyUtterance:

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from . import hangul
-from .analyze import Analyzer, Eojeol, NegationProfile, NormalizedUtterance
+from .analyze import Analyzer, Eojeol, NegationProfile, NormalizedUtterance, negative_imperative
 from .classify import Classification, IntentLabel, Negativeness, negativeness
 from .errors import ExtractionFailed, OptionsNotFound, UnsupportedContraction
 from .lexicon import (
@@ -106,7 +106,7 @@ class Extractor:
             return True
         if stem in lex.pronouns or e.surface in lex.pronouns:
             return True
-        if e.surface in lex.negation_by_kind["preverbal"]:
+        if e.negation == "preverbal":
             return True
         if e.ending is None and stem in lex.lightverb_stems:
             return True  # bare light verb forms (하는, 했던) carry no content
@@ -121,7 +121,7 @@ class Extractor:
         """말고 marks rejected material: only the clause after it survives."""
         cut = None
         for i, t in enumerate(items[:-1]):
-            if self.analyzer.is_malgo(t.surface):
+            if t.negation == "malgo":
                 cut = i
         return items[cut + 1 :] if cut is not None else items
 
@@ -271,10 +271,10 @@ class Extractor:
                 options.extend(self._option_phrases(items[start:i]))
                 start = i + 1
             pred = items[pred_idx[-1]]
-        elif pred_idx and any(t.surface == "아니면" for t in items):
+        elif pred_idx and any(t.surface in lex.disjunction for t in items):
             pred = items[pred_idx[-1]]
             options = self._option_phrases(
-                [t for i, t in enumerate(items) if i != pred_idx[-1] and t.surface != "아니면"]
+                [t for t in items if t is not pred and t.surface not in lex.disjunction]
             )
         else:
             raise OptionsNotFound("no parallel clauses or disjunction marker")
@@ -441,7 +441,7 @@ class Extractor:
         if neg is Negativeness.SR:
             if profile.malgo is not None:
                 # a bearer with a pronoun stem (전해) is not in items, so 말고 can be last
-                if not any(self.analyzer.is_malgo(t.surface) for t in items[:-1]):
+                if not any(t.negation == "malgo" for t in items[:-1]):
                     raise ExtractionFailed("coordination marker vanished before extraction")
                 # _requirement keeps only what follows the last 말고
                 return self._requirement(items, IntentLabel.STRONG_REQUIREMENT)
@@ -470,20 +470,10 @@ class Extractor:
         return items[start:end]
 
     def _ph_from_negative_imperative(self, items: list[Eojeol]) -> Argument:
-        ma = self.lexicon.negation_by_kind["ma"]
-        pred_idx: Optional[int] = None
-        pred_text = ""
-        for i, t in enumerate(items):
-            s = t.surface
-            if s.endswith("지") and i + 1 < len(items) and items[i + 1].surface in ma:
-                pred_idx, pred_text = i, s
-                break
-            fused = self.analyzer.fused_negator(s, "ma")
-            if fused is not None:
-                pred_idx, pred_text = i, s[: -len(fused)]
-                break
-        if pred_idx is None:
+        found = negative_imperative(items)
+        if found is None:
             raise ExtractionFailed("negative imperative without a -지 predicate")
+        pred_idx, pred_text = found
         if not pred_text:
             raise ExtractionFailed("empty prohibited action")
         span = self._trim_subordinate(items, pred_idx)
@@ -494,7 +484,7 @@ class Extractor:
     def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
         for i, t in enumerate(items[:-1]):
             s = t.surface
-            if self.analyzer.is_conditional(s):
+            if t.conditional:
                 core = s[:-2] if (s.endswith("으면") and len(s) > 2) else s[:-1]
                 return i, core
         raise ExtractionFailed("no conditional clause found")
@@ -512,7 +502,7 @@ class Extractor:
         idx, core = self._conditional_core(items)
         core = self.analyzer.strip_preverbal(core)
         span = self._trim_subordinate(items, idx)
-        span = [t for t in span if t.surface not in self.lexicon.negation_by_kind["preverbal"]]
+        span = [t for t in span if t.negation != "preverbal"]
         nominal = self._nominalize_stem(core, span)
         parts = self._clean_parts([self._command_content(t) for t in span])
         if not nominal:

@@ -117,6 +117,7 @@ ROLES = {
     "wh",
     "whnoun",
     "negation",
+    "disjunction",
     "danger",
     "infoverb",
     "advdet",
@@ -172,6 +173,7 @@ class Lexicon:
     wh_pairs: dict[tuple[str, str], WhKind] = field(default_factory=dict)
     wh_nouns: dict[WhKind, tuple[str, ...]] = field(default_factory=dict)
     negation: dict[str, str] = field(default_factory=dict)  # surface -> kind
+    disjunction: set[str] = field(default_factory=set)  # A 아니면 B: not a -면 conditional
     danger: set[str] = field(default_factory=set)
     danger_pairs: set[tuple[str, str]] = field(default_factory=set)
     infoverbs: set[str] = field(default_factory=set)
@@ -383,6 +385,8 @@ def _add_entry(
         if kind not in NEGATION_KINDS:
             raise LexiconError(f"{where}: negation needs kind=ma|malgo|anh|preverbal")
         lex.negation[surface] = kind
+    elif role == "disjunction":
+        lex.disjunction.add(surface)
     elif role == "danger":
         if " " in surface:
             first, rest = surface.split(" ", 1)

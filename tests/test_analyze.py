@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from saek.analyze import Eojeol, PUNCTUATION
+from saek.analyze import Eojeol, PUNCTUATION, negative_imperative
 from saek.errors import EmptyUtterance
 
 
@@ -139,3 +139,33 @@ def test_wh_hits_multi_token(analyzer):
     assert len(hits) == 1
     assert hits[0].token_start == 1 and hits[0].token_end == 3
     assert u.text[hits[0].char_start : hits[0].char_end] == "몇 시"
+
+
+def _cues(analyzer, text):
+    return [(t.negation, t.fused, t.conditional) for t in analyzer.normalize(text).tokens]
+
+
+@pytest.mark.parametrize(
+    "text, cues",
+    [
+        ("나가지마", [("ma", "마", False)]),
+        ("놀지말고", [("malgo", "말고", False)]),
+        ("걱정하지 말고 전해", [(None, None, False), ("malgo", None, False), (None, None, False)]),
+        ("안매면", [(None, None, True)]),
+        (
+            "버스 타 아니면 택시 탈래",
+            [(None, None, False)] * 5,  # the disjunction is not a conditional
+        ),
+        ("안 돼", [("preverbal", None, False), (None, None, False)]),
+        ("나가지 마", [(None, None, False), ("ma", None, False)]),
+    ],
+)
+def test_token_cues_tagged_once(analyzer, text, cues):
+    assert _cues(analyzer, text) == cues
+
+
+def test_negative_imperative_reads_the_tags(analyzer):
+    u = analyzer.normalize("밖에 나가지 마")
+    assert negative_imperative(u.tokens) == (1, "나가지")
+    assert negative_imperative(analyzer.normalize("밖에 나가지마세요").tokens) == (1, "나가지")
+    assert negative_imperative(analyzer.normalize("밖에 나가 마").tokens) is None

@@ -1,7 +1,13 @@
+import contextlib
 import io
 import json
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saek import cli
 from saek.corpus import TABLE2_COUNTS
@@ -196,3 +202,86 @@ def test_lexicon_env_default(tmp_path, capsys, monkeypatch):
     code = cli.run(["classify", "-"])
     _, err = capsys.readouterr()
     assert code == 1 and "unknown role" in err
+
+
+BAD_UTF8 = "밥 먹었어\n".encode() + b"\xff\xfe " + "밖에\n창문 열어줘\n".encode()
+
+
+def run_cli_bytes(argv, data, via_stdin):
+    """Run the CLI on raw input bytes, from stdin or from a file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        if via_stdin:
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            with mock.patch.object(sys, "stdin", stdin):
+                code = cli.run(argv)
+        else:
+            path = Path(tmp) / "in.txt"
+            path.write_bytes(data)
+            code = cli.run(argv + [str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("via_stdin", [False, True])
+def test_invalid_utf8_line_is_one_typed_record(via_stdin):
+    code, out, _ = run_cli_bytes(["extract"], BAD_UTF8, via_stdin)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r.get("label") for r in records] == [0, None, 4]
+    assert records[1] == {"text": "\ufffd\ufffd 밖에", "error": "invalid-utf8"}
+    code, _, _ = run_cli_bytes(["extract", "--strict"], BAD_UTF8, via_stdin)
+    assert code == 1
+
+
+def _line_bytes():
+    raw = st.one_of(st.binary(max_size=24), st.text(max_size=12).map(str.encode))
+    return raw.map(lambda b: b.replace(b"\n", b"").replace(b"\r", b""))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_line_bytes(), max_size=6), st.booleans())
+def test_extract_total_on_arbitrary_bytes(lines, via_stdin):
+    code, out, err = run_cli_bytes(["extract"], b"\n".join(lines), via_stdin)
+    assert code == 0 and "Traceback" not in err
+    non_blank = [b for b in lines if b.decode("utf-8", "surrogateescape").strip()]
+    assert out.count("\n") == len(non_blank)
+    for line in out.split("\n")[:-1]:
+        json.loads(line)
+
+
+def test_corpus_rows_with_invalid_utf8_are_load_errors(tmp_path, capsys):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes("0\t밥 먹었어\n0\t".encode() + b"\xff " + "밖에\n".encode())
+    code = cli.run(["corpus", "validate", str(path)])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out) == {"line": 2, "error": "invalid UTF-8"}
+    code = cli.run(["eval", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 0 and "line 2: invalid UTF-8" in err
+    assert json.loads(out)["total"] == 1
+
+
+def test_eval_unwritable_failures_path_reports(fixtures_dir, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "x.jsonl"
+    code = cli.run(["eval", str(fixtures_dir / "corpus60.tsv"), "--failures", str(missing)])
+    _, err = capsys.readouterr()
+    assert code == 1 and err.startswith("saek: ") and "No such file" in err
+
+
+def test_corpus_stats_empty_reports(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
+    code = cli.run(["corpus", "stats", str(empty)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "") and err.startswith("saek: ")
+
+
+def test_eval_empty_reports(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("\n", encoding="utf-8")
+    code = cli.run(["eval", str(empty)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "") and err.startswith("saek: ")

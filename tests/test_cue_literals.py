@@ -1,4 +1,5 @@
-"""Negation cues come from the lexicon: no source file spells one out."""
+"""Negation and disjunction cues come from the lexicon: no source file spells
+one out."""
 
 import ast
 from pathlib import Path
@@ -9,10 +10,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "saek"
 
 
 def test_no_negation_surface_literals_in_source():
-    negation = default_lexicon().negation
+    lexicon = default_lexicon()
+    negation = lexicon.negation
     fused = {"지" + s for s, kind in negation.items() if kind in ("ma", "malgo")}
-    forbidden = set(negation) | fused
-    assert {"말고", "지말고", "안", "못"} <= forbidden
+    forbidden = set(negation) | fused | lexicon.disjunction
+    assert {"말고", "지말고", "안", "못", "아니면"} <= forbidden
     paths = sorted(SRC.glob("*.py"))
     assert paths
     found = []
@@ -21,4 +23,4 @@ def test_no_negation_surface_literals_in_source():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if node.value in forbidden:
                     found.append(f"{path.name}:{node.lineno}: {node.value!r}")
-    assert not found, "negation surfaces belong in the lexicon: " + ", ".join(found)
+    assert not found, "cue surfaces belong in the lexicon: " + ", ".join(found)

@@ -142,3 +142,12 @@ def test_negation_rows_drive_behaviour():
     assert (coordinated.label, coordinated.argument) == (5, "공부하기")
     double_negation = engine.process("아니 먹으면 혼나")
     assert (double_negation.label, double_negation.argument) == (5, "먹기")
+
+
+def test_disjunction_row_drives_behaviour():
+    text = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8")
+    engine = Engine(parse_lexicon(text.splitlines() + ["disjunction\t혹은"]))
+    record = engine.process("버스 타 혹은 택시 탈래")
+    assert (record.label, record.argument) == (1, "버스 타 택시 중 탈 것")
+    without = [line for line in text.splitlines() if not line.startswith("disjunction\t")]
+    assert Engine(parse_lexicon(without)).process("버스 타 아니면 택시 탈래").label == 0
