@@ -1,69 +1,56 @@
 """saek: intent classification and structured argument extraction for
-spoken-style Korean questions and commands, plus corpus tooling."""
+spoken-style Korean questions and commands, plus corpus tooling.
 
-from .analyze import Analyzer, Eojeol, NegationProfile, NormalizedUtterance
-from .classify import (
-    Classification,
-    Classifier,
-    IntentLabel,
-    LABEL_NAMES,
-    Negativeness,
-    QuestionType,
-    negativeness,
-    question_type,
-)
-from .corpus import (
-    CorpusEntry,
-    CorpusStats,
-    EvalReport,
-    evaluate,
-    fleiss_kappa,
-    load,
-    stats,
-)
-from .engine import Engine, OutputRecord
-from .extract import Argument, Extractor, Tense
-from .lexicon import (
-    ArgumentCategory,
-    Lexicon,
-    WhCategory,
-    WhKind,
-    default_lexicon,
-    load_lexicon,
-)
+The public names below resolve on first use (PEP 562), so ``import saek``
+loads nothing else, and the engine path never loads the corpus tooling.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Analyzer",
-    "Argument",
-    "ArgumentCategory",
-    "Classification",
-    "Classifier",
-    "CorpusEntry",
-    "CorpusStats",
-    "Engine",
-    "Eojeol",
-    "EvalReport",
-    "Extractor",
-    "IntentLabel",
-    "LABEL_NAMES",
-    "Lexicon",
-    "NegationProfile",
-    "Negativeness",
-    "NormalizedUtterance",
-    "OutputRecord",
-    "QuestionType",
-    "Tense",
-    "WhCategory",
-    "WhKind",
-    "default_lexicon",
-    "evaluate",
-    "fleiss_kappa",
-    "load",
-    "load_lexicon",
-    "negativeness",
-    "question_type",
-    "stats",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "Analyzer": "analyze",
+    "Argument": "extract",
+    "ArgumentCategory": "lexicon",
+    "Classification": "classify",
+    "Classifier": "classify",
+    "CorpusEntry": "corpus",
+    "CorpusStats": "corpus",
+    "Engine": "engine",
+    "Eojeol": "analyze",
+    "EvalReport": "corpus",
+    "Extractor": "extract",
+    "IntentLabel": "classify",
+    "LABEL_NAMES": "classify",
+    "Lexicon": "lexicon",
+    "NegationProfile": "analyze",
+    "Negativeness": "classify",
+    "NormalizedUtterance": "analyze",
+    "OutputRecord": "engine",
+    "QuestionType": "classify",
+    "WhCategory": "lexicon",
+    "WhKind": "lexicon",
+    "default_lexicon": "lexicon",
+    "evaluate": "corpus",
+    "fleiss_kappa": "corpus",
+    "load": "corpus",
+    "load_lexicon": "lexicon",
+    "negativeness": "classify",
+    "question_type": "classify",
+    "stats": "corpus",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module("." + module, __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_EXPORTS])

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import hangul
 from .errors import EmptyUtterance
@@ -25,8 +24,7 @@ _WS_RE = re.compile(r"\s+")
 UNDECODED_RE = re.compile("[\ud800-\udfff]")
 
 
-@dataclass(frozen=True)
-class Eojeol:
+class Eojeol(NamedTuple):
     """One whitespace-delimited token with its morpheme split."""
 
     surface: str
@@ -40,8 +38,7 @@ class Eojeol:
     conditional: bool = False  # a -(으)면 conditional clause token
 
 
-@dataclass(frozen=True)
-class WhHit:
+class WhHit(NamedTuple):
     """A wh surface form located in the token sequence."""
 
     kind: WhKind
@@ -51,8 +48,7 @@ class WhHit:
     char_end: int
 
 
-@dataclass(frozen=True)
-class NegationProfile:
+class NegationProfile(NamedTuple):
     preverbal_an: bool = False
     suffix_ci_ma: bool = False
     malgo: Optional[int] = None  # first 말고 token, never the last token
@@ -60,8 +56,7 @@ class NegationProfile:
     conditional_myen: bool = False
 
 
-@dataclass(frozen=True)
-class NormalizedUtterance:
+class NormalizedUtterance(NamedTuple):
     """Normalized text, its tokens and every utterance-level feature."""
 
     raw: str
@@ -97,7 +92,7 @@ class Analyzer:
         wh_hits = self.find_wh(tokens, offsets)
         for hit in wh_hits:
             for i in range(hit.token_start, hit.token_end):
-                tokens[i] = replace(tokens[i], is_wh=True)
+                tokens[i] = tokens[i]._replace(is_wh=True)
         return NormalizedUtterance(
             raw, text, tuple(tokens), offsets, wh_hits, self.profile_negation(tokens)
         )
@@ -156,7 +151,7 @@ class Analyzer:
         suffix = self.lexicon.longest_josa(surface)
         if suffix is None:
             return e
-        return replace(e, stem=surface[: -len(suffix)], particle=suffix)
+        return e._replace(stem=surface[: -len(suffix)], particle=suffix)
 
     def strip_josa_all(self, surface: str, droppable_only: bool = False) -> str:
         """Repeatedly strip particle suffixes (stacked particles like 에서는)."""

@@ -8,9 +8,8 @@ fired rule leaves an evidence span for explainability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analyze import NormalizedUtterance
 from .errors import Unclassifiable, WrongSuperType
@@ -85,14 +84,12 @@ def negativeness(label: IntentLabel) -> Negativeness:
     return mapping[label]
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     rule: str
     span: tuple[int, int]  # char span within NormalizedUtterance.text
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     label: IntentLabel
     wh: Optional[WhCategory] = None  # present exactly when label == WH
     evidence: tuple[Evidence, ...] = ()

@@ -16,7 +16,6 @@ import os
 import sys
 from typing import Optional, TextIO
 
-from . import corpus as corpus_mod
 from .engine import Engine, OutputRecord, TSV_COLUMNS, record_tsv_row
 from .errors import EmptyCorpus, IoFailure, LexiconError
 
@@ -118,15 +117,19 @@ def _run_stream(engine: Engine, args: argparse.Namespace, extract: bool) -> int:
 
 
 def _load_corpus(path: str, fmt: str) -> tuple[list, list]:
+    from . import corpus  # the corpus tooling loads only for the commands that use it
+
     with _open_input(path) as fh:
-        return corpus_mod.load(fh, format=fmt)
+        return corpus.load(fh, format=fmt)
 
 
 def _run_stats(args: argparse.Namespace) -> int:
+    from . import corpus
+
     entries, errors = _load_corpus(args.data, "labeled")
     for err in errors:
         print(f"line {err.line}: {err.error}", file=sys.stderr)
-    stats = corpus_mod.stats(entries)
+    stats = corpus.stats(entries)
     print(
         json.dumps(
             {
@@ -139,7 +142,7 @@ def _run_stats(args: argparse.Namespace) -> int:
         )
     )
     if args.expect_table2:
-        diffs = corpus_mod.diff_expected(stats)
+        diffs = corpus.diff_expected(stats)
         for diff in diffs:
             print(diff, file=sys.stderr)
         if diffs:
@@ -158,6 +161,8 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 
 def _run_eval(engine: Engine, args: argparse.Namespace) -> int:
+    from . import corpus
+
     fmt = "paired" if args.paired else "labeled"
     entries, errors = _load_corpus(args.data, fmt)
     for err in errors:
@@ -182,7 +187,7 @@ def _run_eval(engine: Engine, args: argparse.Namespace) -> int:
         if failures_out is not None:
             failures_out.close()
 
-    report = corpus_mod.evaluate(predictions, entries)
+    report = corpus.evaluate(predictions, entries)
     out = {
         "total": len(entries),
         "label_accuracy": report.label_accuracy,

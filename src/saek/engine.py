@@ -110,7 +110,7 @@ class Engine:
         try:
             u = self.analyzer.normalize(text)
         except EmptyUtterance:
-            return OutputRecord(text=text.strip(), error="empty-utterance")
+            return OutputRecord(text=" ".join(text.split()), error="empty-utterance")
         try:
             c = self.classifier.classify(u)
         except Unclassifiable:

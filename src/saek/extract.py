@@ -7,9 +7,7 @@ by one.  The engine never invents tokens that are absent from the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import hangul
 from .analyze import Analyzer, Eojeol, NegationProfile, NormalizedUtterance, negative_imperative
@@ -25,13 +23,7 @@ from .lexicon import (
 )
 
 
-class Tense(Enum):
-    PAST = "past"
-    NONPAST = "nonpast"
-
-
-@dataclass(frozen=True)
-class Argument:
+class Argument(NamedTuple):
     """Nominalized argument phrase with its category tag."""
 
     text: str
@@ -133,19 +125,16 @@ class Extractor:
             and all(hangul.is_syllable(ch) for ch in e.surface)
         )
 
-    def _tense(self, stem: str) -> Tense:
-        if not stem:
-            return Tense.NONPAST
-        if stem.endswith(_PLAIN_SSANG_STEMS):
-            return Tense.NONPAST
+    def _is_past(self, stem: str) -> bool:
+        """True iff the stem ends in a past-marked coda-ㅆ syllable."""
+        if not stem or stem.endswith(_PLAIN_SSANG_STEMS):
+            return False
         last = stem[-1]
-        if hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_SSANG_SIOT:
-            return Tense.PAST
-        return Tense.NONPAST
+        return hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_SSANG_SIOT
 
     # -- adnominalization --------------------------------------------------
 
-    def adnominalize(self, stem: str, tense: Tense) -> str:
+    def adnominalize(self, stem: str, past: bool) -> str:
         """Adnominal (noun-modifying) form of a predicate stem.
 
         Nonpast attaches 는; past undoes the 았/었 contraction before
@@ -155,7 +144,7 @@ class Extractor:
         if not stem:
             raise ExtractionFailed("empty predicate stem")
         last = stem[-1]
-        if tense is Tense.NONPAST:
+        if not past:
             if hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_RIEUL:
                 return stem[:-1] + hangul.with_tail(last, hangul.TAIL_NONE) + "는"
             return stem + "는"
@@ -187,7 +176,7 @@ class Extractor:
 
     def _adnominal_or_fallback(self, stem: str, notes: list[str]) -> str:
         try:
-            return self.adnominalize(stem, self._tense(stem))
+            return self.adnominalize(stem, self._is_past(stem))
         except UnsupportedContraction:
             notes.append("contraction-fallback")
             return stem + "은"
@@ -288,7 +277,7 @@ class Extractor:
         last = stem[-1]
         if hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_RIEUL:
             adnominal = stem  # the ending strip already exposed -(으)ㄹ
-        elif self._tense(stem) is Tense.PAST:
+        elif self._is_past(stem):
             adnominal = self._adnominal_or_fallback(stem, notes)
         else:
             adnominal = self._future_adnominal(stem)

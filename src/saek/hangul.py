@@ -8,7 +8,7 @@ Callers are expected to pass NFC text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, NotHangulSyllable
 
@@ -37,8 +37,7 @@ TAIL_SSANG_SIOT = TAILS.index("ㅆ")
 TAIL_BIEUP = TAILS.index("ㅂ")
 
 
-@dataclass(frozen=True)
-class JamoTriple:
+class JamoTriple(NamedTuple):
     """Lead / vowel / tail indices of one precomposed syllable."""
 
     lead: int

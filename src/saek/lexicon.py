@@ -9,11 +9,10 @@ the annotation scheme needs; see ``data/default_lexicon.tsv``.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import hangul
 from .errors import LexiconError, UnknownParticle
@@ -75,8 +74,7 @@ COMMAND_CATEGORIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class WhCategory:
+class WhCategory(NamedTuple):
     """One wh class with its replacement nouns, primary noun first."""
 
     kind: WhKind
@@ -87,15 +85,13 @@ class WhCategory:
         return self.nouns[0]
 
 
-@dataclass(frozen=True)
-class Josa:
+class Josa(NamedTuple):
     surface: str
     cond: str  # any | batchim | no_batchim | open_or_rieul | batchim_not_rieul
     droppable: bool  # case particle a command argument may lose
 
 
-@dataclass(frozen=True)
-class Ending:
+class Ending(NamedTuple):
     surface: str
     kind: EndingKind
     copula: bool = False
@@ -103,31 +99,24 @@ class Ending:
     stem: str = ""  # lexical stem recovered when the suffix is the whole token
 
 
-@dataclass(frozen=True)
-class WhMatch:
+class WhMatch(NamedTuple):
     kind: WhKind
     start: int
     end: int
 
 
-ROLES = {
-    "josa",
-    "vocative",
-    "ending",
-    "wh",
-    "whnoun",
-    "negation",
-    "disjunction",
-    "danger",
-    "infoverb",
-    "advdet",
-    "lightverb",
-    "pronoun",
-    "knowstem",
-    "depnoun",
-    "connective",
-    "nostrip",
+# roles whose rows are bare surfaces, and the set table each one fills
+_SET_ROLES = {
+    "disjunction": "disjunction",
+    "infoverb": "infoverbs",
+    "lightverb": "lightverb_stems",
+    "pronoun": "pronouns",
+    "knowstem": "knowstems",
+    "depnoun": "depnouns",
+    "connective": "connectives",
+    "nostrip": "nostrip",
 }
+ROLES = {"josa", "vocative", "ending", "wh", "whnoun", "negation", "danger", "advdet", *_SET_ROLES}
 
 NEGATION_KINDS = ("ma", "malgo", "anh", "preverbal")
 
@@ -158,47 +147,46 @@ def _check_cond(cond: str, stem_final: str) -> bool:
     raise LexiconError(f"unknown josa condition: {cond}")
 
 
-@dataclass
+# every table, by attribute name and type; parse_lexicon fills an empty one of each
+TABLES = {
+    "josa": dict[str, Josa],
+    "vocative": dict[str, str],  # surface -> cond
+    "endings": dict[str, Ending],
+    "cues": set[tuple[str, ...]],  # want-to-know prefixes
+    "wh_surfaces": dict[str, WhKind],
+    "wh_pairs": dict[tuple[str, str], WhKind],
+    "wh_nouns": dict[WhKind, tuple[str, ...]],
+    "negation": dict[str, str],  # surface -> kind
+    "disjunction": set[str],  # A 아니면 B: not a -면 conditional
+    "danger": set[str],
+    "danger_pairs": set[tuple[str, str]],
+    "infoverbs": set[str],
+    "advdet": dict[str, str],
+    "lightverb_stems": set[str],
+    "pronouns": set[str],
+    "knowstems": set[str],
+    "depnouns": set[str],
+    "connectives": set[str],
+    "nostrip": set[str],
+}
+
+
 class Lexicon:
-    """Every correspondence table, plus the views ``_finish`` derives from them.
+    """Every correspondence table, plus the views derived from them here.
 
-    Tables must not be mutated after ``_finish``: nothing enforces this, and
-    the derived views would go stale."""
+    Tables must not be mutated after construction: nothing enforces this,
+    and the derived views would go stale."""
 
-    josa: dict[str, Josa] = field(default_factory=dict)
-    vocative: dict[str, str] = field(default_factory=dict)  # surface -> cond
-    endings: dict[str, Ending] = field(default_factory=dict)
-    cues: set[tuple[str, ...]] = field(default_factory=set)  # want-to-know prefixes
-    wh_surfaces: dict[str, WhKind] = field(default_factory=dict)
-    wh_pairs: dict[tuple[str, str], WhKind] = field(default_factory=dict)
-    wh_nouns: dict[WhKind, tuple[str, ...]] = field(default_factory=dict)
-    negation: dict[str, str] = field(default_factory=dict)  # surface -> kind
-    disjunction: set[str] = field(default_factory=set)  # A 아니면 B: not a -면 conditional
-    danger: set[str] = field(default_factory=set)
-    danger_pairs: set[tuple[str, str]] = field(default_factory=set)
-    infoverbs: set[str] = field(default_factory=set)
-    advdet: dict[str, str] = field(default_factory=dict)
-    lightverb_stems: set[str] = field(default_factory=set)
-    pronouns: set[str] = field(default_factory=set)
-    knowstems: set[str] = field(default_factory=set)
-    depnouns: set[str] = field(default_factory=set)
-    connectives: set[str] = field(default_factory=set)
-    nostrip: set[str] = field(default_factory=set)
+    __slots__ = (*TABLES, "_josa_by_len", "_ending_by_len", "_wh_by_pos", "negation_by_kind")
 
-    # -- derived, filled by _finish() --
-    _josa_by_len: list[str] = field(default_factory=list)
-    _ending_by_len: list[str] = field(default_factory=list)
-    _wh_by_pos: list[str] = field(default_factory=list)
-    # negation kind -> its surfaces, longest first
-    negation_by_kind: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def _finish(self) -> None:
+    def __init__(self, **tables) -> None:
+        for name in TABLES:
+            setattr(self, name, tables[name])
         self._josa_by_len = sorted(self.josa, key=len, reverse=True)
         self._ending_by_len = sorted(self.endings, key=len, reverse=True)
         self._wh_by_pos = sorted(self.wh_surfaces, key=len, reverse=True)
         by_len = sorted(self.negation, key=len, reverse=True)
+        # negation kind -> its surfaces, longest first
         self.negation_by_kind = {
             kind: tuple(s for s in by_len if self.negation[s] == kind) for kind in NEGATION_KINDS
         }
@@ -305,7 +293,7 @@ class Lexicon:
 
 
 def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
-    lex = Lexicon()
+    tables = {name: table() for name, table in TABLES.items()}
     seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(lines, 1):
         line = raw.rstrip("\n")
@@ -315,7 +303,7 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         if len(parts) < 2:
             raise LexiconError(f"{source}:{lineno}: expected role<TAB>surface")
         role, surface = parts[0].strip(), parts[1].strip()
-        attrs = _parse_attrs(parts[2] if len(parts) > 2 else "", source, lineno)
+        attrs = _parse_attrs(parts[2] if len(parts) > 2 else "")
         if role not in ROLES:
             raise LexiconError(f"{source}:{lineno}: unknown role {role!r}")
         if not surface:
@@ -323,12 +311,11 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         if (role, surface) in seen:
             raise LexiconError(f"{source}:{lineno}: duplicate entry {role} {surface!r}")
         seen.add((role, surface))
-        _add_entry(lex, role, surface, attrs, source, lineno)
-    lex._finish()
-    return lex
+        _add_entry(tables, role, surface, attrs, f"{source}:{lineno}")
+    return Lexicon(**tables)
 
 
-def _parse_attrs(text: str, source: str, lineno: int) -> dict[str, str]:
+def _parse_attrs(text: str) -> dict[str, str]:
     attrs: dict[str, str] = {}
     for chunk in text.strip().split(";"):
         chunk = chunk.strip()
@@ -342,25 +329,24 @@ def _parse_attrs(text: str, source: str, lineno: int) -> dict[str, str]:
     return attrs
 
 
-def _add_entry(
-    lex: Lexicon, role: str, surface: str, attrs: dict[str, str], source: str, lineno: int
-) -> None:
-    where = f"{source}:{lineno}"
-    if role == "josa":
+def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: str) -> None:
+    if role in _SET_ROLES:
+        t[_SET_ROLES[role]].add(surface)
+    elif role == "josa":
         cond = attrs.get("cond", "any")
         if cond not in _JOSA_CONDS:
             raise LexiconError(f"{where}: bad josa condition {cond!r}")
-        lex.josa[surface] = Josa(surface, cond, "droppable" in attrs)
+        t["josa"][surface] = Josa(surface, cond, "droppable" in attrs)
     elif role == "vocative":
-        lex.vocative[surface] = attrs.get("cond", "any")
+        t["vocative"][surface] = attrs.get("cond", "any")
     elif role == "ending":
         kind = _ENDING_KINDS.get(attrs.get("kind", ""))
         if kind is None:
             raise LexiconError(f"{where}: ending needs kind=int|imp|cue")
         if kind is EndingKind.DECLARATIVE_CUE:
-            lex.cues.add(tuple(surface.split(" ")))
+            t["cues"].add(tuple(surface.split(" ")))
         else:
-            lex.endings[surface] = Ending(
+            t["endings"][surface] = Ending(
                 surface,
                 kind,
                 copula="copula" in attrs,
@@ -372,46 +358,27 @@ def _add_entry(
             kind = WhKind(attrs.get("category", ""))
         except ValueError:
             raise LexiconError(f"{where}: bad wh category {attrs.get('category')!r}") from None
-        if role == "wh":
-            if " " in surface:
-                first, rest = surface.split(" ", 1)
-                lex.wh_pairs[(first, rest)] = kind
-            else:
-                lex.wh_surfaces[surface] = kind
+        if role == "whnoun":
+            t["wh_nouns"][kind] = t["wh_nouns"].get(kind, ()) + (surface,)
+        elif " " in surface:
+            t["wh_pairs"][tuple(surface.split(" ", 1))] = kind
         else:
-            lex.wh_nouns[kind] = lex.wh_nouns.get(kind, ()) + (surface,)
+            t["wh_surfaces"][surface] = kind
     elif role == "negation":
         kind = attrs.get("kind", "")
         if kind not in NEGATION_KINDS:
             raise LexiconError(f"{where}: negation needs kind=ma|malgo|anh|preverbal")
-        lex.negation[surface] = kind
-    elif role == "disjunction":
-        lex.disjunction.add(surface)
+        t["negation"][surface] = kind
     elif role == "danger":
         if " " in surface:
-            first, rest = surface.split(" ", 1)
-            lex.danger_pairs.add((first, rest))
+            t["danger_pairs"].add(tuple(surface.split(" ", 1)))
         else:
-            lex.danger.add(surface)
-    elif role == "infoverb":
-        lex.infoverbs.add(surface)
+            t["danger"].add(surface)
     elif role == "advdet":
         det = attrs.get("det")
         if not det:
             raise LexiconError(f"{where}: advdet needs det=<determiner>")
-        lex.advdet[surface] = det
-    elif role == "lightverb":
-        lex.lightverb_stems.add(surface)
-    elif role == "pronoun":
-        lex.pronouns.add(surface)
-    elif role == "knowstem":
-        lex.knowstems.add(surface)
-    elif role == "depnoun":
-        lex.depnouns.add(surface)
-    elif role == "connective":
-        lex.connectives.add(surface)
-    elif role == "nostrip":
-        lex.nostrip.add(surface)
+        t["advdet"][surface] = det
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

@@ -76,6 +76,15 @@ def test_tsv_format_fixed_columns(monkeypatch, capsys):
     assert cells[1] == "2" and cells[5] == "오늘 온 사람"
 
 
+def test_empty_utterance_record_collapses_whitespace(monkeypatch, capsys):
+    _, out, _ = run_cli(["extract", "--format", "tsv"], ".\t.\n", monkeypatch, capsys)
+    cells = out.rstrip("\n").split("\t")
+    assert len(cells) == 9
+    assert cells[0] == ". ." and cells[8] == "empty-utterance"
+    _, out, _ = run_cli(["extract"], ".\t.\n", monkeypatch, capsys)
+    assert json.loads(out) == {"text": ". .", "error": "empty-utterance"}
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "in.txt"
     path.write_text("인적사항 확인 바랍니다\n", encoding="utf-8")

@@ -2,7 +2,6 @@ import pytest
 
 from golden_cases import GOLDEN
 from saek.errors import ExtractionFailed, OptionsNotFound, UnsupportedContraction
-from saek.extract import Tense
 from saek.lexicon import ArgumentCategory, QUESTION_CATEGORIES, COMMAND_CATEGORIES
 
 
@@ -21,30 +20,30 @@ def test_golden_arguments(analyzer, classifier, extractor, text, label, arg, cat
 
 
 def test_adnominalize_paper_forms(extractor):
-    assert extractor.adnominalize("왔", Tense.PAST) == "온"
-    assert extractor.adnominalize("있", Tense.NONPAST) == "있는"
-    assert extractor.adnominalize("막히", Tense.NONPAST) == "막히는"
+    assert extractor.adnominalize("왔", past=True) == "온"
+    assert extractor.adnominalize("있", past=False) == "있는"
+    assert extractor.adnominalize("막히", past=False) == "막히는"
 
 
 def test_adnominalize_contraction_table(extractor):
-    assert extractor.adnominalize("했", Tense.PAST) == "한"
-    assert extractor.adnominalize("갔", Tense.PAST) == "간"
-    assert extractor.adnominalize("봤", Tense.PAST) == "본"
-    assert extractor.adnominalize("샀", Tense.PAST) == "산"
-    assert extractor.adnominalize("탔", Tense.PAST) == "탄"
-    assert extractor.adnominalize("섰", Tense.PAST) == "선"
-    assert extractor.adnominalize("먹었", Tense.PAST) == "먹은"
-    assert extractor.adnominalize("보냈", Tense.PAST) == "보낸"
-    assert extractor.adnominalize("뒀", Tense.PAST) == "둔"
+    assert extractor.adnominalize("했", past=True) == "한"
+    assert extractor.adnominalize("갔", past=True) == "간"
+    assert extractor.adnominalize("봤", past=True) == "본"
+    assert extractor.adnominalize("샀", past=True) == "산"
+    assert extractor.adnominalize("탔", past=True) == "탄"
+    assert extractor.adnominalize("섰", past=True) == "선"
+    assert extractor.adnominalize("먹었", past=True) == "먹은"
+    assert extractor.adnominalize("보냈", past=True) == "보낸"
+    assert extractor.adnominalize("뒀", past=True) == "둔"
 
 
 def test_adnominalize_unsupported_contraction(extractor):
     with pytest.raises(UnsupportedContraction):
-        extractor.adnominalize("있", Tense.PAST)  # lexical ㅆ, not a tense mark
+        extractor.adnominalize("있", past=True)  # lexical ㅆ, not a tense mark
 
 
 def test_adnominalize_rieul_drop(extractor):
-    assert extractor.adnominalize("팔", Tense.NONPAST) == "파는"
+    assert extractor.adnominalize("팔", past=False) == "파는"
 
 
 def test_yesno_derived_nominalizer(analyzer, classifier, extractor):
