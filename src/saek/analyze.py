@@ -130,11 +130,12 @@ class Analyzer:
         lex = self.lexicon
         cond = surface.endswith("면") and len(surface) > 1 and surface not in lex.disjunction
         negation = lex.negation.get(surface)
-        if negation is None:
+        if negation is None and "지" in surface:
+            # a fused negator follows -지; ma before malgo, longest first within a kind
             for kind in ("ma", "malgo"):
-                for neg in lex.negation_by_kind[kind]:
-                    if surface.endswith("지" + neg):
-                        return {"negation": kind, "fused": neg, "conditional": cond}
+                for k in lex.negation_lengths[kind]:
+                    if surface[-k - 1 : -k] == "지" and lex.negation.get(surface[-k:]) == kind:
+                        return {"negation": kind, "fused": surface[-k:], "conditional": cond}
         return {"negation": negation, "fused": None, "conditional": cond}
 
     # -- per-token operations -------------------------------------------
@@ -191,9 +192,10 @@ class Analyzer:
 
     def strip_preverbal(self, core: str) -> str:
         """``core`` without a fused preverbal negator (안매 -> 매)."""
-        for neg in self.lexicon.negation_by_kind["preverbal"]:
-            if core.startswith(neg) and len(core) > len(neg):
-                return core[len(neg) :]
+        lex = self.lexicon
+        for k in lex.negation_lengths["preverbal"]:
+            if len(core) > k and lex.negation.get(core[:k]) == "preverbal":
+                return core[k:]
         return core
 
     # -- utterance-level features ---------------------------------------

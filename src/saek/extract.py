@@ -447,11 +447,12 @@ class Extractor:
         start = 0
         for i in range(end):
             s = items[i].surface
-            for conn in lex.connectives:
-                if not s.endswith(conn) or len(s) <= len(conn):
+            for k in lex.connective_lengths:
+                conn = s[-k:]
+                if len(s) <= k or conn not in lex.connectives:
                     continue
                 if conn == "니까":
-                    prev = s[-len(conn) - 1]
+                    prev = s[-k - 1]
                     if hangul.is_syllable(prev) and hangul.tail_jamo(prev) == "ㅂ":
                         continue
                 start = i + 1

@@ -9,6 +9,7 @@ the annotation scheme needs; see ``data/default_lexicon.tsv``.
 from __future__ import annotations
 
 import io
+import re
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -147,7 +148,8 @@ def _check_cond(cond: str, stem_final: str) -> bool:
     raise LexiconError(f"unknown josa condition: {cond}")
 
 
-# every table, by attribute name and type; parse_lexicon fills an empty one of each
+# every table, by attribute name and type; parse_lexicon fills an empty one of
+# each, and Lexicon freezes the sets
 TABLES = {
     "josa": dict[str, Josa],
     "vocative": dict[str, str],  # surface -> cond
@@ -171,25 +173,55 @@ TABLES = {
 }
 
 
+def _lengths(surfaces: Iterable[str]) -> tuple[int, ...]:
+    """Distinct surface lengths, longest first: the probe order of a suffix lookup."""
+    return tuple(sorted({len(s) for s in surfaces}, reverse=True))
+
+
 class Lexicon:
-    """Every correspondence table, plus the views derived from them here.
+    """Every correspondence table, plus the lookup indexes built from them here.
 
-    Tables must not be mutated after construction: nothing enforces this,
-    and the derived views would go stale."""
+    The set tables are stored as frozensets, so mutating one raises, and the
+    indexes are built once and never change. The dict tables are read-only
+    by convention only (``MappingProxyType`` would slow every lookup on the
+    hot path): editing one would leave its index stale."""
 
-    __slots__ = (*TABLES, "_josa_by_len", "_ending_by_len", "_wh_by_pos", "negation_by_kind")
+    __slots__ = (
+        *TABLES,
+        "_josa_lengths",
+        "_ending_lengths",
+        "_danger_lengths",
+        "_wh_re",
+        "_wh_pairs_by_first",
+        "_cues_ranked",
+        "connective_lengths",
+        "negation_lengths",
+    )
 
     def __init__(self, **tables) -> None:
         for name in TABLES:
-            setattr(self, name, tables[name])
-        self._josa_by_len = sorted(self.josa, key=len, reverse=True)
-        self._ending_by_len = sorted(self.endings, key=len, reverse=True)
-        self._wh_by_pos = sorted(self.wh_surfaces, key=len, reverse=True)
-        by_len = sorted(self.negation, key=len, reverse=True)
-        # negation kind -> its surfaces, longest first
-        self.negation_by_kind = {
-            kind: tuple(s for s in by_len if self.negation[s] == kind) for kind in NEGATION_KINDS
+            table = tables[name]
+            setattr(self, name, frozenset(table) if isinstance(table, set) else table)
+        self._josa_lengths = _lengths(self.josa)
+        self._ending_lengths = _lengths(self.endings)
+        self._danger_lengths = _lengths(self.danger)
+        self.connective_lengths = _lengths(self.connectives)
+        # negation kind -> the lengths of its surfaces, longest first
+        self.negation_lengths = {
+            kind: _lengths(s for s, k in self.negation.items() if k == kind)
+            for kind in NEGATION_KINDS
         }
+        # at each position the first alternative wins, so list longer surfaces
+        # first; an empty alternation would match everywhere, (?!) matches nowhere
+        wh_by_len = sorted(self.wh_surfaces, key=len, reverse=True)
+        self._wh_re = re.compile("|".join(map(re.escape, wh_by_len)) or "(?!)")
+        # first stem -> (second stem, kind), longest second stem first
+        pairs: dict[str, list[tuple[str, WhKind]]] = {}
+        for (a, b), kind in sorted(self.wh_pairs.items(), key=lambda kv: -len(kv[0][1])):
+            pairs.setdefault(a, []).append((b, kind))
+        self._wh_pairs_by_first = {a: tuple(bs) for a, bs in pairs.items()}
+        # match order: most parts first, then the longer final part
+        self._cues_ranked = tuple(sorted(self.cues, key=lambda p: (-len(p), -len(p[-1]), p)))
         self._validate()
 
     def _validate(self) -> None:
@@ -218,25 +250,30 @@ class Lexicon:
 
     def longest_josa(self, token: str, droppable_only: bool = False) -> Optional[str]:
         """Longest particle suffix of ``token`` passing its batchim condition."""
-        for surface in self._josa_by_len:
-            if droppable_only and not self.josa[surface].droppable:
+        n = len(token)
+        for k in self._josa_lengths:
+            if k >= n:
                 continue
-            if not token.endswith(surface) or len(token) <= len(surface):
+            entry = self.josa.get(token[-k:])
+            if entry is None or (droppable_only and not entry.droppable):
                 continue
-            if self.josa_valid(token[-len(surface) - 1], surface):
-                return surface
+            if self.josa_valid(token[-k - 1], entry.surface):
+                return entry.surface
         return None
 
     def match_ending(self, token: str) -> Optional[Ending]:
         """Longest sentence-final ending that matches the end of ``token``."""
-        for surface in self._ending_by_len:
-            if not token.endswith(surface):
+        n = len(token)
+        for k in self._ending_lengths:
+            if k > n:
                 continue
-            entry = self.endings[surface]
+            entry = self.endings.get(token[-k:])
+            if entry is None:
+                continue
             if entry.prev_coda:
-                if len(token) <= len(surface):
+                if n <= k:
                     continue
-                prev = token[-len(surface) - 1]
+                prev = token[-k - 1]
                 if not hangul.is_syllable(prev):
                     continue
                 if hangul.tail_jamo(prev) != entry.prev_coda:
@@ -245,34 +282,29 @@ class Lexicon:
         return None
 
     def lookup_wh(self, token: str) -> Optional[WhMatch]:
-        """First wh surface form contained in ``token`` (single-token forms)."""
-        best: Optional[WhMatch] = None
-        for surface in self._wh_by_pos:
-            pos = token.find(surface)
-            if pos < 0:
-                continue
-            if best is None or pos < best.start:
-                best = WhMatch(self.wh_surfaces[surface], pos, pos + len(surface))
-        return best
+        """Leftmost wh surface form in ``token``, the longest one there
+        (single-token forms)."""
+        m = self._wh_re.search(token)
+        if m is None:
+            return None
+        return WhMatch(self.wh_surfaces[m.group()], m.start(), m.end())
 
     def lookup_wh_pair(self, stem_a: str, stem_b: str) -> Optional[WhKind]:
         """Two-token wh form (counting interrogatives like 몇 시)."""
-        hits = [
-            (len(b), kind)
-            for (a, b), kind in self.wh_pairs.items()
-            if stem_a == a and stem_b.startswith(b)
-        ]
-        if not hits:
-            return None
-        return max(hits)[1]
+        for b, kind in self._wh_pairs_by_first.get(stem_a, ()):
+            if stem_b.startswith(b):
+                return kind
+        return None
 
     def match_cue(self, tokens: list[str]) -> Optional[tuple[str, ...]]:
         """Want-to-know cue at the end of the token sequence.
 
         All parts but the last match tokens exactly; the last part is a
         prefix of the final token (궁금* covers 궁금해 / 궁금한데 / ...).
+        Of the cues that match, the one with the most parts wins, then the
+        one with the longer final part.
         """
-        for parts in self.cues:
+        for parts in self._cues_ranked:
             n = len(parts)
             if len(tokens) < n:
                 continue
@@ -285,9 +317,11 @@ class Lexicon:
         toks = list(tokens)
         if not toks:
             return False
-        if any(toks[-1].endswith(s) for s in self.danger):
-            return True
-        if len(toks) >= 2 and (toks[-2], toks[-1]) in self.danger_pairs:
+        last = toks[-1]
+        for k in self._danger_lengths:
+            if last[-k:] in self.danger:
+                return True
+        if len(toks) >= 2 and (toks[-2], last) in self.danger_pairs:
             return True
         return False
 

@@ -1,10 +1,19 @@
+import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from saek import Engine
+import saek
+from saek import Analyzer, Engine, Extractor, hangul
+from saek.analyze import Eojeol
 from saek.errors import LexiconError, UnknownParticle
 from saek.lexicon import (
+    TABLES,
     ArgumentCategory,
     EndingKind,
     WhKind,
@@ -151,3 +160,254 @@ def test_disjunction_row_drives_behaviour():
     assert (record.label, record.argument) == (1, "버스 타 택시 중 탈 것")
     without = [line for line in text.splitlines() if not line.startswith("disjunction\t")]
     assert Engine(parse_lexicon(without)).process("버스 타 아니면 택시 탈래").label == 0
+
+
+WH_NOUN_ROWS = [
+    f"whnoun\t{noun}\tcategory={kind}"
+    for noun, kind in [
+        ("사람", "who"),
+        ("의미", "what"),
+        ("위치", "where"),
+        ("시간", "when"),
+        ("이유", "why"),
+        ("방법", "how"),
+    ]
+]
+
+
+def _default_rows() -> list[str]:
+    return resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8").splitlines()
+
+
+# rows that overlap the default ones: nested cues, connectives, danger and
+# negator suffixes, and surfaces holding regex metacharacters
+EXTRA_ROWS = [
+    "ending\t좀 궁금\tkind=cue",
+    "ending\t너무 좀 궁금\tkind=cue",
+    "ending\t궁\tkind=cue",
+    "ending\t너무 궁\tkind=cue",
+    "wh\t뭐.\tcategory=what",
+    "wh\t(누구|뭐)\tcategory=who",
+    "wh\t몇 시간이\tcategory=when",
+    "josa\t.*\t",
+    "josa\t[은]\tcond=batchim",
+    "connective\t서",
+    "danger\t나",
+    "negation\t고\tkind=ma",
+    "negation\t말지고\tkind=malgo",
+]
+
+
+def test_no_single_token_wh_rows_gives_no_hit():
+    lex = parse_lexicon(WH_NOUN_ROWS + ["wh\t몇 시\tcategory=when"])
+    for token in ["", "누구", "몇", "a.b", "뭐야"]:
+        assert lex.lookup_wh(token) is None
+    assert lex.lookup_wh_pair("몇", "시에") is WhKind.WHEN
+
+
+def test_metacharacter_surfaces_match_literally():
+    lex = parse_lexicon(WH_NOUN_ROWS + ["wh\ta.b\tcategory=what", "wh\t(뭐|왜)\tcategory=why", "josa\t.*\t"])
+    assert lex.lookup_wh("xa.by") == (WhKind.WHAT, 1, 4)
+    assert lex.lookup_wh("axb") is None
+    assert lex.lookup_wh("(뭐|왜)야") == (WhKind.WHY, 0, 5)
+    assert lex.lookup_wh("뭐") is None and lex.lookup_wh("왜") is None
+    assert lex.longest_josa("사과.*") == ".*"
+    assert lex.longest_josa("사과요") is None
+
+
+# prints match_cue for each token sequence; run once per hash seed
+CUE_PROBE = """
+import json, sys
+from saek.lexicon import parse_lexicon
+lex = parse_lexicon(json.loads(sys.argv[1]))
+print(json.dumps([lex.match_cue(tokens) for tokens in json.loads(sys.argv[2])]))
+"""
+
+
+def test_match_cue_most_parts_then_longest_final():
+    rows = _default_rows() + EXTRA_ROWS
+    probes = [
+        ["어디", "갔는지", "너무", "좀", "궁금해"],
+        ["어디", "갔는지", "좀", "궁금해"],
+        ["어디", "갔는지", "궁금해"],
+        ["궁해"],
+        ["너무", "좀", "궁해"],
+        ["궁금"],
+        ["사과"],
+    ]
+    expected = [["너무", "좀", "궁금"], ["좀", "궁금"], ["궁금"], ["궁"], ["궁"], ["궁금"], None]
+    src = str(Path(saek.__file__).resolve().parents[1])
+    for seed in range(1, 9):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed), PYTHONIOENCODING="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", CUE_PROBE, json.dumps(rows), json.dumps(probes)],
+            env=env,
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            timeout=60,
+            check=True,
+        )
+        assert json.loads(proc.stdout) == expected, f"PYTHONHASHSEED={seed}"
+
+
+def test_set_tables_are_frozen(lexicon):
+    with pytest.raises(AttributeError):
+        lexicon.pronouns.add("그분")
+    for name, table in TABLES.items():
+        value = getattr(lexicon, name)
+        assert isinstance(value, dict if table.__origin__ is dict else frozenset), name
+
+
+# -- indexed lookups equal a brute-force scan of the tables --------------------
+
+
+def josa_scan(lex, token, droppable_only):
+    fits = [
+        s
+        for s, entry in lex.josa.items()
+        if (entry.droppable or not droppable_only)
+        and token.endswith(s)
+        and len(token) > len(s)
+        and lex.josa_valid(token[-len(s) - 1], s)
+    ]
+    return max(fits, key=len, default=None)
+
+
+def ending_scan(lex, token):
+    def fits(e):
+        if not token.endswith(e.surface):
+            return False
+        if not e.prev_coda:
+            return True
+        if len(token) <= len(e.surface):
+            return False
+        prev = token[-len(e.surface) - 1]
+        return hangul.is_syllable(prev) and hangul.tail_jamo(prev) == e.prev_coda
+
+    return max((e for e in lex.endings.values() if fits(e)), key=lambda e: len(e.surface), default=None)
+
+
+def wh_scan(lex, token):
+    hits = [(token.find(s), -len(s), s) for s in lex.wh_surfaces if s in token]
+    if not hits:
+        return None
+    pos, _, s = min(hits)
+    return (lex.wh_surfaces[s], pos, pos + len(s))
+
+
+def wh_pair_scan(lex, a, b):
+    hits = [(len(y), kind) for (x, y), kind in lex.wh_pairs.items() if x == a and b.startswith(y)]
+    return max(hits, key=lambda h: h[0])[1] if hits else None
+
+
+def cue_scan(lex, tokens):
+    hits = [
+        parts
+        for parts in lex.cues
+        if len(tokens) >= len(parts)
+        and tokens[-1].startswith(parts[-1])
+        and tokens[len(tokens) - len(parts) : -1] == list(parts[:-1])
+    ]
+    return max(hits, key=lambda p: (len(p), len(p[-1])), default=None)
+
+
+def danger_scan(lex, tokens):
+    if not tokens:
+        return False
+    if any(tokens[-1].endswith(s) for s in lex.danger):
+        return True
+    return len(tokens) >= 2 and (tokens[-2], tokens[-1]) in lex.danger_pairs
+
+
+def cues_scan(lex, surface):
+    negation, fused = lex.negation.get(surface), None
+    if negation is None:
+        for kind in ("ma", "malgo"):
+            fits = [n for n, k in lex.negation.items() if k == kind and surface.endswith("지" + n)]
+            if fits:
+                negation, fused = kind, max(fits, key=len)
+                break
+    cond = surface.endswith("면") and len(surface) > 1 and surface not in lex.disjunction
+    return {"negation": negation, "fused": fused, "conditional": cond}
+
+
+def preverbal_scan(lex, core):
+    fits = [n for n, k in lex.negation.items() if k == "preverbal" and core.startswith(n) and len(core) > len(n)]
+    return core[len(max(fits, key=len)) :] if fits else core
+
+
+def trim_scan(lex, surfaces):
+    def is_boundary(s):
+        for conn in lex.connectives:
+            if s.endswith(conn) and len(s) > len(conn):
+                prev = s[-len(conn) - 1]
+                if conn == "니까" and hangul.is_syllable(prev) and hangul.tail_jamo(prev) == "ㅂ":
+                    continue
+                return True
+        return False
+
+    return max((i + 1 for i, s in enumerate(surfaces) if is_boundary(s)), default=0)
+
+
+LEXICONS = {"default": parse_lexicon(_default_rows()), "extra": parse_lexicon(_default_rows() + EXTRA_ROWS)}
+
+
+def _pieces(lex):
+    surfaces = (
+        set(lex.josa)
+        | set(lex.endings)
+        | set(lex.wh_surfaces)
+        | set(lex.negation)
+        | lex.danger
+        | lex.connectives
+        | lex.disjunction
+        | {p for parts in lex.cues for p in parts}
+        | {p for pair in lex.wh_pairs for p in pair}
+        | {p for pair in lex.danger_pairs for p in pair}
+        | {"지", "면", "으면"}
+    )
+    return st.one_of(
+        st.sampled_from(sorted(surfaces)),
+        st.sampled_from(sorted("지" + n for n in lex.negation)),
+        st.characters(min_codepoint=0xAC00, max_codepoint=0xD7A3),
+        st.sampled_from("a1.*|()[]?ㅂ"),
+    )
+
+
+@st.composite
+def token_lists(draw, lex):
+    token = st.lists(_pieces(lex), min_size=1, max_size=4).map("".join)
+    tokens = draw(st.lists(token, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # end on a cue, so that overlapping cues compete
+        parts = draw(st.sampled_from(sorted(lex.cues)))
+        tokens += [*parts[:-1], parts[-1] + draw(st.sampled_from(["", "해", "금해"]))]
+    return tokens
+
+
+@pytest.mark.parametrize("name", sorted(LEXICONS))
+def test_indexed_lookups_equal_a_table_scan(name):
+    lex = LEXICONS[name]
+    analyzer = Analyzer(lex)
+    extractor = Extractor(lex, analyzer)
+
+    @settings(max_examples=300, deadline=None)
+    @given(token_lists(lex))
+    def check(tokens):
+        for token in tokens:
+            assert lex.longest_josa(token) == josa_scan(lex, token, False)
+            assert lex.longest_josa(token, droppable_only=True) == josa_scan(lex, token, True)
+            assert lex.match_ending(token) == ending_scan(lex, token)
+            match = lex.lookup_wh(token)
+            assert (tuple(match) if match else None) == wh_scan(lex, token)
+            assert analyzer._cues(token) == cues_scan(lex, token)
+            assert analyzer.strip_preverbal(token) == preverbal_scan(lex, token)
+        for a, b in zip(tokens, tokens[1:]):
+            assert lex.lookup_wh_pair(a, b) == wh_pair_scan(lex, a, b)
+        assert lex.match_cue(tokens) == cue_scan(lex, tokens)
+        assert lex.is_danger_predicate(tokens) == danger_scan(lex, tokens)
+        items = [Eojeol(s, s) for s in tokens]
+        assert len(extractor._trim_subordinate(items, len(items))) == len(items) - trim_scan(lex, tokens)
+
+    check()
