@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from . import hangul
 from .errors import EmptyUtterance
@@ -19,7 +19,6 @@ from .lexicon import Ending, Lexicon, WhKind, _check_cond, default_lexicon
 # sentence punctuation dropped up front (ASR-style input carries none)
 PUNCTUATION = ".?!,…~"
 _PUNCT_RE = re.compile("[" + re.escape(PUNCTUATION) + "]")
-_WS_RE = re.compile(r"\s+")
 # input bytes that were not UTF-8, kept as lone surrogates by errors="surrogateescape"
 UNDECODED_RE = re.compile("[\ud800-\udfff]")
 
@@ -81,15 +80,15 @@ class Analyzer:
     def normalize(self, raw: str) -> NormalizedUtterance:
         """NFC, punctuation stripped, whitespace collapsed, tokens analyzed;
         every utterance-level feature is computed here, once."""
-        text = unicodedata.normalize("NFC", raw)
-        text = _PUNCT_RE.sub(" ", text)
-        text = _WS_RE.sub(" ", text).strip()
-        if not text:
+        surfaces = _PUNCT_RE.sub(" ", unicodedata.normalize("NFC", raw)).split()
+        if not surfaces:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
-        surfaces = text.split(" ")
+        text = " ".join(surfaces)
         offsets = tuple(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
         tokens = self._analyze_tokens(surfaces)
-        wh_hits = self.find_wh(tokens, offsets)
+        # every wh surface and wh-pair stem is a substring of the text, so
+        # without an anchor in it no token can hold a wh form
+        wh_hits = self.find_wh(tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
         for hit in wh_hits:
             for i in range(hit.token_start, hit.token_end):
                 tokens[i] = tokens[i]._replace(is_wh=True)
@@ -110,23 +109,25 @@ class Analyzer:
 
         tokens: list[Eojeol] = []
         for i, surface in enumerate(surfaces):
-            cues = self._cues(surface)
+            negation, fused, cond = self._cues(surface)
             if voc[i]:
-                marker = surface[-1]
-                tokens.append(Eojeol(surface, surface[:-1], marker, is_vocative=True, **cues))
-                continue
-            ending = lex.match_ending(surface) if i == bearer else None
-            if ending is not None:
-                stem = surface[: len(surface) - len(ending.surface)]
-                tokens.append(Eojeol(surface, stem, ending=ending, **cues))
+                stem, particle, ending = surface[:-1], surface[-1], None
             else:
-                tokens.append(self.strip_josa(Eojeol(surface, surface, **cues)))
+                ending = lex.match_ending(surface) if i == bearer else None
+                if ending is not None:
+                    stem, particle = surface[: len(surface) - len(ending.surface)], None
+                else:
+                    stem, particle = self.strip_josa(surface)
+            tokens.append(
+                Eojeol(surface, stem, particle, ending, voc[i], False, negation, fused, cond)
+            )
         return tokens
 
-    def _cues(self, surface: str) -> dict:
-        """The one definition of each token cue, as ``Eojeol`` fields: the
-        negation kind the token is (마, 말고, 안) or carries fused onto -지
-        (나가지마), and whether it is a -(으)면 conditional (아니면 is not)."""
+    def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
+        """The one definition of each token cue, as the ``Eojeol`` fields
+        (negation, fused, conditional): the negation kind the token is (마,
+        말고, 안) or carries fused onto -지 (나가지마), that fused negator,
+        and whether it is a -(으)면 conditional (아니면 is not)."""
         lex = self.lexicon
         cond = surface.endswith("면") and len(surface) > 1 and surface not in lex.disjunction
         negation = lex.negation.get(surface)
@@ -135,24 +136,23 @@ class Analyzer:
             for kind in ("ma", "malgo"):
                 for k in lex.negation_lengths[kind]:
                     if surface[-k - 1 : -k] == "지" and lex.negation.get(surface[-k:]) == kind:
-                        return {"negation": kind, "fused": surface[-k:], "conditional": cond}
-        return {"negation": negation, "fused": None, "conditional": cond}
+                        return kind, surface[-k:], cond
+        return negation, None, cond
 
     # -- per-token operations -------------------------------------------
 
-    def strip_josa(self, token: Union[Eojeol, str]) -> Eojeol:
-        """Split off the longest valid particle suffix; never empties the stem.
+    def strip_josa(self, surface: str) -> tuple[str, Optional[str]]:
+        """(stem, particle): the longest valid particle suffix split off, or
+        (surface, None); never empties the stem.
 
         Single-syllable tokens are left alone (precision over recall).
         """
-        e = token if isinstance(token, Eojeol) else Eojeol(token, stem=token)
-        surface = e.surface
         if len(surface) <= 1 or surface in self.lexicon.nostrip:
-            return e
+            return surface, None
         suffix = self.lexicon.longest_josa(surface)
         if suffix is None:
-            return e
-        return e._replace(stem=surface[: -len(suffix)], particle=suffix)
+            return surface, None
+        return surface[: -len(suffix)], suffix
 
     def strip_josa_all(self, surface: str, droppable_only: bool = False) -> str:
         """Repeatedly strip particle suffixes (stacked particles like 에서는)."""
@@ -231,32 +231,35 @@ class Analyzer:
 
     def profile_negation(self, tokens: Sequence[Eojeol]) -> NegationProfile:
         lex = self.lexicon
-        surfaces = [t.surface for t in tokens]
         last = len(tokens) - 1
-
-        malgo = next((i for i in range(last) if tokens[i].negation == "malgo"), None)
-        myen_idx = next((i for i in range(last) if tokens[i].conditional), None)
-        danger = lex.is_danger_predicate(surfaces)
-
-        preverbal = False
-        scope = myen_idx if myen_idx is not None else last
+        malgo = myen = None  # first 말고 and first -면 token, never the last token
+        preverbal = has_ma = False
         for i, t in enumerate(tokens):
-            if t.negation == "preverbal" and i <= scope:
-                # the negator inside a danger pair (안 돼) is not preverbal
-                if i < last and (t.surface, surfaces[i + 1]) in lex.danger_pairs:
-                    continue
-                preverbal = True
-        if myen_idx is not None:
-            core = surfaces[myen_idx][:-1]
+            negation = t.negation
+            if i < last:
+                if malgo is None and negation == "malgo":
+                    malgo = i
+                if myen is None and t.conditional:
+                    myen = i
+            if negation == "ma":
+                has_ma = True
+            # a preverbal negator counts up to the first -면 clause, and not
+            # inside a danger pair (안 돼)
+            elif negation == "preverbal" and (myen is None or myen == i):
+                if i == last or (t.surface, tokens[i + 1].surface) not in lex.danger_pairs:
+                    preverbal = True
+        if myen is not None:
+            core = tokens[myen].surface[:-1]
             if self.strip_preverbal(core) != core:
                 preverbal = True
 
         return NegationProfile(
             preverbal_an=preverbal,
-            suffix_ci_ma=negative_imperative(tokens) is not None,
+            # no -지 마 reading without a ma token
+            suffix_ci_ma=has_ma and negative_imperative(tokens) is not None,
             malgo=malgo,
-            danger_pred=danger,
-            conditional_myen=myen_idx is not None,
+            danger_pred=lex.is_danger_predicate([t.surface for t in tokens[-2:]]),
+            conditional_myen=myen is not None,
         )
 
 

@@ -60,28 +60,30 @@ class Negativeness(Enum):
     SR = "strong requirement"
 
 
+_QUESTION_TYPES = {
+    IntentLabel.YES_NO: QuestionType.YES_NO,
+    IntentLabel.ALTERNATIVE: QuestionType.ALTERNATIVE,
+    IntentLabel.WH: QuestionType.WH,
+}
+_NEGATIVENESS = {
+    IntentLabel.PROHIBITION: Negativeness.PH,
+    IntentLabel.REQUIREMENT: Negativeness.REQ,
+    IntentLabel.STRONG_REQUIREMENT: Negativeness.SR,
+}
+
+
 def question_type(label: IntentLabel) -> QuestionType:
     """Project a question label onto the three-way question taxonomy."""
-    mapping = {
-        IntentLabel.YES_NO: QuestionType.YES_NO,
-        IntentLabel.ALTERNATIVE: QuestionType.ALTERNATIVE,
-        IntentLabel.WH: QuestionType.WH,
-    }
-    if label not in mapping:
+    if label not in _QUESTION_TYPES:
         raise WrongSuperType(f"label {int(label)} is not a question")
-    return mapping[label]
+    return _QUESTION_TYPES[label]
 
 
 def negativeness(label: IntentLabel) -> Negativeness:
     """Project a command label onto the three-way negativeness taxonomy."""
-    mapping = {
-        IntentLabel.PROHIBITION: Negativeness.PH,
-        IntentLabel.REQUIREMENT: Negativeness.REQ,
-        IntentLabel.STRONG_REQUIREMENT: Negativeness.SR,
-    }
-    if label not in mapping:
+    if label not in _NEGATIVENESS:
         raise WrongSuperType(f"label {int(label)} is not a command")
-    return mapping[label]
+    return _NEGATIVENESS[label]
 
 
 class Evidence(NamedTuple):

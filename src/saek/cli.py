@@ -216,21 +216,17 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        engine = Engine.from_lexicon_path(args.lexicon)
-        if args.command == "classify":
-            return _run_stream(engine, args, extract=False)
-        if args.command == "extract":
-            return _run_stream(engine, args, extract=True)
-        if args.command == "corpus":
+        if args.command == "corpus":  # the corpus tooling needs no engine
             if args.corpus_command == "stats":
                 return _run_stats(args)
             return _run_validate(args)
+        engine = Engine.from_lexicon_path(args.lexicon)
         if args.command == "eval":
             return _run_eval(engine, args)
+        return _run_stream(engine, args, extract=args.command == "extract")
     except (EmptyCorpus, IoFailure, LexiconError) as exc:
         print(f"saek: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

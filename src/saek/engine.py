@@ -85,6 +85,18 @@ def record_tsv_row(record: OutputRecord) -> str:
     return "\t".join(cells)
 
 
+# label -> its record fields (label, label_name, question_type, negativeness)
+_LABEL_FIELDS = {
+    label: (
+        int(label),
+        LABEL_NAMES[label],
+        question_type(label).value if label in QUESTION_LABELS else None,
+        negativeness(label).value if label in COMMAND_LABELS else None,
+    )
+    for label in IntentLabel
+}
+
+
 class Engine:
     """Analyzer + classifier + extractor over one shared lexicon."""
 
@@ -116,9 +128,7 @@ class Engine:
         except Unclassifiable:
             return OutputRecord(text=u.text, error="unclassifiable")
 
-        label = IntentLabel(c.label)
-        qt = question_type(label).value if label in QUESTION_LABELS else None
-        neg = negativeness(label).value if label in COMMAND_LABELS else None
+        label, label_name, qt, neg = _LABEL_FIELDS[c.label]
         evidence = [{"rule": e.rule, "span": list(e.span)} for e in c.evidence]
 
         argument = category = None
@@ -135,8 +145,8 @@ class Engine:
 
         return OutputRecord(
             text=u.text,
-            label=int(label),
-            label_name=LABEL_NAMES[label],
+            label=label,
+            label_name=label_name,
             question_type=qt,
             negativeness=neg,
             argument=argument,

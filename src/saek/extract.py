@@ -7,7 +7,7 @@ by one.  The engine never invents tokens that are absent from the input.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
 from .analyze import Analyzer, Eojeol, NegationProfile, NormalizedUtterance, negative_imperative
@@ -79,23 +79,37 @@ class Extractor:
 
     # -- shared helpers ---------------------------------------------------
 
-    def _question_content(self, e: Eojeol) -> str:
-        """Aggressively particle-stripped content form for question arguments."""
-        if e.ending is not None:
-            return e.stem
-        return self.analyzer.strip_josa_all(e.surface)
+    def _content(self, e: Eojeol, droppable_only: bool = False) -> str:
+        """Particle-stripped content form: every particle goes for question
+        arguments, only case particles (``droppable_only``) for commands.
 
-    def _command_content(self, e: Eojeol) -> str:
-        """Conservative form for command arguments: drop only case particles."""
-        if e.ending is not None:
+        Stripping goes on from the split ``normalize`` made: a token it
+        split no particle from has none, and a case particle it split is the
+        first one a command drops too."""
+        if e.ending is not None or e.particle is None:
             return e.stem
-        return self.analyzer.strip_josa_all(e.surface, droppable_only=True)
+        if e.is_vocative or (droppable_only and not self.lexicon.josa[e.particle].droppable):
+            # the vocative marker is no particle split, and a command may
+            # drop a shorter case particle than the one split: start over
+            return self.analyzer.strip_josa_all(e.surface, droppable_only)
+        return self.analyzer.strip_josa_all(e.stem, droppable_only)
 
-    def _droppable_in_question(self, e: Eojeol) -> bool:
+    def _question_items(self, tokens: Iterable[Eojeol]) -> tuple[list[Eojeol], dict[int, str]]:
+        """The tokens a question argument keeps, and the content of each, by
+        ``id``, so that each token's content is computed once."""
+        items: list[Eojeol] = []
+        content: dict[int, str] = {}
+        for t in tokens:
+            if t.is_vocative:
+                continue
+            stem = self._content(t)
+            if not self._droppable_in_question(t, stem):
+                items.append(t)
+                content[id(t)] = stem
+        return items, content
+
+    def _droppable_in_question(self, e: Eojeol, stem: str) -> bool:
         lex = self.lexicon
-        stem = self._question_content(e)
-        if e.is_vocative:
-            return True
         if stem in lex.pronouns or e.surface in lex.pronouns:
             return True
         if e.negation == "preverbal":
@@ -196,7 +210,7 @@ class Extractor:
 
     def extract_yesno(self, tokens: Sequence[Eojeol]) -> Argument:
         lex = self.lexicon
-        items = [t for t in tokens if not self._droppable_in_question(t)]
+        items, content = self._question_items(tokens)
         items = self._after_malgo(items)
         items = self._drop_want_cue(items)
 
@@ -229,8 +243,8 @@ class Extractor:
                 head = last.surface
                 items = items[:-1]
 
-        content = self._clean_parts([self._question_content(t) for t in items])
-        parts = content + ([head] if head else []) + ["여부"]
+        parts = self._clean_parts([content[id(t)] for t in items])
+        parts += ([head] if head else []) + ["여부"]
         if len(parts) == 1:
             raise ExtractionFailed("no content left for a polar argument")
         return Argument(" ".join(parts), ArgumentCategory.WHETHER, IntentLabel.YES_NO)
@@ -287,10 +301,8 @@ class Extractor:
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
         out = []
         for t in clause:
-            if self._droppable_in_question(t):
-                continue
-            stem = self._question_content(t)
-            if stem:
+            stem = self._content(t)
+            if stem and not self._droppable_in_question(t, stem):
                 out.append(stem)
         return self._clean_parts(out)
 
@@ -305,12 +317,12 @@ class Extractor:
     ) -> Argument:
         lex = self.lexicon
         category = WH_TO_CATEGORY[wh.kind]
-        items = [t for t in tokens if not t.is_wh and not self._droppable_in_question(t)]
+        items, content = self._question_items(t for t in tokens if not t.is_wh)
         items = self._after_malgo(items)
         if info:
             items = self._drop_info_verb(items)
         if info and universal:
-            return self._object_span(items, category)
+            return self._object_span(items, content, category)
 
         notes: list[str] = []
         items = self._drop_want_cue(items)
@@ -343,9 +355,9 @@ class Extractor:
                 # the token before the bare ending, already adnominalized
                 adnominal = items.pop().surface
 
-        content = self._clean_parts([self._question_content(t) for t in items])
+        stems = self._clean_parts([content[id(t)] for t in items])
         if append_noun:
-            content.append(append_noun)
+            stems.append(append_noun)
 
         if wh.kind.value == "why":
             # reason arguments keep only the predicate; context tokens are noise
@@ -353,7 +365,7 @@ class Extractor:
                 raise ExtractionFailed("reason question without a predicate")
             parts = [adnominal, wh.primary_noun]
         else:
-            parts = content + ([adnominal] if adnominal else []) + [wh.primary_noun]
+            parts = stems + ([adnominal] if adnominal else []) + [wh.primary_noun]
             if len(parts) == 1:
                 raise ExtractionFailed("no content around the wh word")
         return Argument(" ".join(parts), category, IntentLabel.WH, tuple(notes))
@@ -386,7 +398,9 @@ class Extractor:
             return items[:-2]
         return items
 
-    def _object_span(self, items: list[Eojeol], category: ArgumentCategory) -> Argument:
+    def _object_span(
+        self, items: list[Eojeol], content: dict[int, str], category: ArgumentCategory
+    ) -> Argument:
         """Information-seeking imperatives keep their object span verbatim,
         with universal quantifier adverbs converted to determiners."""
         lex = self.lexicon
@@ -394,7 +408,7 @@ class Extractor:
         quant: Optional[str] = None
         object_pos: Optional[int] = None
         for t in items:
-            stem = self._question_content(t)
+            stem = content[id(t)]
             if not stem:
                 continue
             if stem in lex.advdet and quant is None:
@@ -420,26 +434,29 @@ class Extractor:
         profile: NegationProfile,
     ) -> Argument:
         lex = self.lexicon
-        items = [
-            t
-            for t in tokens
-            if not t.is_vocative
-            and t.surface not in lex.pronouns
-            and self._command_content(t) not in lex.pronouns
-        ]
+        # the kept tokens, and the content of each by id, computed once
+        items: list[Eojeol] = []
+        content: dict[int, str] = {}
+        for t in tokens:
+            if t.is_vocative or t.surface in lex.pronouns:
+                continue
+            stem = self._content(t, droppable_only=True)
+            if stem not in lex.pronouns:
+                items.append(t)
+                content[id(t)] = stem
         if neg is Negativeness.SR:
             if profile.malgo is not None:
                 # a bearer with a pronoun stem (전해) is not in items, so 말고 can be last
                 if not any(t.negation == "malgo" for t in items[:-1]):
                     raise ExtractionFailed("coordination marker vanished before extraction")
                 # _requirement keeps only what follows the last 말고
-                return self._requirement(items, IntentLabel.STRONG_REQUIREMENT)
-            return self._sr_from_double_negation(items)
+                return self._requirement(items, content, IntentLabel.STRONG_REQUIREMENT)
+            return self._sr_from_double_negation(items, content)
         if neg is Negativeness.PH:
             if profile.suffix_ci_ma:
-                return self._ph_from_negative_imperative(items)
-            return self._ph_from_danger_conditional(items)
-        return self._requirement(items)
+                return self._ph_from_negative_imperative(items, content)
+            return self._ph_from_danger_conditional(items, content)
+        return self._requirement(items, content)
 
     # clause trimming: everything up to the last subordinate connective goes
     def _trim_subordinate(self, items: list[Eojeol], end: int) -> list[Eojeol]:
@@ -459,7 +476,9 @@ class Extractor:
                 break
         return items[start:end]
 
-    def _ph_from_negative_imperative(self, items: list[Eojeol]) -> Argument:
+    def _ph_from_negative_imperative(
+        self, items: list[Eojeol], content: dict[int, str]
+    ) -> Argument:
         found = negative_imperative(items)
         if found is None:
             raise ExtractionFailed("negative imperative without a -지 predicate")
@@ -467,7 +486,7 @@ class Extractor:
         if not pred_text:
             raise ExtractionFailed("empty prohibited action")
         span = self._trim_subordinate(items, pred_idx)
-        parts = self._clean_parts([self._command_content(t) for t in span])
+        parts = self._clean_parts([content[id(t)] for t in span])
         parts = parts + [pred_text, "않기"]
         return Argument(" ".join(parts), ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION)
 
@@ -479,29 +498,32 @@ class Extractor:
                 return i, core
         raise ExtractionFailed("no conditional clause found")
 
-    def _ph_from_danger_conditional(self, items: list[Eojeol]) -> Argument:
+    def _ph_from_danger_conditional(self, items: list[Eojeol], content: dict[int, str]) -> Argument:
         idx, core = self._conditional_core(items)
         span = self._trim_subordinate(items, idx)
-        parts = self._clean_parts([self._command_content(t) for t in span])
+        parts = self._clean_parts([content[id(t)] for t in span])
         if not core:
             raise ExtractionFailed("empty prohibited action")
         text = " ".join(parts + [core + "지", "않기"])
         return Argument(text, ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION)
 
-    def _sr_from_double_negation(self, items: list[Eojeol]) -> Argument:
+    def _sr_from_double_negation(self, items: list[Eojeol], content: dict[int, str]) -> Argument:
         idx, core = self._conditional_core(items)
         core = self.analyzer.strip_preverbal(core)
         span = self._trim_subordinate(items, idx)
         span = [t for t in span if t.negation != "preverbal"]
         nominal = self._nominalize_stem(core, span)
-        parts = self._clean_parts([self._command_content(t) for t in span])
+        parts = self._clean_parts([content[id(t)] for t in span])
         if not nominal:
             raise ExtractionFailed("empty required action")
         text = " ".join(parts + [nominal]) if parts else nominal
         return Argument(text, ArgumentCategory.REQUIREMENT, IntentLabel.STRONG_REQUIREMENT)
 
     def _requirement(
-        self, items: list[Eojeol], label: IntentLabel = IntentLabel.REQUIREMENT
+        self,
+        items: list[Eojeol],
+        content: dict[int, str],
+        label: IntentLabel = IntentLabel.REQUIREMENT,
     ) -> Argument:
         items = self._after_malgo(items)
         if not items:
@@ -518,11 +540,11 @@ class Extractor:
                 # remaining action, whose head is typically a verbal noun
                 if not rest:
                     raise ExtractionFailed("request cue with no action span")
-                nominal = self._noun_to_nominal(rest.pop())
+                nominal = self._noun_to_nominal(content[id(rest.pop())])
         else:
-            nominal = self._noun_to_nominal(span.pop())
+            nominal = self._noun_to_nominal(content[id(span.pop())])
             rest = span
-        parts = self._clean_parts([self._command_content(t) for t in rest])
+        parts = self._clean_parts([content[id(t)] for t in rest])
         if not nominal:
             raise ExtractionFailed("empty required action")
         return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, label)
@@ -541,10 +563,9 @@ class Extractor:
             return "하기"
         return stem + "기"
 
-    def _noun_to_nominal(self, token: Eojeol) -> str:
-        """Requirement head without an imperative ending: bare verbal nouns
-        take 하기, already-nominalized forms (-기/-길) are kept."""
-        text = self._command_content(token)
+    def _noun_to_nominal(self, text: str) -> str:
+        """Requirement head without an imperative ending, from its content:
+        bare verbal nouns take 하기, already-nominalized forms (-기/-길) are kept."""
         if not text:
             return ""
         if text.endswith("기를"):

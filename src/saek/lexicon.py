@@ -9,10 +9,9 @@ the annotation scheme needs; see ``data/default_lexicon.tsv``.
 from __future__ import annotations
 
 import io
+import os
 import re
 from enum import Enum
-from importlib import resources
-from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from . import hangul
@@ -192,6 +191,7 @@ class Lexicon:
         "_ending_lengths",
         "_danger_lengths",
         "_wh_re",
+        "_wh_anchor_re",
         "_wh_pairs_by_first",
         "_cues_ranked",
         "connective_lengths",
@@ -215,6 +215,8 @@ class Lexicon:
         # first; an empty alternation would match everywhere, (?!) matches nowhere
         wh_by_len = sorted(self.wh_surfaces, key=len, reverse=True)
         self._wh_re = re.compile("|".join(map(re.escape, wh_by_len)) or "(?!)")
+        anchors = sorted({*self.wh_surfaces, *(a for a, _ in self.wh_pairs)})
+        self._wh_anchor_re = re.compile("|".join(map(re.escape, anchors)) or "(?!)")
         # first stem -> (second stem, kind), longest second stem first
         pairs: dict[str, list[tuple[str, WhKind]]] = {}
         for (a, b), kind in sorted(self.wh_pairs.items(), key=lambda kv: -len(kv[0][1])):
@@ -288,6 +290,11 @@ class Lexicon:
         if m is None:
             return None
         return WhMatch(self.wh_surfaces[m.group()], m.start(), m.end())
+
+    def has_wh_anchor(self, text: str) -> bool:
+        """True iff a wh surface or the first stem of a wh pair occurs in
+        ``text``; where none does, no token of it can hold a wh form."""
+        return self._wh_anchor_re.search(text) is not None
 
     def lookup_wh_pair(self, stem_a: str, stem_b: str) -> Optional[WhKind]:
         """Two-token wh form (counting interrogatives like 몇 시)."""
@@ -415,13 +422,25 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
         t["advdet"][surface] = det
 
 
-def load_lexicon(path: str | Path) -> Lexicon:
-    """Load a lexicon TSV from disk."""
-    p = Path(path)
-    with io.open(p, encoding="utf-8") as fh:
-        return parse_lexicon(fh, source=str(p))
+def load_lexicon(path: str | os.PathLike[str]) -> Lexicon:
+    """Load a lexicon TSV from disk; a path that cannot be read, or a file
+    that is not UTF-8, raises ``LexiconError``."""
+    source = os.fspath(path)
+    try:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise LexiconError(f"cannot read lexicon {source}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LexiconError(f"{source}:{lineno}: not UTF-8 ({exc.reason})") from None
+    # newline=None splits lines as reading the file in text mode does
+    return parse_lexicon(io.StringIO(text, newline=None), source=source)
 
 
+_BUNDLED = os.path.join(os.path.dirname(__file__), "data", "default_lexicon.tsv")
 _DEFAULT: Optional[Lexicon] = None
 
 
@@ -429,6 +448,12 @@ def default_lexicon() -> Lexicon:
     """The bundled tables, parsed once per process."""
     global _DEFAULT
     if _DEFAULT is None:
-        text = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8")
+        try:
+            with open(_BUNDLED, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError:  # not a file on disk, as in a zip import
+            from importlib import resources
+
+            text = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8")
         _DEFAULT = parse_lexicon(text.splitlines(), source="default_lexicon.tsv")
     return _DEFAULT

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from saek.analyze import Eojeol, PUNCTUATION, negative_imperative
+from saek.analyze import PUNCTUATION, negative_imperative
 from saek.errors import EmptyUtterance
 
 
@@ -49,18 +49,16 @@ def test_normalize_idempotent(text):
 
 
 def test_strip_josa_examples(analyzer):
-    stripped = analyzer.strip_josa(Eojeol("오늘은", stem="오늘은"))
-    assert (stripped.stem, stripped.particle) == ("오늘", "은")
-    stripped = analyzer.strip_josa(Eojeol("일정을", stem="일정을"))
-    assert (stripped.stem, stripped.particle) == ("일정", "을")
-    untouched = analyzer.strip_josa(Eojeol("버스", stem="버스"))
-    assert untouched.particle is None and untouched.stem == "버스"
+    assert analyzer.strip_josa("오늘은") == ("오늘", "은")
+    assert analyzer.strip_josa("일정을") == ("일정", "을")
+    stem, particle = analyzer.strip_josa("버스")
+    assert particle is None and stem == "버스"
 
 
 def test_strip_josa_never_empties_single_syllable(analyzer):
     for token in ["은", "를", "에", "도"]:
-        out = analyzer.strip_josa(token)
-        assert out.stem == token and out.particle is None
+        stem, particle = analyzer.strip_josa(token)
+        assert stem == token and particle is None
 
 
 def test_strip_josa_fuzz_never_aborts_and_reconstructs(analyzer):
@@ -69,9 +67,9 @@ def test_strip_josa_fuzz_never_aborts_and_reconstructs(analyzer):
         token = "".join(
             chr(rng.randrange(0xAC00, 0xD7A4)) for _ in range(rng.randint(1, 5))
         )
-        out = analyzer.strip_josa(token)
-        assert out.stem, f"emptied stem for {token!r}"
-        assert out.stem + (out.particle or "") == token
+        stem, particle = analyzer.strip_josa(token)
+        assert stem, f"emptied stem for {token!r}"
+        assert stem + (particle or "") == token
 
 
 def test_ending_assigned_to_last_non_vocative(analyzer):

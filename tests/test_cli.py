@@ -213,6 +213,50 @@ def test_lexicon_env_default(tmp_path, capsys, monkeypatch):
     assert code == 1 and "unknown role" in err
 
 
+def _bad_lexicon(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.tsv"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes("josa\t은\tcond=batchim\n".encode() + b"josa\t\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", ":2: not UTF-8"),
+    ],
+)
+@pytest.mark.parametrize("via_env", [False, True])
+def test_bad_lexicon_path_reports_and_exits_one(
+    tmp_path, capsys, monkeypatch, kind, message, via_env
+):
+    path = _bad_lexicon(tmp_path, kind)
+    if via_env:
+        monkeypatch.setenv("SAEK_LEXICON", str(path))
+        argv = ["extract", "-"]
+    else:
+        argv = ["--lexicon", str(path), "extract", "-"]
+    code, out, err = run_cli(argv, "손 씻어라\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("saek: ") and str(path) in err and message in err
+    assert "Traceback" not in err
+
+
+def test_corpus_commands_never_read_the_lexicon(fixtures_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SAEK_LEXICON", str(tmp_path / "missing.tsv"))
+    code = cli.run(["corpus", "stats", str(fixtures_dir / "corpus60.tsv")])
+    out, err = capsys.readouterr()
+    assert code == 0 and json.loads(out)["total"] == 60 and err == ""
+    code = cli.run(["corpus", "validate", str(fixtures_dir / "corpus60.tsv")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (0, "") and err == "60 rows ok, 0 bad\n"
+
+
 BAD_UTF8 = "밥 먹었어\n".encode() + b"\xff\xfe " + "밖에\n창문 열어줘\n".encode()
 
 

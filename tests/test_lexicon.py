@@ -2,20 +2,24 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fuzz_grammar
 import saek
+from golden_cases import GOLDEN
 from saek import Analyzer, Engine, Extractor, hangul
 from saek.analyze import Eojeol
-from saek.errors import LexiconError, UnknownParticle
+from saek.errors import EmptyUtterance, LexiconError, UnknownParticle
 from saek.lexicon import (
     TABLES,
     ArgumentCategory,
     EndingKind,
+    Lexicon,
     WhKind,
     default_lexicon,
     parse_lexicon,
@@ -329,7 +333,7 @@ def cues_scan(lex, surface):
                 negation, fused = kind, max(fits, key=len)
                 break
     cond = surface.endswith("면") and len(surface) > 1 and surface not in lex.disjunction
-    return {"negation": negation, "fused": fused, "conditional": cond}
+    return negation, fused, cond
 
 
 def preverbal_scan(lex, core):
@@ -411,3 +415,79 @@ def test_indexed_lookups_equal_a_table_scan(name):
         assert len(extractor._trim_subordinate(items, len(items))) == len(items) - trim_scan(lex, tokens)
 
     check()
+
+
+@st.composite
+def utterances(draw, lex):
+    """Token lists as one text, with vocatives (민수야) and two-token wh
+    forms (몇 시에) mixed in."""
+    tokens = draw(token_lists(lex))
+    marker = st.sampled_from(["", "야", "아"])
+    tokens = [t + draw(marker) if draw(st.booleans()) else t for t in tokens]
+    if draw(st.booleans()):
+        name = draw(st.text(alphabet="민수지영철", min_size=2, max_size=3))
+        tokens.insert(draw(st.integers(0, len(tokens))), name + "야")
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(sorted(lex.wh_pairs)))
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = [a, b + draw(st.sampled_from(["", "에", "이", "만"]))]
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("name", sorted(LEXICONS))
+def test_per_utterance_shortcuts_equal_a_full_scan(name):
+    """The wh text check drops no wh hit, and extract's content, which goes
+    on from normalize's particle split, is what stripping the surface gives."""
+    lex = LEXICONS[name]
+    analyzer = Analyzer(lex)
+    extractor = Extractor(lex, analyzer)
+
+    @settings(max_examples=400, deadline=None)
+    @given(utterances(lex))
+    def check(text):
+        try:
+            u = analyzer.normalize(text)
+        except EmptyUtterance:
+            return
+        assert u.wh_hits == analyzer.find_wh(u.tokens, u.offsets)
+        for t in u.tokens:
+            if t.ending is None:
+                assert extractor._content(t) == analyzer.strip_josa_all(t.surface)
+                assert extractor._content(t, droppable_only=True) == analyzer.strip_josa_all(
+                    t.surface, droppable_only=True
+                )
+
+    check()
+
+
+def _probe_lines() -> list[str]:
+    lines = [text for text, *_ in GOLDEN] + fuzz_grammar.generate(seed=3, per_family=200)
+    # long utterances, and vocatives before and after
+    lines += [" ".join(lines[i : i + 1 + i % 7]) for i in range(0, len(lines) - 7, 3)]
+    lines += ["민수야 " + line for line in lines[::5]] + [line + " 영희야" for line in lines[1::5]]
+    return lines
+
+
+def test_no_particle_probe_repeats_within_one_utterance(monkeypatch):
+    engine = Engine()
+    probes: Counter = Counter()
+    longest_josa = Lexicon.longest_josa
+
+    def counted(self, token, droppable_only=False):
+        probes[token, droppable_only] += 1
+        return longest_josa(self, token, droppable_only)
+
+    monkeypatch.setattr(Lexicon, "longest_josa", counted)
+    checked = 0
+    for line in _probe_lines():
+        surfaces = engine.analyzer.normalize(line).surfaces()
+        # every probed string is a prefix of its own token of two or more
+        # characters; tokens that start alike may share a stem, and probing
+        # it once for each of them is not repeated work
+        if len({s[:2] for s in surfaces}) < len(surfaces):
+            continue
+        probes.clear()
+        engine.process(line)
+        assert [p for p, n in probes.items() if n > 1] == [], line
+        checked += 1
+    assert checked > 1000

@@ -57,5 +57,5 @@ def test_eojeol_replace_keeps_the_other_fields(analyzer):
     split = e._replace(stem="나가지", particle="마")
     assert split == Eojeol("나가지마", "나가지", "마", negation="ma", fused="마")
     assert e.stem == "나가지마" and e.particle is None
-    assert analyzer.strip_josa("사과를") == Eojeol("사과를", "사과", "를")
+    assert analyzer.normalize("사과를 줘").tokens[0] == Eojeol("사과를", "사과", "를")
     assert [t.is_wh for t in analyzer.normalize("누가 왔니").tokens] == [True, False]

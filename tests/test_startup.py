@@ -1,5 +1,6 @@
 """Start-up cost stays low: the engine path never loads the corpus tooling,
-and no engine-path record type is built by ``@dataclass`` except
+nor ``pathlib`` and ``importlib.resources`` to find the bundled lexicon, and
+no engine-path record type is built by ``@dataclass`` except
 ``OutputRecord``, whose callers use ``dataclasses.replace``."""
 
 import ast
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import saek
@@ -52,6 +54,50 @@ def test_engine_path_never_loads_the_corpus_tooling(tmp_path):
     assert not report["corpus_loaded"]
     assert report["unbound"] == []
     assert report["corpus_names"] == ["saek.corpus"] * 3
+
+
+# under ``python -S`` no site hook imports these modules before saek does
+BARE = """
+import sys
+import saek
+
+saek.Engine().process("뭐 먹을래")
+print(" ".join(m for m in ("pathlib", "importlib.resources") if m in sys.modules))
+"""
+
+
+def test_engine_path_never_loads_pathlib_or_importlib_resources():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BARE],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        env=env,
+        check=True,
+    )
+    assert proc.stdout.strip() == ""
+
+
+def test_bundled_lexicon_loads_from_a_zip_import(tmp_path):
+    archive = tmp_path / "saek.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(SRC.rglob("*")):
+            if path.suffix in (".py", ".tsv"):
+                zf.write(path, path.relative_to(SRC.parent).as_posix())
+    env = dict(os.environ, PYTHONPATH=str(archive), PYTHONIOENCODING="utf-8")
+    script = 'import saek; print(saek.__file__); print(saek.Engine().process("창문 열어줘").argument)'
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        env=env,
+        check=True,
+    )
+    where, argument = proc.stdout.splitlines()
+    assert where.startswith(str(archive))
+    assert argument == saek.Engine().process("창문 열어줘").argument == "창문 열어주기"
 
 
 def test_engine_path_builds_no_dataclass_but_output_record():
