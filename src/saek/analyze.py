@@ -249,7 +249,7 @@ class Analyzer:
                 if i == last or (t.surface, tokens[i + 1].surface) not in lex.danger_pairs:
                     preverbal = True
         if myen is not None:
-            core = tokens[myen].surface[:-1]
+            core = conditional_core(tokens[myen].surface)
             if self.strip_preverbal(core) != core:
                 preverbal = True
 
@@ -261,6 +261,11 @@ class Analyzer:
             danger_pred=lex.is_danger_predicate([t.surface for t in tokens[-2:]]),
             conditional_myen=myen is not None,
         )
+
+
+def conditional_core(surface: str) -> str:
+    """A -(으)면 conditional token without -(으)면 (먹으면 -> 먹, 안매면 -> 안매)."""
+    return surface[:-2] if surface.endswith("으면") and len(surface) > 2 else surface[:-1]
 
 
 def negative_imperative(tokens: Sequence[Eojeol]) -> Optional[tuple[int, str]]:

@@ -3,7 +3,8 @@
 Labels follow the dataset encoding (0..5): yes/no, alternative and wh
 questions, then prohibition, requirement and strong requirement commands.
 A fixed first-match rule cascade keeps the decision deterministic; every
-fired rule leaves an evidence span for explainability.
+fired rule leaves an evidence span for explainability, and the step that
+fired picks the extraction routine, so the rule is decided here only.
 """
 
 from __future__ import annotations
@@ -93,11 +94,16 @@ class Evidence(NamedTuple):
 
 class Classification(NamedTuple):
     label: IntentLabel
+    step: str  # the cascade step that fired; it picks the extraction routine
     wh: Optional[WhCategory] = None  # present exactly when label == WH
     evidence: tuple[Evidence, ...] = ()
 
-    def rules(self) -> set[str]:
-        return {e.rule for e in self.evidence}
+
+def _fired(
+    label: IntentLabel, step: str, *spans: tuple[int, int], wh: Optional[WhCategory] = None
+) -> Classification:
+    """The step that fired, with one evidence span per cue it found."""
+    return Classification(label, step, wh, tuple([Evidence(step, s) for s in spans]))
 
 
 class Classifier:
@@ -108,15 +114,22 @@ class Classifier:
 
     def classify(self, u: NormalizedUtterance) -> Classification:
         lex = self.lexicon
+        tokens = u.tokens
         surfaces = u.surfaces()
         profile = u.negation
         wh_hits = u.wh_hits
+        last = len(surfaces) - 1
 
-        bearer_idx = next(
-            (i for i, t in enumerate(u.tokens) if t.ending is not None), None
-        )
-        bearer = u.tokens[bearer_idx] if bearer_idx is not None else None
-        cue = lex.match_cue(surfaces)
+        bearer_idx = next((i for i, t in enumerate(tokens) if t.ending is not None), None)
+        kind = tokens[bearer_idx].ending.kind if bearer_idx is not None else None
+        interrogative = kind is EndingKind.INTERROGATIVE
+        imperative = kind is EndingKind.IMPERATIVE
+        # the want-to-know cue and an information-seeking verb end on the
+        # last token that is not a vocative (-1: there is none)
+        final = last
+        while final >= 0 and tokens[final].is_vocative:
+            final -= 1
+        cue = lex.match_cue([t.surface for t in tokens if not t.is_vocative])
 
         def token_span(i: int) -> tuple[int, int]:
             start = u.offsets[i]
@@ -124,142 +137,101 @@ class Classifier:
 
         def ending_span(i: int) -> tuple[int, int]:
             start = u.offsets[i]
-            t = u.tokens[i]
-            return (start + len(t.stem), start + len(t.surface))
-
-        def wh_category(kind: WhKind) -> WhCategory:
-            return lex.wh_category(kind)
+            return (start + len(tokens[i].stem), start + len(surfaces[i]))
 
         # (1) information-seeking imperatives are treated as questions
-        info_idx = self._info_verb_index(u)
+        info_idx = self._info_verb_index(u, final)
         if info_idx is not None:
-            evidence = [Evidence("info-seeking", token_span(info_idx))]
+            info = Evidence("info-seeking", token_span(info_idx))
             if wh_hits:
                 hit = wh_hits[0]
-                evidence.append(Evidence("wh-word", (hit.char_start, hit.char_end)))
-                return Classification(IntentLabel.WH, wh_category(hit.kind), tuple(evidence))
+                return Classification(
+                    IntentLabel.WH,
+                    "info-seeking+wh-word",
+                    lex.wh_category(hit.kind),
+                    (info, Evidence("wh-word", (hit.char_start, hit.char_end))),
+                )
             quant = self._universal_quantifier_index(u, exclude=info_idx)
             if quant is not None:
-                evidence.append(Evidence("universal-quantifier", token_span(quant)))
                 return Classification(
-                    IntentLabel.WH, wh_category(WhKind.WHAT), tuple(evidence)
+                    IntentLabel.WH,
+                    "info-seeking+universal-quantifier",
+                    lex.wh_category(WhKind.WHAT),
+                    (info, Evidence("universal-quantifier", token_span(quant))),
                 )
-            return Classification(IntentLabel.YES_NO, evidence=tuple(evidence))
-
-        interrogative = (
-            bearer is not None
-            and bearer.ending is not None
-            and bearer.ending.kind is EndingKind.INTERROGATIVE
-        )
-        imperative = (
-            bearer is not None
-            and bearer.ending is not None
-            and bearer.ending.kind is EndingKind.IMPERATIVE
-        )
+            return _fired(IntentLabel.YES_NO, "info-seeking", info.span)
 
         # (2) wh word with an interrogative or want-to-know reading
         if wh_hits and (interrogative or cue is not None):
             hit = wh_hits[0]
-            return Classification(
-                IntentLabel.WH,
-                wh_category(hit.kind),
-                (Evidence("wh-word", (hit.char_start, hit.char_end)),),
-            )
+            span = (hit.char_start, hit.char_end)
+            return _fired(IntentLabel.WH, "wh-word", span, wh=lex.wh_category(hit.kind))
 
         # (3) parallel clauses with a repeated predicate, or explicit disjunction
-        if interrogative and bearer_idx is not None:
+        if interrogative:
             repeat = next(
-                (i for i in range(bearer_idx) if surfaces[i] == surfaces[bearer_idx]),
-                None,
+                (i for i in range(bearer_idx) if surfaces[i] == surfaces[bearer_idx]), None
             )
             if repeat is not None:
-                return Classification(
+                return _fired(
                     IntentLabel.ALTERNATIVE,
-                    evidence=(
-                        Evidence("parallel-clauses", token_span(repeat)),
-                        Evidence("parallel-clauses", token_span(bearer_idx)),
-                    ),
+                    "parallel-clauses",
+                    token_span(repeat),
+                    token_span(bearer_idx),
                 )
             i = next((i for i, s in enumerate(surfaces) if s in lex.disjunction), None)
             if i is not None:
-                return Classification(
-                    IntentLabel.ALTERNATIVE,
-                    evidence=(Evidence("disjunction", token_span(i)),),
-                )
+                return _fired(IntentLabel.ALTERNATIVE, "disjunction", token_span(i))
 
-        # (4) plain polar question
-        if interrogative and bearer_idx is not None:
-            return Classification(
-                IntentLabel.YES_NO, evidence=(Evidence("polar-ending", ending_span(bearer_idx)),)
-            )
+            # (4) plain polar question
+            return _fired(IntentLabel.YES_NO, "polar-ending", ending_span(bearer_idx))
+        # (4) so is a want-to-know cue without an interrogative ending
         if cue is not None:
-            i = len(surfaces) - 1
-            return Classification(
-                IntentLabel.YES_NO, evidence=(Evidence("want-to-know", token_span(i)),)
-            )
+            return _fired(IntentLabel.YES_NO, "want-to-know", token_span(final))
 
         # (5) negated clause coordinated onto a positive imperative
-        if profile.malgo is not None and imperative and bearer_idx is not None:
-            m = profile.malgo
-            fused = u.tokens[m].fused is not None  # 놀지말고
-            negated = fused or (m > 0 and surfaces[m - 1].endswith("지"))
-            if negated and bearer_idx > m:
-                return Classification(
-                    IntentLabel.STRONG_REQUIREMENT,
-                    evidence=(Evidence("negation-coordination", token_span(m)),),
+        m = profile.malgo
+        if m is not None and imperative and bearer_idx > m:
+            # 놀지말고, or 놀지 말고
+            if tokens[m].fused is not None or (m > 0 and surfaces[m - 1].endswith("지")):
+                return _fired(
+                    IntentLabel.STRONG_REQUIREMENT, "negation-coordination", token_span(m)
                 )
 
         # (6) negated conditional whose consequence induces prohibition
         if profile.preverbal_an and profile.conditional_myen and profile.danger_pred:
-            return Classification(
-                IntentLabel.STRONG_REQUIREMENT,
-                evidence=(Evidence("double-negation", token_span(len(surfaces) - 1)),),
-            )
+            return _fired(IntentLabel.STRONG_REQUIREMENT, "double-negation", token_span(last))
 
         # (7) negative imperative, or conditional with a danger consequence
         if profile.suffix_ci_ma:
-            return Classification(
-                IntentLabel.PROHIBITION,
-                evidence=(Evidence("negative-imperative", token_span(len(surfaces) - 1)),),
-            )
+            return _fired(IntentLabel.PROHIBITION, "negative-imperative", token_span(last))
         if profile.conditional_myen and profile.danger_pred:
-            return Classification(
-                IntentLabel.PROHIBITION,
-                evidence=(Evidence("danger-conditional", token_span(len(surfaces) - 1)),),
-            )
+            return _fired(IntentLabel.PROHIBITION, "danger-conditional", token_span(last))
 
         # (8) plain imperative / request / wish
-        if imperative and bearer_idx is not None:
-            return Classification(
-                IntentLabel.REQUIREMENT,
-                evidence=(Evidence("imperative-ending", ending_span(bearer_idx)),),
-            )
+        if imperative:
+            return _fired(IntentLabel.REQUIREMENT, "imperative-ending", ending_span(bearer_idx))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 
     # -- helpers ---------------------------------------------------------
 
-    def _info_verb_index(self, u: NormalizedUtterance) -> Optional[int]:
-        """Index of a final information-seeking verb, if any."""
+    def _info_verb_index(self, u: NormalizedUtterance, final: int) -> Optional[int]:
+        """Index of an information-seeking verb ending on token ``final``, if any."""
         lex = self.lexicon
-        idx = None
-        for i in range(len(u.tokens) - 1, -1, -1):
-            if not u.tokens[i].is_vocative:
-                idx = i
-                break
-        if idx is None:
+        if final < 0:
             return None
-        if u.tokens[idx].surface in lex.infoverbs:
-            return idx
+        if u.tokens[final].surface in lex.infoverbs:
+            return final
         # spaced benefactive: 말해 줘
-        t = u.tokens[idx]
+        t = u.tokens[final]
         if (
             t.ending is not None
             and t.ending.stem == "주"
-            and idx > 0
-            and u.tokens[idx - 1].surface in lex.infoverbs
+            and final > 0
+            and u.tokens[final - 1].surface in lex.infoverbs
         ):
-            return idx - 1
+            return final - 1
         return None
 
     def _universal_quantifier_index(

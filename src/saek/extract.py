@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
-from .analyze import Analyzer, Eojeol, NegationProfile, NormalizedUtterance, negative_imperative
-from .classify import Classification, IntentLabel, Negativeness, negativeness
+from .analyze import Analyzer, Eojeol, NormalizedUtterance, conditional_core, negative_imperative
+from .classify import Classification, IntentLabel
 from .errors import ExtractionFailed, OptionsNotFound, UnsupportedContraction
 from .lexicon import (
     ArgumentCategory,
@@ -53,7 +53,7 @@ def _vowel_index(letter: str) -> int:
 
 
 class Extractor:
-    """Per-label extraction rules over analyzer output."""
+    """One extraction routine per step of the classifier's rule cascade."""
 
     def __init__(self, lexicon: Optional[Lexicon] = None, analyzer: Optional[Analyzer] = None):
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
@@ -62,20 +62,31 @@ class Extractor:
     # -- dispatch --------------------------------------------------------
 
     def extract(self, u: NormalizedUtterance, c: Classification) -> Argument:
-        rules = c.rules()
-        if c.label is IntentLabel.YES_NO:
-            return self.extract_yesno(u.tokens)
-        if c.label is IntentLabel.ALTERNATIVE:
-            return self.extract_alternative(u.tokens)
-        if c.label is IntentLabel.WH:
-            assert c.wh is not None
-            return self.extract_wh(
-                u.tokens,
-                c.wh,
-                info="info-seeking" in rules,
-                universal="universal-quantifier" in rules,
-            )
-        return self.extract_command(u.tokens, negativeness(c.label), u.negation)
+        """Run the routine of the cascade step that fired; the step decided
+        the rule, so no routine decides it again."""
+        tokens = u.tokens
+        match c.step:
+            case "info-seeking" | "polar-ending" | "want-to-know":
+                return self.extract_yesno(tokens)
+            case "parallel-clauses" | "disjunction":
+                return self.extract_alternative(tokens)
+            case "wh-word":
+                return self.extract_wh(tokens, c.wh)
+            case "info-seeking+wh-word":
+                return self.extract_wh(tokens, c.wh, info=True)
+            case "info-seeking+universal-quantifier":
+                return self._object_span(tokens, c.wh)
+            case "negation-coordination":
+                return self._sr_from_coordination(tokens)
+            case "double-negation":
+                return self._sr_from_double_negation(tokens)
+            case "negative-imperative":
+                return self._ph_from_negative_imperative(tokens)
+            case "danger-conditional":
+                return self._ph_from_danger_conditional(tokens)
+            case "imperative-ending":
+                return self._requirement(*self._command_items(tokens))
+        raise ValueError(f"no extraction routine for cascade step {c.step!r}")
 
     # -- shared helpers ---------------------------------------------------
 
@@ -95,8 +106,9 @@ class Extractor:
         return self.analyzer.strip_josa_all(e.stem, droppable_only)
 
     def _question_items(self, tokens: Iterable[Eojeol]) -> tuple[list[Eojeol], dict[int, str]]:
-        """The tokens a question argument keeps, and the content of each, by
-        ``id``, so that each token's content is computed once."""
+        """The tokens a question argument keeps, from after the last 말고 on,
+        and the content of each, by ``id``, so that each token's content is
+        computed once."""
         items: list[Eojeol] = []
         content: dict[int, str] = {}
         for t in tokens:
@@ -106,7 +118,7 @@ class Extractor:
             if not self._droppable_in_question(t, stem):
                 items.append(t)
                 content[id(t)] = stem
-        return items, content
+        return self._after_malgo(items), content
 
     def _droppable_in_question(self, e: Eojeol, stem: str) -> bool:
         lex = self.lexicon
@@ -211,7 +223,6 @@ class Extractor:
     def extract_yesno(self, tokens: Sequence[Eojeol]) -> Argument:
         lex = self.lexicon
         items, content = self._question_items(tokens)
-        items = self._after_malgo(items)
         items = self._drop_want_cue(items)
 
         head = ""
@@ -260,22 +271,25 @@ class Extractor:
     def extract_alternative(self, tokens: Sequence[Eojeol]) -> Argument:
         lex = self.lexicon
         items = self._after_malgo([t for t in tokens if not t.is_vocative])
-        pred_idx = [
-            i
+        # each interrogative predicate with its ending: ``normalize`` matched
+        # the bearer's (the last item), which parallel clauses repeat
+        bearer = items[-1] if items else None
+        preds = [
+            (i, m)
             for i, t in enumerate(items)
-            if (m := lex.match_ending(t.surface)) is not None
+            if (m := bearer.ending if t.surface == bearer.surface else lex.match_ending(t.surface))
+            is not None
             and m.kind is EndingKind.INTERROGATIVE
         ]
         notes: list[str] = []
         options: list[str] = []
-        if len(pred_idx) >= 2:
+        if len(preds) >= 2:
             start = 0
-            for i in pred_idx:
+            for i, _ in preds:
                 options.extend(self._option_phrases(items[start:i]))
                 start = i + 1
-            pred = items[pred_idx[-1]]
-        elif pred_idx and any(t.surface in lex.disjunction for t in items):
-            pred = items[pred_idx[-1]]
+        elif preds and any(t.surface in lex.disjunction for t in items):
+            pred = items[preds[-1][0]]
             options = self._option_phrases(
                 [t for t in items if t is not pred and t.surface not in lex.disjunction]
             )
@@ -284,8 +298,8 @@ class Extractor:
         if len(options) < 2:
             raise OptionsNotFound("fewer than two option phrases")
 
-        match = lex.match_ending(pred.surface)
-        stem = pred.surface[: len(pred.surface) - len(match.surface)] if match else pred.surface
+        i, ending = preds[-1]
+        stem = items[i].surface[: len(items[i].surface) - len(ending.surface)]
         if not stem:
             raise ExtractionFailed("empty shared predicate")
         last = stem[-1]
@@ -308,21 +322,11 @@ class Extractor:
 
     # -- wh questions -----------------------------------------------------------
 
-    def extract_wh(
-        self,
-        tokens: Sequence[Eojeol],
-        wh: WhCategory,
-        info: bool = False,
-        universal: bool = False,
-    ) -> Argument:
+    def extract_wh(self, tokens: Sequence[Eojeol], wh: WhCategory, info: bool = False) -> Argument:
         lex = self.lexicon
-        category = WH_TO_CATEGORY[wh.kind]
         items, content = self._question_items(t for t in tokens if not t.is_wh)
-        items = self._after_malgo(items)
         if info:
             items = self._drop_info_verb(items)
-        if info and universal:
-            return self._object_span(items, content, category)
 
         notes: list[str] = []
         items = self._drop_want_cue(items)
@@ -368,7 +372,7 @@ class Extractor:
             parts = stems + ([adnominal] if adnominal else []) + [wh.primary_noun]
             if len(parts) == 1:
                 raise ExtractionFailed("no content around the wh word")
-        return Argument(" ".join(parts), category, IntentLabel.WH, tuple(notes))
+        return Argument(" ".join(parts), WH_TO_CATEGORY[wh.kind], IntentLabel.WH, tuple(notes))
 
     def _looks_adnominal(self, surface: str) -> bool:
         """Surface already carries the -는 or -(으)ㄹ noun-modifying suffix."""
@@ -398,16 +402,15 @@ class Extractor:
             return items[:-2]
         return items
 
-    def _object_span(
-        self, items: list[Eojeol], content: dict[int, str], category: ArgumentCategory
-    ) -> Argument:
-        """Information-seeking imperatives keep their object span verbatim,
-        with universal quantifier adverbs converted to determiners."""
+    def _object_span(self, tokens: Sequence[Eojeol], wh: WhCategory) -> Argument:
+        """Information-seeking imperatives with a universal quantifier keep
+        their object span verbatim, the quantifier adverb turned determiner."""
         lex = self.lexicon
+        items, content = self._question_items(tokens)  # no wh word: that step fires first
         stems: list[str] = []
         quant: Optional[str] = None
         object_pos: Optional[int] = None
-        for t in items:
+        for t in self._drop_info_verb(items):
             stem = content[id(t)]
             if not stem:
                 continue
@@ -423,18 +426,14 @@ class Extractor:
         if quant is not None:
             at = object_pos if object_pos is not None else len(stems) - 1
             stems.insert(at, quant)
-        return Argument(" ".join(stems), category, IntentLabel.WH)
+        return Argument(" ".join(stems), WH_TO_CATEGORY[wh.kind], IntentLabel.WH)
 
     # -- commands -------------------------------------------------------------
 
-    def extract_command(
-        self,
-        tokens: Sequence[Eojeol],
-        neg: Negativeness,
-        profile: NegationProfile,
-    ) -> Argument:
+    def _command_items(self, tokens: Sequence[Eojeol]) -> tuple[list[Eojeol], dict[int, str]]:
+        """The tokens a command argument keeps, from after the last 말고 on,
+        and the content of each by ``id``, computed once."""
         lex = self.lexicon
-        # the kept tokens, and the content of each by id, computed once
         items: list[Eojeol] = []
         content: dict[int, str] = {}
         for t in tokens:
@@ -444,19 +443,7 @@ class Extractor:
             if stem not in lex.pronouns:
                 items.append(t)
                 content[id(t)] = stem
-        if neg is Negativeness.SR:
-            if profile.malgo is not None:
-                # a bearer with a pronoun stem (전해) is not in items, so 말고 can be last
-                if not any(t.negation == "malgo" for t in items[:-1]):
-                    raise ExtractionFailed("coordination marker vanished before extraction")
-                # _requirement keeps only what follows the last 말고
-                return self._requirement(items, content, IntentLabel.STRONG_REQUIREMENT)
-            return self._sr_from_double_negation(items, content)
-        if neg is Negativeness.PH:
-            if profile.suffix_ci_ma:
-                return self._ph_from_negative_imperative(items, content)
-            return self._ph_from_danger_conditional(items, content)
-        return self._requirement(items, content)
+        return self._after_malgo(items), content
 
     # clause trimming: everything up to the last subordinate connective goes
     def _trim_subordinate(self, items: list[Eojeol], end: int) -> list[Eojeol]:
@@ -476,9 +463,8 @@ class Extractor:
                 break
         return items[start:end]
 
-    def _ph_from_negative_imperative(
-        self, items: list[Eojeol], content: dict[int, str]
-    ) -> Argument:
+    def _ph_from_negative_imperative(self, tokens: Sequence[Eojeol]) -> Argument:
+        items, content = self._command_items(tokens)
         found = negative_imperative(items)
         if found is None:
             raise ExtractionFailed("negative imperative without a -지 predicate")
@@ -492,13 +478,12 @@ class Extractor:
 
     def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
         for i, t in enumerate(items[:-1]):
-            s = t.surface
             if t.conditional:
-                core = s[:-2] if (s.endswith("으면") and len(s) > 2) else s[:-1]
-                return i, core
+                return i, conditional_core(t.surface)
         raise ExtractionFailed("no conditional clause found")
 
-    def _ph_from_danger_conditional(self, items: list[Eojeol], content: dict[int, str]) -> Argument:
+    def _ph_from_danger_conditional(self, tokens: Sequence[Eojeol]) -> Argument:
+        items, content = self._command_items(tokens)
         idx, core = self._conditional_core(items)
         span = self._trim_subordinate(items, idx)
         parts = self._clean_parts([content[id(t)] for t in span])
@@ -507,7 +492,8 @@ class Extractor:
         text = " ".join(parts + [core + "지", "않기"])
         return Argument(text, ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION)
 
-    def _sr_from_double_negation(self, items: list[Eojeol], content: dict[int, str]) -> Argument:
+    def _sr_from_double_negation(self, tokens: Sequence[Eojeol]) -> Argument:
+        items, content = self._command_items(tokens)
         idx, core = self._conditional_core(items)
         core = self.analyzer.strip_preverbal(core)
         span = self._trim_subordinate(items, idx)
@@ -519,13 +505,19 @@ class Extractor:
         text = " ".join(parts + [nominal]) if parts else nominal
         return Argument(text, ArgumentCategory.REQUIREMENT, IntentLabel.STRONG_REQUIREMENT)
 
+    def _sr_from_coordination(self, tokens: Sequence[Eojeol]) -> Argument:
+        items, content = self._command_items(tokens)
+        # a bearer with a pronoun stem (전해) is not in items, so 말고 can be last
+        if items and items[-1].negation == "malgo":
+            raise ExtractionFailed("no action after the coordination marker")
+        return self._requirement(items, content, IntentLabel.STRONG_REQUIREMENT)
+
     def _requirement(
         self,
         items: list[Eojeol],
         content: dict[int, str],
         label: IntentLabel = IntentLabel.REQUIREMENT,
     ) -> Argument:
-        items = self._after_malgo(items)
         if not items:
             raise ExtractionFailed("empty required action")
         span = self._trim_subordinate(items, len(items) - 1) + [items[-1]]

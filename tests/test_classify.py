@@ -33,7 +33,15 @@ def test_wh_field_present_exactly_for_label_two(analyzer, classifier):
 def test_info_seeking_imperative_rule_precedes_imperative(analyzer, classifier):
     got = classifier.classify(analyzer.normalize("이번 주 일정을 모두 말해"))
     assert got.label is IntentLabel.WH
-    assert "info-seeking" in got.rules()
+    assert got.step == "info-seeking+universal-quantifier"
+
+
+def test_want_to_know_cue_skips_a_trailing_vocative(analyzer, classifier):
+    u = analyzer.normalize("밥 먹었는지 궁금해 민수야")
+    got = classifier.classify(u)
+    assert (got.label, got.step) == (IntentLabel.YES_NO, "want-to-know")
+    (evidence,) = got.evidence
+    assert u.text[slice(*evidence.span)] == "궁금해"
 
 
 def test_info_seeking_without_wh_or_quantifier_is_polar(analyzer, classifier):

@@ -169,6 +169,16 @@ def test_eval_paired_arguments(fixtures_dir, capsys):
     assert report["arg_char_f1"] == 1.0
 
 
+def test_eval_minimal_pairs(fixtures_dir, capsys):
+    # each fixed input sits next to a near-identical row that must not move
+    code = cli.run(["eval", "--paired", str(fixtures_dir / "minimal_pairs.tsv")])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    report = json.loads(out)
+    assert report["label_accuracy"] == 1.0
+    assert report["arg_exact"] == 1.0
+
+
 def test_eval_failures_file(tmp_path, capsys):
     data = tmp_path / "mixed.tsv"
     data.write_text("0\t밥 먹었어\n3\t그냥 명사구\n", encoding="utf-8")

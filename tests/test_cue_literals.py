@@ -1,9 +1,10 @@
 """Negation and disjunction cues come from the lexicon: no source file spells
-one out."""
+one out.  Only the classifier reads the negation profile to pick a rule."""
 
 import ast
 from pathlib import Path
 
+from saek.analyze import NegationProfile
 from saek.lexicon import default_lexicon
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "saek"
@@ -24,3 +25,20 @@ def test_no_negation_surface_literals_in_source():
                 if node.value in forbidden:
                     found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found, "cue surfaces belong in the lexicon: " + ", ".join(found)
+
+
+def test_extract_makes_no_rule_decision():
+    # the cascade step that fired picks the extraction routine, so extract
+    # reads no negation-profile field and projects no label
+    fields = set(NegationProfile._fields)
+    assert {"malgo", "suffix_ci_ma", "preverbal_an", "danger_pred", "conditional_myen"} <= fields
+    path = SRC / "extract.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in fields | {"negativeness"}:
+            found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id == "negativeness":
+            found.append(f"{path.name}:{node.lineno}: {node.id}")
+        elif isinstance(node, ast.alias) and node.name == "negativeness":
+            found.append(f"{path.name}:{node.lineno}: import {node.name}")
+    assert not found, "rule decisions belong in the classifier: " + ", ".join(found)

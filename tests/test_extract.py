@@ -160,6 +160,31 @@ def test_malgo_before_pronoun_stem_bearer_fails(engine, bearer):
     assert (record.label, record.argument, record.error) == (5, None, "extraction-failed")
 
 
+# The cascade step that fired picks the routine, and every routine drops the
+# material before the last 말고.
+STEP_PICKS_ROUTINE = [
+    ("커피 말고 약 안 먹으면 큰일나", 5, "약 먹기"),
+    ("장난 말고 안전벨트 안 매면 위험해", 5, "안전벨트 매기"),
+    ("이거 말고 나가지 마", 3, "나가지 않기"),
+    ("이거 말고 저거 만지면 위험해", 3, "저거 만지지 않기"),
+    # a trailing vocative does not hide the want-to-know cue
+    ("밥 먹었는지 궁금해 민수야", 0, "밥 먹었는지 여부"),
+    # 안으면 is the verb 안다, not a negator fused onto -으면
+    ("안으면 혼나", 3, "안지 않기"),
+]
+
+
+@pytest.mark.parametrize("text, label, argument", STEP_PICKS_ROUTINE)
+def test_cascade_step_picks_the_routine(engine, text, label, argument):
+    record = engine.process(text)
+    assert (record.label, record.argument, record.error) == (label, argument, None)
+
+
+def test_repeated_malgo_with_nothing_after_the_last_fails(engine):
+    record = engine.process("놀지 말고 자지 말고 전해")
+    assert (record.label, record.argument, record.error) == (5, None, "extraction-failed")
+
+
 def test_contraction_fallback_flagged_in_notes(analyzer, classifier, extractor):
     # a nonsense coda-ㅆ syllable outside the contraction table: raw stem + 은
     got = run(analyzer, classifier, extractor, "누가 긨니")

@@ -22,7 +22,7 @@ RECORDS = {
     "NegationProfile": lambda: NegationProfile(malgo=1, danger_pred=True),
     "Evidence": lambda: Evidence("wh-word", (0, 1)),
     "Classification": lambda: Classification(
-        IntentLabel.WH, WhCategory(WhKind.WHAT, ("의미",)), (Evidence("wh-word", (0, 1)),)
+        IntentLabel.WH, "wh-word", WhCategory(WhKind.WHAT, ("의미",)), (Evidence("wh-word", (0, 1)),)
     ),
     "Argument": lambda: Argument("먹는 의미", ArgumentCategory.MEANING, IntentLabel.WH),
     "JamoTriple": lambda: JamoTriple(0, 0, 4),
