@@ -23,13 +23,10 @@ _EXPORTS = {
     "EvalReport": "corpus",
     "Extractor": "extract",
     "IntentLabel": "classify",
-    "LABEL_NAMES": "classify",
     "Lexicon": "lexicon",
     "NegationProfile": "analyze",
-    "Negativeness": "classify",
     "NormalizedUtterance": "analyze",
     "OutputRecord": "engine",
-    "QuestionType": "classify",
     "WhCategory": "lexicon",
     "WhKind": "lexicon",
     "default_lexicon": "lexicon",
@@ -37,8 +34,6 @@ _EXPORTS = {
     "fleiss_kappa": "corpus",
     "load": "corpus",
     "load_lexicon": "lexicon",
-    "negativeness": "classify",
-    "question_type": "classify",
     "stats": "corpus",
 }
 

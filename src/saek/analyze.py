@@ -64,6 +64,7 @@ class NormalizedUtterance(NamedTuple):
     offsets: tuple[int, ...]  # char offset of each token within ``text``
     wh_hits: tuple[WhHit, ...]
     negation: NegationProfile
+    bearer: int  # the last non-vocative token, the one an ending sits on (-1: none)
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
@@ -85,7 +86,7 @@ class Analyzer:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
         text = " ".join(surfaces)
         offsets = tuple(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
-        tokens = self._analyze_tokens(surfaces)
+        tokens, bearer = self._analyze_tokens(surfaces)
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
         wh_hits = self.find_wh(tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
@@ -93,19 +94,15 @@ class Analyzer:
             for i in range(hit.token_start, hit.token_end):
                 tokens[i] = tokens[i]._replace(is_wh=True)
         return NormalizedUtterance(
-            raw, text, tuple(tokens), offsets, wh_hits, self.profile_negation(tokens)
+            raw, text, tuple(tokens), offsets, wh_hits, self.profile_negation(tokens), bearer
         )
 
-    def _analyze_tokens(self, surfaces: list[str]) -> list[Eojeol]:
+    def _analyze_tokens(self, surfaces: list[str]) -> tuple[list[Eojeol], int]:
+        """The analyzed tokens and the bearer: the sentence-final ending sits
+        on the last non-vocative token (-1: every token is a vocative)."""
         lex = self.lexicon
         voc = [self._is_vocative(surfaces, i) for i in range(len(surfaces))]
-
-        # the sentence-final ending sits on the last non-vocative token
-        bearer = None
-        for i in range(len(surfaces) - 1, -1, -1):
-            if not voc[i]:
-                bearer = i
-                break
+        bearer = next((i for i in range(len(surfaces) - 1, -1, -1) if not voc[i]), -1)
 
         tokens: list[Eojeol] = []
         for i, surface in enumerate(surfaces):
@@ -121,7 +118,7 @@ class Analyzer:
             tokens.append(
                 Eojeol(surface, stem, particle, ending, voc[i], False, negation, fused, cond)
             )
-        return tokens
+        return tokens, bearer
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields

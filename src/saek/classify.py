@@ -9,11 +9,11 @@ fired picks the extraction routine, so the rule is decided here only.
 
 from __future__ import annotations
 
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import NamedTuple, Optional
 
 from .analyze import NormalizedUtterance
-from .errors import Unclassifiable, WrongSuperType
+from .errors import Unclassifiable
 from .lexicon import (
     EndingKind,
     Lexicon,
@@ -32,61 +32,6 @@ class IntentLabel(IntEnum):
     STRONG_REQUIREMENT = 5
 
 
-LABEL_NAMES = {
-    IntentLabel.YES_NO: "yes_no",
-    IntentLabel.ALTERNATIVE: "alternative",
-    IntentLabel.WH: "wh",
-    IntentLabel.PROHIBITION: "prohibition",
-    IntentLabel.REQUIREMENT: "requirement",
-    IntentLabel.STRONG_REQUIREMENT: "strong_requirement",
-}
-
-QUESTION_LABELS = frozenset(
-    {IntentLabel.YES_NO, IntentLabel.ALTERNATIVE, IntentLabel.WH}
-)
-COMMAND_LABELS = frozenset(
-    {IntentLabel.PROHIBITION, IntentLabel.REQUIREMENT, IntentLabel.STRONG_REQUIREMENT}
-)
-
-
-class QuestionType(Enum):
-    YES_NO = "yes/no"
-    ALTERNATIVE = "alternative"
-    WH = "wh"
-
-
-class Negativeness(Enum):
-    PH = "prohibition"
-    REQ = "requirement"
-    SR = "strong requirement"
-
-
-_QUESTION_TYPES = {
-    IntentLabel.YES_NO: QuestionType.YES_NO,
-    IntentLabel.ALTERNATIVE: QuestionType.ALTERNATIVE,
-    IntentLabel.WH: QuestionType.WH,
-}
-_NEGATIVENESS = {
-    IntentLabel.PROHIBITION: Negativeness.PH,
-    IntentLabel.REQUIREMENT: Negativeness.REQ,
-    IntentLabel.STRONG_REQUIREMENT: Negativeness.SR,
-}
-
-
-def question_type(label: IntentLabel) -> QuestionType:
-    """Project a question label onto the three-way question taxonomy."""
-    if label not in _QUESTION_TYPES:
-        raise WrongSuperType(f"label {int(label)} is not a question")
-    return _QUESTION_TYPES[label]
-
-
-def negativeness(label: IntentLabel) -> Negativeness:
-    """Project a command label onto the three-way negativeness taxonomy."""
-    if label not in _NEGATIVENESS:
-        raise WrongSuperType(f"label {int(label)} is not a command")
-    return _NEGATIVENESS[label]
-
-
 class Evidence(NamedTuple):
     rule: str
     span: tuple[int, int]  # char span within NormalizedUtterance.text
@@ -97,6 +42,9 @@ class Classification(NamedTuple):
     step: str  # the cascade step that fired; it picks the extraction routine
     wh: Optional[WhCategory] = None  # present exactly when label == WH
     evidence: tuple[Evidence, ...] = ()
+    # tokens of the info verb the argument loses, on the info-seeking steps
+    # that extract a wh argument: 1, or 2 for a spaced benefactive (말해 줘)
+    info: int = 0
 
 
 def _fired(
@@ -119,16 +67,12 @@ class Classifier:
         profile = u.negation
         wh_hits = u.wh_hits
         last = len(surfaces) - 1
+        bearer = u.bearer
 
-        bearer_idx = next((i for i, t in enumerate(tokens) if t.ending is not None), None)
-        kind = tokens[bearer_idx].ending.kind if bearer_idx is not None else None
+        ending = tokens[bearer].ending if bearer >= 0 else None
+        kind = ending.kind if ending is not None else None
         interrogative = kind is EndingKind.INTERROGATIVE
         imperative = kind is EndingKind.IMPERATIVE
-        # the want-to-know cue and an information-seeking verb end on the
-        # last token that is not a vocative (-1: there is none)
-        final = last
-        while final >= 0 and tokens[final].is_vocative:
-            final -= 1
         cue = lex.match_cue([t.surface for t in tokens if not t.is_vocative])
 
         def token_span(i: int) -> tuple[int, int]:
@@ -140,9 +84,10 @@ class Classifier:
             return (start + len(tokens[i].stem), start + len(surfaces[i]))
 
         # (1) information-seeking imperatives are treated as questions
-        info_idx = self._info_verb_index(u, final)
+        info_idx = self._info_verb_index(u)
         if info_idx is not None:
             info = Evidence("info-seeking", token_span(info_idx))
+            n_info = bearer - info_idx + 1
             if wh_hits:
                 hit = wh_hits[0]
                 return Classification(
@@ -150,6 +95,7 @@ class Classifier:
                     "info-seeking+wh-word",
                     lex.wh_category(hit.kind),
                     (info, Evidence("wh-word", (hit.char_start, hit.char_end))),
+                    n_info,
                 )
             quant = self._universal_quantifier_index(u, exclude=info_idx)
             if quant is not None:
@@ -158,6 +104,7 @@ class Classifier:
                     "info-seeking+universal-quantifier",
                     lex.wh_category(WhKind.WHAT),
                     (info, Evidence("universal-quantifier", token_span(quant))),
+                    n_info,
                 )
             return _fired(IntentLabel.YES_NO, "info-seeking", info.span)
 
@@ -169,29 +116,27 @@ class Classifier:
 
         # (3) parallel clauses with a repeated predicate, or explicit disjunction
         if interrogative:
-            repeat = next(
-                (i for i in range(bearer_idx) if surfaces[i] == surfaces[bearer_idx]), None
-            )
+            repeat = next((i for i in range(bearer) if surfaces[i] == surfaces[bearer]), None)
             if repeat is not None:
                 return _fired(
                     IntentLabel.ALTERNATIVE,
                     "parallel-clauses",
                     token_span(repeat),
-                    token_span(bearer_idx),
+                    token_span(bearer),
                 )
             i = next((i for i, s in enumerate(surfaces) if s in lex.disjunction), None)
             if i is not None:
                 return _fired(IntentLabel.ALTERNATIVE, "disjunction", token_span(i))
 
             # (4) plain polar question
-            return _fired(IntentLabel.YES_NO, "polar-ending", ending_span(bearer_idx))
+            return _fired(IntentLabel.YES_NO, "polar-ending", ending_span(bearer))
         # (4) so is a want-to-know cue without an interrogative ending
         if cue is not None:
-            return _fired(IntentLabel.YES_NO, "want-to-know", token_span(final))
+            return _fired(IntentLabel.YES_NO, "want-to-know", token_span(bearer))
 
         # (5) negated clause coordinated onto a positive imperative
         m = profile.malgo
-        if m is not None and imperative and bearer_idx > m:
+        if m is not None and imperative and bearer > m:
             # 놀지말고, or 놀지 말고
             if tokens[m].fused is not None or (m > 0 and surfaces[m - 1].endswith("지")):
                 return _fired(
@@ -210,21 +155,22 @@ class Classifier:
 
         # (8) plain imperative / request / wish
         if imperative:
-            return _fired(IntentLabel.REQUIREMENT, "imperative-ending", ending_span(bearer_idx))
+            return _fired(IntentLabel.REQUIREMENT, "imperative-ending", ending_span(bearer))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 
     # -- helpers ---------------------------------------------------------
 
-    def _info_verb_index(self, u: NormalizedUtterance, final: int) -> Optional[int]:
-        """Index of an information-seeking verb ending on token ``final``, if any."""
+    def _info_verb_index(self, u: NormalizedUtterance) -> Optional[int]:
+        """Index of an information-seeking verb ending on the bearer, if any."""
         lex = self.lexicon
+        final = u.bearer
         if final < 0:
             return None
-        if u.tokens[final].surface in lex.infoverbs:
+        t = u.tokens[final]
+        if t.surface in lex.infoverbs:
             return final
         # spaced benefactive: 말해 줘
-        t = u.tokens[final]
         if (
             t.ending is not None
             and t.ending.stem == "주"

@@ -6,15 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .analyze import UNDECODED_RE, Analyzer
-from .classify import (
-    COMMAND_LABELS,
-    Classifier,
-    IntentLabel,
-    LABEL_NAMES,
-    QUESTION_LABELS,
-    negativeness,
-    question_type,
-)
+from .classify import Classifier, IntentLabel
 from .errors import EmptyUtterance, ExtractionFailed, OptionsNotFound, Unclassifiable
 from .extract import Extractor
 from .lexicon import Lexicon, default_lexicon, load_lexicon
@@ -85,15 +77,15 @@ def record_tsv_row(record: OutputRecord) -> str:
     return "\t".join(cells)
 
 
-# label -> its record fields (label, label_name, question_type, negativeness)
+# the one definition of the record fields each label carries:
+# (label, label_name, question_type, negativeness)
 _LABEL_FIELDS = {
-    label: (
-        int(label),
-        LABEL_NAMES[label],
-        question_type(label).value if label in QUESTION_LABELS else None,
-        negativeness(label).value if label in COMMAND_LABELS else None,
-    )
-    for label in IntentLabel
+    IntentLabel.YES_NO: (0, "yes_no", "yes/no", None),
+    IntentLabel.ALTERNATIVE: (1, "alternative", "alternative", None),
+    IntentLabel.WH: (2, "wh", "wh", None),
+    IntentLabel.PROHIBITION: (3, "prohibition", None, "prohibition"),
+    IntentLabel.REQUIREMENT: (4, "requirement", None, "requirement"),
+    IntentLabel.STRONG_REQUIREMENT: (5, "strong_requirement", None, "strong requirement"),
 }
 
 

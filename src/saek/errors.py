@@ -17,20 +17,12 @@ class LexiconError(SaekError):
     """Malformed lexicon file or broken table invariant."""
 
 
-class UnknownParticle(SaekError):
-    """Particle surface not present in the josa table."""
-
-
 class EmptyUtterance(SaekError):
     """Input text is empty after trimming."""
 
 
 class Unclassifiable(SaekError):
     """No classification rule fires (statement, fragment, rhetorical input)."""
-
-
-class WrongSuperType(SaekError):
-    """Projection requested for the wrong question/command super-type."""
 
 
 class ExtractionFailed(SaekError):

@@ -70,12 +70,10 @@ class Extractor:
                 return self.extract_yesno(tokens)
             case "parallel-clauses" | "disjunction":
                 return self.extract_alternative(tokens)
-            case "wh-word":
-                return self.extract_wh(tokens, c.wh)
-            case "info-seeking+wh-word":
-                return self.extract_wh(tokens, c.wh, info=True)
+            case "wh-word" | "info-seeking+wh-word":
+                return self.extract_wh(tokens, c.wh, c.info)
             case "info-seeking+universal-quantifier":
-                return self._object_span(tokens, c.wh)
+                return self._object_span(tokens, c.wh, c.info)
             case "negation-coordination":
                 return self._sr_from_coordination(tokens)
             case "double-negation":
@@ -290,9 +288,7 @@ class Extractor:
                 start = i + 1
         elif preds and any(t.surface in lex.disjunction for t in items):
             pred = items[preds[-1][0]]
-            options = self._option_phrases(
-                [t for t in items if t is not pred and t.surface not in lex.disjunction]
-            )
+            options = self._option_phrases([t for t in items if t is not pred])
         else:
             raise OptionsNotFound("no parallel clauses or disjunction marker")
         if len(options) < 2:
@@ -313,8 +309,11 @@ class Extractor:
         return Argument(text, ArgumentCategory.CHOICE, IntentLabel.ALTERNATIVE, tuple(notes))
 
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
+        """Option content of a clause; the disjunction (아니면) is no option."""
         out = []
         for t in clause:
+            if t.surface in self.lexicon.disjunction:
+                continue
             stem = self._content(t)
             if stem and not self._droppable_in_question(t, stem):
                 out.append(stem)
@@ -322,11 +321,13 @@ class Extractor:
 
     # -- wh questions -----------------------------------------------------------
 
-    def extract_wh(self, tokens: Sequence[Eojeol], wh: WhCategory, info: bool = False) -> Argument:
+    def extract_wh(self, tokens: Sequence[Eojeol], wh: WhCategory, info: int = 0) -> Argument:
+        """``info``: tokens of the info verb the utterance ends on, which the
+        classifier found (0: none)."""
         lex = self.lexicon
         items, content = self._question_items(t for t in tokens if not t.is_wh)
         if info:
-            items = self._drop_info_verb(items)
+            items = items[:-info]
 
         notes: list[str] = []
         items = self._drop_want_cue(items)
@@ -389,28 +390,16 @@ class Extractor:
                 return surface[: -len(s)]
         return surface
 
-    def _drop_info_verb(self, items: list[Eojeol]) -> list[Eojeol]:
-        lex = self.lexicon
-        if items and items[-1].surface in lex.infoverbs:
-            return items[:-1]
-        if (
-            len(items) >= 2
-            and items[-1].ending is not None
-            and items[-1].ending.stem == "주"
-            and items[-2].surface in lex.infoverbs
-        ):
-            return items[:-2]
-        return items
-
-    def _object_span(self, tokens: Sequence[Eojeol], wh: WhCategory) -> Argument:
+    def _object_span(self, tokens: Sequence[Eojeol], wh: WhCategory, info: int) -> Argument:
         """Information-seeking imperatives with a universal quantifier keep
-        their object span verbatim, the quantifier adverb turned determiner."""
+        their object span verbatim, the quantifier adverb turned determiner;
+        the last ``info`` items are the info verb and go."""
         lex = self.lexicon
         items, content = self._question_items(tokens)  # no wh word: that step fires first
         stems: list[str] = []
         quant: Optional[str] = None
         object_pos: Optional[int] = None
-        for t in self._drop_info_verb(items):
+        for t in items[:-info]:
             stem = content[id(t)]
             if not stem:
                 continue
@@ -457,7 +446,9 @@ class Extractor:
                     continue
                 if conn == "니까":
                     prev = s[-k - 1]
-                    if hangul.is_syllable(prev) and hangul.tail_jamo(prev) == "ㅂ":
+                    # -ㅂ니까 is a polite ending, not the causal connective
+                    bieup = hangul.is_syllable(prev) and hangul.decompose(prev).tail == hangul.TAIL_BIEUP
+                    if bieup:
                         continue
                 start = i + 1
                 break

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
 from . import hangul
-from .errors import LexiconError, UnknownParticle
+from .errors import LexiconError
 
 
 class WhKind(Enum):
@@ -56,23 +56,6 @@ WH_TO_CATEGORY = {
     WhKind.WHY: ArgumentCategory.REASON,
     WhKind.HOW: ArgumentCategory.METHOD,
 }
-
-QUESTION_CATEGORIES = frozenset(
-    {
-        ArgumentCategory.WHETHER,
-        ArgumentCategory.CHOICE,
-        ArgumentCategory.PERSON,
-        ArgumentCategory.MEANING,
-        ArgumentCategory.LOCATION,
-        ArgumentCategory.TIME,
-        ArgumentCategory.REASON,
-        ArgumentCategory.METHOD,
-    }
-)
-COMMAND_CATEGORIES = frozenset(
-    {ArgumentCategory.PROHIBITION, ArgumentCategory.REQUIREMENT}
-)
-
 
 class WhCategory(NamedTuple):
     """One wh class with its replacement nouns, primary noun first."""
@@ -243,13 +226,6 @@ class Lexicon:
     def wh_category(self, kind: WhKind) -> WhCategory:
         return WhCategory(kind, self.wh_nouns[kind])
 
-    def josa_valid(self, stem_final: str, particle: str) -> bool:
-        """True iff the allomorph fits the batchim of the stem-final syllable."""
-        entry = self.josa.get(particle)
-        if entry is None:
-            raise UnknownParticle(particle)
-        return _check_cond(entry.cond, stem_final)
-
     def longest_josa(self, token: str, droppable_only: bool = False) -> Optional[str]:
         """Longest particle suffix of ``token`` passing its batchim condition."""
         n = len(token)
@@ -259,7 +235,7 @@ class Lexicon:
             entry = self.josa.get(token[-k:])
             if entry is None or (droppable_only and not entry.droppable):
                 continue
-            if self.josa_valid(token[-k - 1], entry.surface):
+            if _check_cond(entry.cond, token[-k - 1]):
                 return entry.surface
         return None
 

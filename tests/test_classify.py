@@ -1,14 +1,8 @@
 import pytest
 
 from golden_cases import GOLDEN
-from saek.classify import (
-    IntentLabel,
-    Negativeness,
-    QuestionType,
-    negativeness,
-    question_type,
-)
-from saek.errors import Unclassifiable, WrongSuperType
+from saek.classify import IntentLabel
+from saek.errors import Unclassifiable
 
 
 @pytest.mark.parametrize("text,label,_arg,_cat", GOLDEN)
@@ -85,20 +79,19 @@ def test_evidence_spans_within_bounds(analyzer, classifier):
             assert 0 <= start <= end <= len(u.text)
 
 
-def test_question_type_projection():
-    assert question_type(IntentLabel.YES_NO) is QuestionType.YES_NO
-    assert question_type(IntentLabel.ALTERNATIVE) is QuestionType.ALTERNATIVE
-    assert question_type(IntentLabel.WH) is QuestionType.WH
-    with pytest.raises(WrongSuperType):
-        question_type(IntentLabel.PROHIBITION)
-
-
-def test_negativeness_projection():
-    assert negativeness(IntentLabel.PROHIBITION) is Negativeness.PH
-    assert negativeness(IntentLabel.REQUIREMENT) is Negativeness.REQ
-    assert negativeness(IntentLabel.STRONG_REQUIREMENT) is Negativeness.SR
-    with pytest.raises(WrongSuperType):
-        negativeness(IntentLabel.YES_NO)
+def test_each_label_carries_its_record_fields(engine):
+    # one utterance per label: (label, label_name, question_type, negativeness)
+    cases = {
+        "너 의료 봉사 신청 했어": (0, "yes_no", "yes/no", None),
+        "버스로 올거야 택시로 올거야": (1, "alternative", "alternative", None),
+        "오늘은 누구 왔니": (2, "wh", "wh", None),
+        "태풍 오니까 밖에 나가지 마": (3, "prohibition", None, "prohibition"),
+        "인적사항 확인 바랍니다": (4, "requirement", None, "requirement"),
+        "안전띠 안매면 큰일나": (5, "strong_requirement", None, "strong requirement"),
+    }
+    for text, fields in cases.items():
+        r = engine.process(text)
+        assert (r.label, r.label_name, r.question_type, r.negativeness) == fields, text
 
 
 def test_label_encoding_matches_dataset_order():

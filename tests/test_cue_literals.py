@@ -29,13 +29,14 @@ def test_no_negation_surface_literals_in_source():
 
 def test_extract_makes_no_rule_decision():
     # the cascade step that fired picks the extraction routine, so extract
-    # reads no negation-profile field and projects no label
+    # reads no negation-profile field and projects no label; the classifier
+    # hands the info verb over, so extract reads no info-verb table either
     fields = set(NegationProfile._fields)
     assert {"malgo", "suffix_ci_ma", "preverbal_an", "danger_pred", "conditional_myen"} <= fields
     path = SRC / "extract.py"
     found = []
     for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-        if isinstance(node, ast.Attribute) and node.attr in fields | {"negativeness"}:
+        if isinstance(node, ast.Attribute) and node.attr in fields | {"negativeness", "infoverbs"}:
             found.append(f"{path.name}:{node.lineno}: .{node.attr}")
         elif isinstance(node, ast.Name) and node.id == "negativeness":
             found.append(f"{path.name}:{node.lineno}: {node.id}")

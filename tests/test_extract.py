@@ -2,7 +2,19 @@ import pytest
 
 from golden_cases import GOLDEN
 from saek.errors import ExtractionFailed, OptionsNotFound, UnsupportedContraction
-from saek.lexicon import ArgumentCategory, QUESTION_CATEGORIES, COMMAND_CATEGORIES
+from saek.lexicon import ArgumentCategory
+
+QUESTION_CATEGORIES = {
+    ArgumentCategory.WHETHER,
+    ArgumentCategory.CHOICE,
+    ArgumentCategory.PERSON,
+    ArgumentCategory.MEANING,
+    ArgumentCategory.LOCATION,
+    ArgumentCategory.TIME,
+    ArgumentCategory.REASON,
+    ArgumentCategory.METHOD,
+}
+COMMAND_CATEGORIES = {ArgumentCategory.PROHIBITION, ArgumentCategory.REQUIREMENT}
 
 
 def run(analyzer, classifier, extractor, text):
@@ -90,6 +102,21 @@ def test_wh_first_occurrence_wins(analyzer, classifier, extractor):
 def test_wh_info_seeking_embedded_question(analyzer, classifier, extractor):
     got = run(analyzer, classifier, extractor, "지갑 어디 있는지 말해줘")
     assert got.text == "지갑 있는 위치"
+
+
+@pytest.mark.parametrize(
+    "text,step,arg",
+    [
+        ("지갑 어디 있는지 말해 줘", "info-seeking+wh-word", "지갑 있는 위치"),
+        ("이번 주 일정을 모두 말해 줘 민수야", "info-seeking+universal-quantifier", "이번 주 모든 일정"),
+    ],
+)
+def test_spaced_benefactive_info_verb_is_cut(analyzer, classifier, extractor, text, step, arg):
+    # 말해 줘 is one info verb of two tokens, and the argument loses both
+    u = analyzer.normalize(text)
+    c = classifier.classify(u)
+    assert (c.step, c.info) == (step, 2)
+    assert extractor.extract(u, c).text == arg
 
 
 def test_command_keeps_locative_particle(analyzer, classifier, extractor):

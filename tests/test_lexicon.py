@@ -14,31 +14,17 @@ import saek
 from golden_cases import GOLDEN
 from saek import Analyzer, Engine, Extractor, hangul
 from saek.analyze import Eojeol
-from saek.errors import EmptyUtterance, LexiconError, UnknownParticle
+from saek.errors import EmptyUtterance, LexiconError
 from saek.lexicon import (
     TABLES,
     ArgumentCategory,
     EndingKind,
     Lexicon,
     WhKind,
+    _check_cond,
     default_lexicon,
     parse_lexicon,
 )
-
-
-def test_josa_valid_batchim_conditions(lexicon):
-    assert lexicon.josa_valid("늘", "은") is True  # 오늘은
-    assert lexicon.josa_valid("스", "은") is False  # open syllable rejects 은
-    assert lexicon.josa_valid("스", "로") is True  # 버스로
-    assert lexicon.josa_valid("집", "로") is False
-    assert lexicon.josa_valid("집", "으로") is True
-    assert lexicon.josa_valid("달", "로") is True  # ㄹ coda keeps bare 로
-    assert lexicon.josa_valid("달", "으로") is False
-
-
-def test_josa_valid_unknown_particle(lexicon):
-    with pytest.raises(UnknownParticle):
-        lexicon.josa_valid("늘", "궯")
 
 
 def test_lookup_wh(lexicon):
@@ -273,7 +259,7 @@ def josa_scan(lex, token, droppable_only):
         if (entry.droppable or not droppable_only)
         and token.endswith(s)
         and len(token) > len(s)
-        and lex.josa_valid(token[-len(s) - 1], s)
+        and _check_cond(entry.cond, token[-len(s) - 1])
     ]
     return max(fits, key=len, default=None)
 
