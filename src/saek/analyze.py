@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
 from .errors import EmptyUtterance
@@ -75,6 +74,7 @@ class Analyzer:
 
     def __init__(self, lexicon: Optional[Lexicon] = None):
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
+        self._finals = self._suffix_finals(self.lexicon)
 
     # -- normalization -------------------------------------------------
 
@@ -85,40 +85,66 @@ class Analyzer:
         if not surfaces:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
         text = " ".join(surfaces)
-        offsets = tuple(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
-        tokens, bearer = self._analyze_tokens(surfaces)
+        tokens, offsets, bearer, cued = self._analyze_tokens(surfaces)
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
         wh_hits = self.find_wh(tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
         for hit in wh_hits:
             for i in range(hit.token_start, hit.token_end):
                 tokens[i] = tokens[i]._replace(is_wh=True)
-        return NormalizedUtterance(
-            raw, text, tuple(tokens), offsets, wh_hits, self.profile_negation(tokens), bearer
-        )
+        negation = self.profile_negation(tokens, cued)
+        return NormalizedUtterance(raw, text, tuple(tokens), offsets, wh_hits, negation, bearer)
 
-    def _analyze_tokens(self, surfaces: list[str]) -> tuple[list[Eojeol], int]:
-        """The analyzed tokens and the bearer: the sentence-final ending sits
-        on the last non-vocative token (-1: every token is a vocative)."""
+    def _analyze_tokens(
+        self, surfaces: list[str]
+    ) -> tuple[list[Eojeol], tuple[int, ...], int, list[int]]:
+        """The analyzed tokens, their offsets, the bearer and the indices of
+        the tokens that carry a negation or conditional cue.
+
+        The sentence-final ending sits on the bearer, the last non-vocative
+        token (-1: every token is a vocative). Any other token that ends
+        outside the suffix-final characters is plain: it carries no cue,
+        particle or vocative marker, so no lookup runs on it."""
         lex = self.lexicon
-        voc = [self._is_vocative(surfaces, i) for i in range(len(surfaces))]
-        bearer = next((i for i in range(len(surfaces) - 1, -1, -1) if not voc[i]), -1)
+        finals, markers = self._finals, lex.vocative
+        bearer = len(surfaces) - 1
+        while bearer >= 0 and surfaces[bearer][-1] in markers and self._is_vocative(surfaces, bearer):
+            bearer -= 1
 
         tokens: list[Eojeol] = []
+        offsets: list[int] = []
+        cued: list[int] = []
+        at = 0
         for i, surface in enumerate(surfaces):
+            offsets.append(at)
+            at += len(surface) + 1
+            if i != bearer and surface[-1] not in finals:
+                tokens.append(Eojeol(surface, surface))
+                continue
             negation, fused, cond = self._cues(surface)
-            if voc[i]:
-                stem, particle, ending = surface[:-1], surface[-1], None
-            else:
-                ending = lex.match_ending(surface) if i == bearer else None
-                if ending is not None:
-                    stem, particle = surface[: len(surface) - len(ending.surface)], None
-                else:
-                    stem, particle = self.strip_josa(surface)
-            tokens.append(
-                Eojeol(surface, stem, particle, ending, voc[i], False, negation, fused, cond)
+            if negation is not None or cond:
+                cued.append(i)
+            # every token after the bearer is a vocative
+            voc = i > bearer or (
+                i < bearer and surface[-1] in markers and self._is_vocative(surfaces, i)
             )
-        return tokens, bearer
+            ending = lex.match_ending(surface) if i == bearer else None
+            if voc:
+                stem, particle = surface[:-1], surface[-1]
+            elif ending is not None:
+                stem, particle = surface[: len(surface) - len(ending.surface)], None
+            else:
+                stem, particle = self.strip_josa(surface)
+            tokens.append(Eojeol(surface, stem, particle, ending, voc, False, negation, fused, cond))
+        return tokens, tuple(offsets), bearer, cued
+
+    @staticmethod
+    def _suffix_finals(lex: Lexicon) -> frozenset[str]:
+        """The last character of every particle, vocative marker and negator
+        in the tables, and the conditional's 면: a token that ends in another
+        character has no cue (``_cues``), no vocative marker and no particle."""
+        finals = {s[-1] for table in (lex.josa, lex.vocative, lex.negation) for s in table}
+        return frozenset(finals | {"면"})
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields
@@ -226,12 +252,15 @@ class Analyzer:
             i += 1
         return tuple(hits)
 
-    def profile_negation(self, tokens: Sequence[Eojeol]) -> NegationProfile:
+    def profile_negation(self, tokens: Sequence[Eojeol], cued: Iterable[int]) -> NegationProfile:
+        """The negation profile; ``cued``: the indices, in order, of the
+        tokens that carry a negation or conditional cue, the only ones it reads."""
         lex = self.lexicon
         last = len(tokens) - 1
         malgo = myen = None  # first 말고 and first -면 token, never the last token
         preverbal = has_ma = False
-        for i, t in enumerate(tokens):
+        for i in cued:
+            t = tokens[i]
             negation = t.negation
             if i < last:
                 if malgo is None and negation == "malgo":

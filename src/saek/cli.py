@@ -94,10 +94,12 @@ def _open(path: str, mode: str) -> TextIO:
 
 
 def _emit(record: OutputRecord, fmt: str, out: TextIO) -> None:
+    # one write per record: on an unbuffered stdout each write is a system call
     if fmt == "tsv":
-        print(record_tsv_row(record), file=out)
+        line = record_tsv_row(record)
     else:
-        print(json.dumps(record.to_dict(), ensure_ascii=False), file=out)
+        line = json.dumps(record.to_dict(), ensure_ascii=False)
+    out.write(line + "\n")
 
 
 def _run_stream(engine: Engine, args: argparse.Namespace, extract: bool) -> int:
@@ -230,7 +232,15 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (saek extract FILE | head -1): point stdout
+        # at devnull so that the flush at shutdown raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -112,7 +112,7 @@ class Extractor:
         for t in tokens:
             if t.is_vocative:
                 continue
-            stem = self._content(t)
+            stem = t.stem if t.particle is None else self._content(t)
             if not self._droppable_in_question(t, stem):
                 items.append(t)
                 content[id(t)] = stem
@@ -428,7 +428,7 @@ class Extractor:
         for t in tokens:
             if t.is_vocative or t.surface in lex.pronouns:
                 continue
-            stem = self._content(t, droppable_only=True)
+            stem = t.stem if t.particle is None else self._content(t, droppable_only=True)
             if stem not in lex.pronouns:
                 items.append(t)
                 content[id(t)] = stem

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -9,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import saek
 from saek import cli
 from saek.corpus import TABLE2_COUNTS
 
@@ -98,6 +101,29 @@ def test_missing_file_reports_and_exits_one(capsys):
     code = cli.run(["extract", "/nonexistent/file.txt"])
     _, err = capsys.readouterr()
     assert code == 1 and "saek:" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
+    # more output than a pipe holds, so the writer meets the closed end
+    path = tmp_path / "in.txt"
+    path.write_text("오늘은 누구 왔니\n" * 1000, encoding="utf-8")
+    src = Path(saek.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    env.pop("SAEK_LEXICON", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "saek.cli", "extract", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert json.loads(first)["argument"] == "오늘 온 사람"
+    assert err == b""
 
 
 def test_usage_error_exits_two():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -420,10 +421,10 @@ def test_indexed_lookups_equal_a_table_scan(name):
 
 @st.composite
 def utterances(draw, lex):
-    """Token lists as one text, with vocatives (민수야) and two-token wh
-    forms (몇 시에) mixed in."""
+    """Token lists as one text, with vocatives (민수야), conditionals (가면)
+    and two-token wh forms (몇 시에) mixed in."""
     tokens = draw(token_lists(lex))
-    marker = st.sampled_from(["", "야", "아"])
+    marker = st.sampled_from(["", "야", "아", "면", "으면"])
     tokens = [t + draw(marker) if draw(st.booleans()) else t for t in tokens]
     if draw(st.booleans()):
         name = draw(st.text(alphabet="민수지영철", min_size=2, max_size=3))
@@ -459,6 +460,70 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
                 )
 
     check()
+
+
+def token_scan(analyzer, surfaces):
+    """The tokens, offsets and bearer as a loop that looks up every token
+    gives them: the vocative test, the cues and the particle split on each,
+    and the ending match on the bearer."""
+    lex = analyzer.lexicon
+    voc = [analyzer._is_vocative(surfaces, i) for i in range(len(surfaces))]
+    bearer = max((i for i, v in enumerate(voc) if not v), default=-1)
+    tokens = []
+    for i, surface in enumerate(surfaces):
+        negation, fused, cond = analyzer._cues(surface)
+        ending = lex.match_ending(surface) if i == bearer else None
+        if voc[i]:
+            stem, particle = surface[:-1], surface[-1]
+        elif ending is not None:
+            stem, particle = surface[: len(surface) - len(ending.surface)], None
+        else:
+            stem, particle = analyzer.strip_josa(surface)
+        tokens.append(Eojeol(surface, stem, particle, ending, voc[i], False, negation, fused, cond))
+    offsets = tuple(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
+    return tokens, offsets, bearer
+
+
+@pytest.mark.parametrize("name", sorted(LEXICONS))
+def test_plain_token_shortcut_equals_a_full_scan(name):
+    """Skipping the lookups on plain tokens, and profiling negation over the
+    cued tokens alone, give what looking up every token gives."""
+    lex = LEXICONS[name]
+    analyzer = Analyzer(lex)
+
+    @settings(max_examples=300, deadline=None)
+    @given(utterances(lex))
+    def check(text):
+        try:
+            u = analyzer.normalize(text)
+        except EmptyUtterance:
+            return
+        tokens, offsets, bearer = token_scan(analyzer, u.text.split(" "))
+        assert [t._replace(is_wh=False) for t in u.tokens] == tokens
+        assert u.offsets == offsets
+        assert u.bearer == bearer
+        assert u.negation == analyzer.profile_negation(tokens, range(len(tokens)))
+
+    check()
+
+
+def test_plain_tokens_take_no_lookup(monkeypatch):
+    calls: Counter = Counter()
+    for cls, name in ((Lexicon, "longest_josa"), (Lexicon, "match_ending"), (Analyzer, "_cues")):
+
+        def counted(self, *args, _name=name, _original=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    analyzer = Analyzer()
+    counts = []
+    for n in (10, 1000):
+        calls.clear()
+        analyzer.normalize("나무 " * n + "먹어")
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["match_ending"] >= 1  # the bearer's ending, so the wrappers are live
 
 
 def _probe_lines() -> list[str]:
