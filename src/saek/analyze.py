@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import hangul
 from .errors import EmptyUtterance
 from .lexicon import Ending, Lexicon, WhKind, _check_cond, default_lexicon
+from .predicate import conditional_core
 
 # sentence punctuation dropped up front (ASR-style input carries none)
 PUNCTUATION = ".?!,…~"
@@ -287,11 +288,6 @@ class Analyzer:
             danger_pred=lex.is_danger_predicate([t.surface for t in tokens[-2:]]),
             conditional_myen=myen is not None,
         )
-
-
-def conditional_core(surface: str) -> str:
-    """A -(으)면 conditional token without -(으)면 (먹으면 -> 먹, 안매면 -> 안매)."""
-    return surface[:-2] if surface.endswith("으면") and len(surface) > 2 else surface[:-1]
 
 
 def negative_imperative(tokens: Sequence[Eojeol]) -> Optional[tuple[int, str]]:

@@ -33,10 +33,6 @@ class OptionsNotFound(ExtractionFailed):
     """Parallel option phrases of an alternative question cannot be aligned."""
 
 
-class UnsupportedContraction(SaekError):
-    """Tense contraction of a coda-ssang-siot syllable outside the known table."""
-
-
 class IoFailure(SaekError):
     """Corpus stream cannot be read."""
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from . import hangul
-from .analyze import Analyzer, Eojeol, NormalizedUtterance, conditional_core, negative_imperative
+from . import hangul, predicate
+from .analyze import Analyzer, Eojeol, NormalizedUtterance, negative_imperative
 from .classify import Classification, IntentLabel
-from .errors import ExtractionFailed, OptionsNotFound, UnsupportedContraction
+from .errors import ExtractionFailed, OptionsNotFound
 from .lexicon import (
     ArgumentCategory,
     EndingKind,
@@ -30,26 +30,6 @@ class Argument(NamedTuple):
     category: ArgumentCategory
     source_label: IntentLabel
     notes: tuple[str, ...] = ()  # extraction fallbacks worth surfacing
-
-
-# vowel of a fused past syllable -> vowel of the bare stem
-_CONTRACTION_VOWELS = {
-    "ㅘ": "ㅗ",  # 왔 -> 오
-    "ㅝ": "ㅜ",  # 줬 -> 주
-    "ㅏ": "ㅏ",  # 갔 -> 가
-    "ㅓ": "ㅓ",  # 섰 -> 서
-    "ㅐ": "ㅐ",  # 냈 -> 내
-    "ㅕ": "ㅕ",  # 켰 -> 켜
-}
-
-# lexical coda-ㅆ stems that carry no past marking
-_PLAIN_SSANG_STEMS = ("있", "없")
-
-_EMBEDDED_Q_SUFFIXES = ("는지", "은지", "인지", "을지", "ㄹ지")
-
-
-def _vowel_index(letter: str) -> int:
-    return hangul.VOWELS.index(letter)
 
 
 class Extractor:
@@ -79,9 +59,15 @@ class Extractor:
             case "double-negation":
                 return self._sr_from_double_negation(tokens)
             case "negative-imperative":
-                return self._ph_from_negative_imperative(tokens)
+                items, content = self._command_items(tokens)
+                found = negative_imperative(items)
+                if found is None:
+                    raise ExtractionFailed("negative imperative without a -지 predicate")
+                return self._prohibition(items, content, *found)
             case "danger-conditional":
-                return self._ph_from_danger_conditional(tokens)
+                items, content = self._command_items(tokens)
+                idx, core = self._conditional_core(items)
+                return self._prohibition(items, content, idx, core + "지")
             case "imperative-ending":
                 return self._requirement(*self._command_items(tokens))
         raise ValueError(f"no extraction routine for cascade step {c.step!r}")
@@ -149,73 +135,6 @@ class Extractor:
             and all(hangul.is_syllable(ch) for ch in e.surface)
         )
 
-    def _is_past(self, stem: str) -> bool:
-        """True iff the stem ends in a past-marked coda-ㅆ syllable."""
-        if not stem or stem.endswith(_PLAIN_SSANG_STEMS):
-            return False
-        last = stem[-1]
-        return hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_SSANG_SIOT
-
-    # -- adnominalization --------------------------------------------------
-
-    def adnominalize(self, stem: str, past: bool) -> str:
-        """Adnominal (noun-modifying) form of a predicate stem.
-
-        Nonpast attaches 는; past undoes the 았/었 contraction before
-        attaching ㄴ/은.  Coda-ㅆ syllables whose vowel is outside the
-        contraction table raise UnsupportedContraction.
-        """
-        if not stem:
-            raise ExtractionFailed("empty predicate stem")
-        last = stem[-1]
-        if not past:
-            if hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_RIEUL:
-                return stem[:-1] + hangul.with_tail(last, hangul.TAIL_NONE) + "는"
-            return stem + "는"
-        # past
-        if last == "했":
-            return stem[:-1] + "한"
-        if last in ("었", "았"):
-            return self._attach_nieun(stem[:-1])
-        if hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_SSANG_SIOT:
-            j = hangul.decompose(last)
-            vowel = hangul.VOWELS[j.vowel]
-            mapped = _CONTRACTION_VOWELS.get(vowel)
-            if mapped is None:
-                raise UnsupportedContraction(f"no contraction rule for syllable {last!r}")
-            bare = hangul.compose(
-                hangul.JamoTriple(j.lead, _vowel_index(mapped), hangul.TAIL_NIEUN)
-            )
-            return stem[:-1] + bare
-        return self._attach_nieun(stem)
-
-    @staticmethod
-    def _attach_nieun(stem: str) -> str:
-        if not stem:
-            raise ExtractionFailed("empty predicate stem")
-        last = stem[-1]
-        if hangul.is_syllable(last) and not hangul.has_batchim(last):
-            return stem[:-1] + hangul.with_tail(last, hangul.TAIL_NIEUN)
-        return stem + "은"
-
-    def _adnominal_or_fallback(self, stem: str, notes: list[str]) -> str:
-        try:
-            return self.adnominalize(stem, self._is_past(stem))
-        except UnsupportedContraction:
-            notes.append("contraction-fallback")
-            return stem + "은"
-
-    def _future_adnominal(self, stem: str) -> str:
-        last = stem[-1]
-        if not hangul.is_syllable(last):
-            return stem + "을"
-        tail = hangul.decompose(last).tail
-        if tail == hangul.TAIL_RIEUL:
-            return stem
-        if tail == hangul.TAIL_NONE:
-            return stem[:-1] + hangul.with_tail(last, hangul.TAIL_RIEUL)
-        return stem + "을"
-
     # -- yes/no questions ---------------------------------------------------
 
     def extract_yesno(self, tokens: Sequence[Eojeol]) -> Argument:
@@ -228,27 +147,16 @@ class Extractor:
             last = items[-1]
             if last.ending is not None:
                 stem = last.stem
+                items = items[:-1]
                 if last.ending.copula:
                     head = (stem + "인지") if stem else ""
-                    items = items[:-1]
                 elif stem in lex.lightverb_stems:
                     # the action lives in the preceding verbal noun
-                    items = items[:-1]
                     if not (items and self._is_bare_noun(items[-1])):
-                        head = (stem + "는지") if stem else ""
-                elif not stem:
-                    items = items[:-1]
-                else:
-                    last_ch = stem[-1]
-                    if (
-                        hangul.is_syllable(last_ch)
-                        and hangul.decompose(last_ch).tail == hangul.TAIL_RIEUL
-                    ):
-                        head = stem + "지"  # future -(으)ㄹ already exposed: 마실지
-                    else:
                         head = stem + "는지"
-                    items = items[:-1]
-            elif any(last.surface.endswith(s) for s in _EMBEDDED_Q_SUFFIXES):
+                elif stem:
+                    head = predicate.whether(stem)
+            elif predicate.embedded_question_stem(last.surface) is not None:
                 head = last.surface
                 items = items[:-1]
 
@@ -270,15 +178,19 @@ class Extractor:
         lex = self.lexicon
         items = self._after_malgo([t for t in tokens if not t.is_vocative])
         # each interrogative predicate with its ending: ``normalize`` matched
-        # the bearer's (the last item), which parallel clauses repeat
+        # the bearer's (the last item), which parallel clauses repeat, and a
+        # token that ends in no ending's last character matches none
         bearer = items[-1] if items else None
-        preds = [
-            (i, m)
-            for i, t in enumerate(items)
-            if (m := bearer.ending if t.surface == bearer.surface else lex.match_ending(t.surface))
-            is not None
-            and m.kind is EndingKind.INTERROGATIVE
-        ]
+        preds = []
+        for i, t in enumerate(items):
+            if t.surface == bearer.surface:
+                m = bearer.ending
+            elif t.surface[-1] in lex.ending_finals:
+                m = lex.match_ending(t.surface)
+            else:
+                continue
+            if m is not None and m.kind is EndingKind.INTERROGATIVE:
+                preds.append((i, m))
         notes: list[str] = []
         options: list[str] = []
         if len(preds) >= 2:
@@ -296,16 +208,7 @@ class Extractor:
 
         i, ending = preds[-1]
         stem = items[i].surface[: len(items[i].surface) - len(ending.surface)]
-        if not stem:
-            raise ExtractionFailed("empty shared predicate")
-        last = stem[-1]
-        if hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_RIEUL:
-            adnominal = stem  # the ending strip already exposed -(으)ㄹ
-        elif self._is_past(stem):
-            adnominal = self._adnominal_or_fallback(stem, notes)
-        else:
-            adnominal = self._future_adnominal(stem)
-        text = " ".join(options + ["중", adnominal, "것"])
+        text = " ".join(options + ["중", predicate.choice(stem, notes), "것"])
         return Argument(text, ArgumentCategory.CHOICE, IntentLabel.ALTERNATIVE, tuple(notes))
 
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
@@ -332,33 +235,34 @@ class Extractor:
         notes: list[str] = []
         items = self._drop_want_cue(items)
 
-        predicate: Optional[Eojeol] = None
+        # the predicate's stem, and whether it is a copula (None: no predicate)
+        stem: Optional[str] = None
+        copula = False
         if items and items[-1].ending is not None:
-            predicate = items[-1]
-            items = items[:-1]
-        elif info and items and any(
-            items[-1].surface.endswith(s) for s in _EMBEDDED_Q_SUFFIXES
-        ):
-            predicate = items[-1]
-            items = items[:-1]
+            verb = items.pop()
+            stem, copula = verb.stem, verb.ending.copula
+        elif info and items:
+            # embedded question form inside an info-seeking frame
+            stem = predicate.embedded_question_stem(items[-1].surface)
+            if stem is not None:
+                items.pop()
 
         adnominal = ""
         append_noun = ""
-        if predicate is not None:
-            stem = predicate.stem
-            if predicate.ending is None:
-                # embedded question form inside an info-seeking frame
-                stem = self._strip_embedded_q(predicate.surface)
-            if predicate.ending is not None and predicate.ending.copula:
-                append_noun = stem  # nominal predicate joins the content
-            elif stem in lex.knowstems or stem in lex.lightverb_stems:
-                pass  # matrix know-verbs and bare light verbs carry no content
-            elif stem:
-                adnominal = self._adnominal_or_fallback(stem, notes)
-            elif items and self._looks_adnominal(items[-1].surface):
-                # periphrastic V-는/-(으)ㄹ 거야: the real predicate sits on
-                # the token before the bare ending, already adnominalized
-                adnominal = items.pop().surface
+        if copula:
+            append_noun = stem  # nominal predicate joins the content
+        elif stem is None or stem in lex.knowstems or stem in lex.lightverb_stems:
+            pass  # no predicate; matrix know-verbs and bare light verbs carry no content
+        elif stem:
+            adnominal = predicate.adnominal(stem, notes)
+        elif (
+            items
+            and items[-1].surface not in lex.lightverb_stems
+            and predicate.looks_adnominal(items[-1].surface)
+        ):
+            # periphrastic V-는/-(으)ㄹ 거야: the real predicate sits on
+            # the token before the bare ending, already adnominalized
+            adnominal = items.pop().surface
 
         stems = self._clean_parts([content[id(t)] for t in items])
         if append_noun:
@@ -374,21 +278,6 @@ class Extractor:
             if len(parts) == 1:
                 raise ExtractionFailed("no content around the wh word")
         return Argument(" ".join(parts), WH_TO_CATEGORY[wh.kind], IntentLabel.WH, tuple(notes))
-
-    def _looks_adnominal(self, surface: str) -> bool:
-        """Surface already carries the -는 or -(으)ㄹ noun-modifying suffix."""
-        if not surface or surface in self.lexicon.lightverb_stems:
-            return False
-        if surface.endswith("는"):
-            return True
-        last = surface[-1]
-        return hangul.is_syllable(last) and hangul.decompose(last).tail == hangul.TAIL_RIEUL
-
-    def _strip_embedded_q(self, surface: str) -> str:
-        for s in _EMBEDDED_Q_SUFFIXES:
-            if surface.endswith(s) and len(surface) > len(s):
-                return surface[: -len(s)]
-        return surface
 
     def _object_span(self, tokens: Sequence[Eojeol], wh: WhCategory, info: int) -> Argument:
         """Information-seeking imperatives with a universal quantifier keep
@@ -447,41 +336,28 @@ class Extractor:
                 if conn == "니까":
                     prev = s[-k - 1]
                     # -ㅂ니까 is a polite ending, not the causal connective
-                    bieup = hangul.is_syllable(prev) and hangul.decompose(prev).tail == hangul.TAIL_BIEUP
-                    if bieup:
+                    if hangul.tail(prev) == hangul.TAIL_BIEUP:
                         continue
                 start = i + 1
                 break
         return items[start:end]
 
-    def _ph_from_negative_imperative(self, tokens: Sequence[Eojeol]) -> Argument:
-        items, content = self._command_items(tokens)
-        found = negative_imperative(items)
-        if found is None:
-            raise ExtractionFailed("negative imperative without a -지 predicate")
-        pred_idx, pred_text = found
-        if not pred_text:
-            raise ExtractionFailed("empty prohibited action")
-        span = self._trim_subordinate(items, pred_idx)
+    def _prohibition(
+        self, items: list[Eojeol], content: dict[int, str], idx: int, form: str
+    ) -> Argument:
+        """The prohibited action: the clause before the -지 ``form`` at
+        ``idx``, then the form and 않기."""
+        span = self._trim_subordinate(items, idx)
         parts = self._clean_parts([content[id(t)] for t in span])
-        parts = parts + [pred_text, "않기"]
-        return Argument(" ".join(parts), ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION)
+        return Argument(
+            " ".join(parts + [form, "않기"]), ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION
+        )
 
     def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
         for i, t in enumerate(items[:-1]):
             if t.conditional:
-                return i, conditional_core(t.surface)
+                return i, predicate.conditional_core(t.surface)
         raise ExtractionFailed("no conditional clause found")
-
-    def _ph_from_danger_conditional(self, tokens: Sequence[Eojeol]) -> Argument:
-        items, content = self._command_items(tokens)
-        idx, core = self._conditional_core(items)
-        span = self._trim_subordinate(items, idx)
-        parts = self._clean_parts([content[id(t)] for t in span])
-        if not core:
-            raise ExtractionFailed("empty prohibited action")
-        text = " ".join(parts + [core + "지", "않기"])
-        return Argument(text, ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION)
 
     def _sr_from_double_negation(self, tokens: Sequence[Eojeol]) -> Argument:
         items, content = self._command_items(tokens)
@@ -491,9 +367,7 @@ class Extractor:
         span = [t for t in span if t.negation != "preverbal"]
         nominal = self._nominalize_stem(core, span)
         parts = self._clean_parts([content[id(t)] for t in span])
-        if not nominal:
-            raise ExtractionFailed("empty required action")
-        text = " ".join(parts + [nominal]) if parts else nominal
+        text = " ".join(parts + [nominal])
         return Argument(text, ArgumentCategory.REQUIREMENT, IntentLabel.STRONG_REQUIREMENT)
 
     def _sr_from_coordination(self, tokens: Sequence[Eojeol]) -> Argument:
@@ -523,13 +397,11 @@ class Extractor:
                 # remaining action, whose head is typically a verbal noun
                 if not rest:
                     raise ExtractionFailed("request cue with no action span")
-                nominal = self._noun_to_nominal(content[id(rest.pop())])
+                nominal = predicate.nominal(content[id(rest.pop())])
         else:
-            nominal = self._noun_to_nominal(content[id(span.pop())])
+            nominal = predicate.nominal(content[id(span.pop())])
             rest = span
         parts = self._clean_parts([content[id(t)] for t in rest])
-        if not nominal:
-            raise ExtractionFailed("empty required action")
         return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, label)
 
     def _nominalize_stem(self, stem: str, preceding: list[Eojeol]) -> str:
@@ -545,16 +417,3 @@ class Extractor:
                 return noun.surface + "하기"
             return "하기"
         return stem + "기"
-
-    def _noun_to_nominal(self, text: str) -> str:
-        """Requirement head without an imperative ending, from its content:
-        bare verbal nouns take 하기, already-nominalized forms (-기/-길) are kept."""
-        if not text:
-            return ""
-        if text.endswith("기를"):
-            return text[:-1]
-        if text.endswith("길"):
-            return text[:-1] + "기"
-        if text.endswith("기"):
-            return text
-        return text + "하기"

@@ -70,6 +70,11 @@ def compose(j: JamoTriple) -> str:
     return chr(SYLLABLE_BASE + (j.lead * 21 + j.vowel) * 28 + j.tail)
 
 
+def tail(ch: str) -> int:
+    """Tail index of a syllable (TAIL_NONE when open); -1 for any other string."""
+    return decompose(ch).tail if is_syllable(ch) else -1
+
+
 def has_batchim(ch: str) -> bool:
     """True iff the syllable carries a final consonant."""
     return decompose(ch).tail != TAIL_NONE

@@ -172,6 +172,7 @@ class Lexicon:
         *TABLES,
         "_josa_lengths",
         "_ending_lengths",
+        "ending_finals",
         "_danger_lengths",
         "_wh_re",
         "_wh_anchor_re",
@@ -187,6 +188,8 @@ class Lexicon:
             setattr(self, name, frozenset(table) if isinstance(table, set) else table)
         self._josa_lengths = _lengths(self.josa)
         self._ending_lengths = _lengths(self.endings)
+        # the last character of every ending: a token that ends in another matches none
+        self.ending_finals = frozenset(s[-1] for s in self.endings)
         self._danger_lengths = _lengths(self.danger)
         self.connective_lengths = _lengths(self.connectives)
         # negation kind -> the lengths of its surfaces, longest first

@@ -43,3 +43,21 @@ def test_extract_makes_no_rule_decision():
         elif isinstance(node, ast.alias) and node.name == "negativeness":
             found.append(f"{path.name}:{node.lineno}: import {node.name}")
     assert not found, "rule decisions belong in the classifier: " + ", ".join(found)
+
+
+def test_only_predicate_forms_rebuild_syllables():
+    # syllable arithmetic belongs to the predicate forms and the lexicon's
+    # batchim conditions; any other module reads a coda through hangul.tail
+    arithmetic = {"decompose", "compose", "with_tail"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("hangul.py", "predicate.py", "lexicon.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in arithmetic:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in arithmetic:
+                found.append(f"{path.name}:{node.lineno}: {node.id}")
+            elif isinstance(node, ast.alias) and node.name in arithmetic:
+                found.append(f"{path.name}:{node.lineno}: import {node.name}")
+    assert not found, "syllable arithmetic belongs in saek.predicate: " + ", ".join(found)

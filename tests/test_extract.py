@@ -1,7 +1,7 @@
 import pytest
 
 from golden_cases import GOLDEN
-from saek.errors import ExtractionFailed, OptionsNotFound, UnsupportedContraction
+from saek.errors import ExtractionFailed, OptionsNotFound
 from saek.lexicon import ArgumentCategory
 
 QUESTION_CATEGORIES = {
@@ -29,33 +29,6 @@ def test_golden_arguments(analyzer, classifier, extractor, text, label, arg, cat
     assert got.text == arg
     assert got.category.value == cat
     assert int(got.source_label) == label
-
-
-def test_adnominalize_paper_forms(extractor):
-    assert extractor.adnominalize("왔", past=True) == "온"
-    assert extractor.adnominalize("있", past=False) == "있는"
-    assert extractor.adnominalize("막히", past=False) == "막히는"
-
-
-def test_adnominalize_contraction_table(extractor):
-    assert extractor.adnominalize("했", past=True) == "한"
-    assert extractor.adnominalize("갔", past=True) == "간"
-    assert extractor.adnominalize("봤", past=True) == "본"
-    assert extractor.adnominalize("샀", past=True) == "산"
-    assert extractor.adnominalize("탔", past=True) == "탄"
-    assert extractor.adnominalize("섰", past=True) == "선"
-    assert extractor.adnominalize("먹었", past=True) == "먹은"
-    assert extractor.adnominalize("보냈", past=True) == "보낸"
-    assert extractor.adnominalize("뒀", past=True) == "둔"
-
-
-def test_adnominalize_unsupported_contraction(extractor):
-    with pytest.raises(UnsupportedContraction):
-        extractor.adnominalize("있", past=True)  # lexical ㅆ, not a tense mark
-
-
-def test_adnominalize_rieul_drop(extractor):
-    assert extractor.adnominalize("팔", past=False) == "파는"
 
 
 def test_yesno_derived_nominalizer(analyzer, classifier, extractor):

@@ -93,3 +93,6 @@ def test_tail_helpers():
     assert hangul.tail_jamo("하") == ""
     assert hangul.with_tail("오", hangul.TAIL_NIEUN) == "온"
     assert hangul.with_tail("팔", hangul.TAIL_NONE) == "파"
+    assert hangul.tail("달") == hangul.TAIL_RIEUL
+    assert hangul.tail("하") == hangul.TAIL_NONE
+    assert [hangul.tail(s) for s in ("ㄹ", "x", "", "달달")] == [-1, -1, -1, -1]

@@ -526,6 +526,27 @@ def test_plain_tokens_take_no_lookup(monkeypatch):
     assert counts[0]["match_ending"] >= 1  # the bearer's ending, so the wrappers are live
 
 
+def test_alternative_question_probes_only_ending_finals(monkeypatch):
+    # the alternative routine looks for the interrogative predicates, and a
+    # token that ends in no ending's last character needs no lookup
+    calls: Counter = Counter()
+    match_ending = Lexicon.match_ending
+
+    def counted(self, token):
+        calls[token] += 1
+        return match_ending(self, token)
+
+    monkeypatch.setattr(Lexicon, "match_ending", counted)
+    engine = Engine()
+    counts = []
+    for n in (10, 1000):
+        calls.clear()
+        record = engine.process("사과 " * n + "먹을래 배 먹을래")
+        assert record.argument.endswith(" 사과 배 중 먹을 것")
+        counts.append(sum(calls.values()))
+    assert counts[0] == counts[1] >= 1
+
+
 def _probe_lines() -> list[str]:
     lines = [text for text, *_ in GOLDEN] + fuzz_grammar.generate(seed=3, per_family=200)
     # long utterances, and vocatives before and after
