@@ -24,7 +24,6 @@ _EXPORTS = {
     "Extractor": "extract",
     "IntentLabel": "classify",
     "Lexicon": "lexicon",
-    "NegationProfile": "analyze",
     "NormalizedUtterance": "analyze",
     "OutputRecord": "engine",
     "WhCategory": "lexicon",

@@ -1,4 +1,4 @@
-"""Utterance analysis: normalization, particle/ending splits, negation profile.
+"""Utterance analysis: normalization, particle/ending splits, token cue tags.
 
 Whitespace (eojeol) tokenization plus suffix-table stripping stands in for a
 full morphological analyzer; the scheme only ever needs particle and ending
@@ -14,7 +14,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import hangul
 from .errors import EmptyUtterance
 from .lexicon import Ending, Lexicon, WhKind, _check_cond, default_lexicon
-from .predicate import conditional_core
 
 # sentence punctuation dropped up front (ASR-style input carries none)
 PUNCTUATION = ".?!,…~"
@@ -47,14 +46,6 @@ class WhHit(NamedTuple):
     char_end: int
 
 
-class NegationProfile(NamedTuple):
-    preverbal_an: bool = False
-    suffix_ci_ma: bool = False
-    malgo: Optional[int] = None  # first 말고 token, never the last token
-    danger_pred: bool = False
-    conditional_myen: bool = False
-
-
 class NormalizedUtterance(NamedTuple):
     """Normalized text, its tokens and every utterance-level feature."""
 
@@ -63,7 +54,7 @@ class NormalizedUtterance(NamedTuple):
     tokens: tuple[Eojeol, ...]
     offsets: tuple[int, ...]  # char offset of each token within ``text``
     wh_hits: tuple[WhHit, ...]
-    negation: NegationProfile
+    cued: tuple[int, ...]  # indices, in order, of the tokens with a negation or conditional cue
     bearer: int  # the last non-vocative token, the one an ending sits on (-1: none)
 
     def surfaces(self) -> list[str]:
@@ -93,12 +84,11 @@ class Analyzer:
         for hit in wh_hits:
             for i in range(hit.token_start, hit.token_end):
                 tokens[i] = tokens[i]._replace(is_wh=True)
-        negation = self.profile_negation(tokens, cued)
-        return NormalizedUtterance(raw, text, tuple(tokens), offsets, wh_hits, negation, bearer)
+        return NormalizedUtterance(raw, text, tuple(tokens), offsets, wh_hits, cued, bearer)
 
     def _analyze_tokens(
         self, surfaces: list[str]
-    ) -> tuple[list[Eojeol], tuple[int, ...], int, list[int]]:
+    ) -> tuple[list[Eojeol], tuple[int, ...], int, tuple[int, ...]]:
         """The analyzed tokens, their offsets, the bearer and the indices of
         the tokens that carry a negation or conditional cue.
 
@@ -137,7 +127,7 @@ class Analyzer:
             else:
                 stem, particle = self.strip_josa(surface)
             tokens.append(Eojeol(surface, stem, particle, ending, voc, False, negation, fused, cond))
-        return tokens, tuple(offsets), bearer, cued
+        return tokens, tuple(offsets), bearer, tuple(cued)
 
     @staticmethod
     def _suffix_finals(lex: Lexicon) -> frozenset[str]:
@@ -212,16 +202,6 @@ class Analyzer:
             self.lexicon.match_ending(s) is not None for s in surfaces[:index]
         )
 
-    # -- negation cues ----------------------------------------------------
-
-    def strip_preverbal(self, core: str) -> str:
-        """``core`` without a fused preverbal negator (안매 -> 매)."""
-        lex = self.lexicon
-        for k in lex.negation_lengths["preverbal"]:
-            if len(core) > k and lex.negation.get(core[:k]) == "preverbal":
-                return core[k:]
-        return core
-
     # -- utterance-level features ---------------------------------------
 
     def find_wh(self, tokens: Sequence[Eojeol], offsets: Sequence[int]) -> tuple[WhHit, ...]:
@@ -253,50 +233,15 @@ class Analyzer:
             i += 1
         return tuple(hits)
 
-    def profile_negation(self, tokens: Sequence[Eojeol], cued: Iterable[int]) -> NegationProfile:
-        """The negation profile; ``cued``: the indices, in order, of the
-        tokens that carry a negation or conditional cue, the only ones it reads."""
-        lex = self.lexicon
-        last = len(tokens) - 1
-        malgo = myen = None  # first 말고 and first -면 token, never the last token
-        preverbal = has_ma = False
-        for i in cued:
-            t = tokens[i]
-            negation = t.negation
-            if i < last:
-                if malgo is None and negation == "malgo":
-                    malgo = i
-                if myen is None and t.conditional:
-                    myen = i
-            if negation == "ma":
-                has_ma = True
-            # a preverbal negator counts up to the first -면 clause, and not
-            # inside a danger pair (안 돼)
-            elif negation == "preverbal" and (myen is None or myen == i):
-                if i == last or (t.surface, tokens[i + 1].surface) not in lex.danger_pairs:
-                    preverbal = True
-        if myen is not None:
-            core = conditional_core(tokens[myen].surface)
-            if self.strip_preverbal(core) != core:
-                preverbal = True
 
-        return NegationProfile(
-            preverbal_an=preverbal,
-            # no -지 마 reading without a ma token
-            suffix_ci_ma=has_ma and negative_imperative(tokens) is not None,
-            malgo=malgo,
-            danger_pred=lex.is_danger_predicate([t.surface for t in tokens[-2:]]),
-            conditional_myen=myen is not None,
-        )
-
-
-def negative_imperative(tokens: Sequence[Eojeol]) -> Optional[tuple[int, str]]:
-    """Index and text of the first -지 predicate a ma negator follows (나가지 마, 나가지마)."""
-    for i, t in enumerate(tokens):
-        if t.surface.endswith("지") and i + 1 < len(tokens):
-            after = tokens[i + 1]
-            if after.negation == "ma" and after.fused is None:
-                return i, t.surface
-        if t.negation == "ma" and t.fused is not None:
-            return i, t.surface[: -len(t.fused)]
+def negative_imperative(tokens: Sequence[Eojeol], ma: Iterable[int]) -> Optional[tuple[int, str]]:
+    """Index and text of the first -지 predicate a ma negator follows (나가지 마,
+    나가지마); ``ma``: the indices, in order, of the ma tokens, the only ones
+    it reads, with the token before each."""
+    for i in ma:
+        fused = tokens[i].fused
+        if fused is not None:
+            return i, tokens[i].surface[: -len(fused)]
+        if i > 0 and tokens[i - 1].surface.endswith("지"):
+            return i - 1, tokens[i - 1].surface
     return None

@@ -12,7 +12,8 @@ from __future__ import annotations
 from enum import IntEnum
 from typing import NamedTuple, Optional
 
-from .analyze import NormalizedUtterance
+from . import predicate
+from .analyze import NormalizedUtterance, negative_imperative
 from .errors import Unclassifiable
 from .lexicon import (
     EndingKind,
@@ -64,7 +65,6 @@ class Classifier:
         lex = self.lexicon
         tokens = u.tokens
         surfaces = u.surfaces()
-        profile = u.negation
         wh_hits = u.wh_hits
         last = len(surfaces) - 1
         bearer = u.bearer
@@ -134,23 +134,47 @@ class Classifier:
         if cue is not None:
             return _fired(IntentLabel.YES_NO, "want-to-know", token_span(bearer))
 
+        # steps (5)-(7) read the negation and conditional tags of the cued tokens only
+        malgo = myen = None  # first 말고 and first -면 token, never the last token
+        ma: list[int] = []
+        preverbal = False
+        for i in u.cued:
+            t = tokens[i]
+            negation = t.negation
+            if i < last:
+                if malgo is None and negation == "malgo":
+                    malgo = i
+                if myen is None and t.conditional:
+                    myen = i
+            if negation == "ma":
+                ma.append(i)
+            # a preverbal negator counts up to the first -면 clause, and not
+            # inside a danger pair (안 돼)
+            elif negation == "preverbal" and (myen is None or myen == i):
+                if i == last or (t.surface, surfaces[i + 1]) not in lex.danger_pairs:
+                    preverbal = True
+
         # (5) negated clause coordinated onto a positive imperative
-        m = profile.malgo
-        if m is not None and imperative and bearer > m:
+        if malgo is not None and imperative and bearer > malgo:
             # 놀지말고, or 놀지 말고
-            if tokens[m].fused is not None or (m > 0 and surfaces[m - 1].endswith("지")):
+            if tokens[malgo].fused is not None or (malgo > 0 and surfaces[malgo - 1].endswith("지")):
                 return _fired(
-                    IntentLabel.STRONG_REQUIREMENT, "negation-coordination", token_span(m)
+                    IntentLabel.STRONG_REQUIREMENT, "negation-coordination", token_span(malgo)
                 )
 
-        # (6) negated conditional whose consequence induces prohibition
-        if profile.preverbal_an and profile.conditional_myen and profile.danger_pred:
+        # (6) negated conditional whose consequence induces prohibition; the
+        # negator may be fused onto the -면 clause (안매면)
+        danger = myen is not None and lex.is_danger_predicate(surfaces[-2:])
+        if danger and not preverbal:
+            core = predicate.conditional_core(surfaces[myen])
+            preverbal = lex.strip_preverbal(core) != core
+        if danger and preverbal:
             return _fired(IntentLabel.STRONG_REQUIREMENT, "double-negation", token_span(last))
 
         # (7) negative imperative, or conditional with a danger consequence
-        if profile.suffix_ci_ma:
+        if ma and negative_imperative(tokens, ma) is not None:
             return _fired(IntentLabel.PROHIBITION, "negative-imperative", token_span(last))
-        if profile.conditional_myen and profile.danger_pred:
+        if danger:
             return _fired(IntentLabel.PROHIBITION, "danger-conditional", token_span(last))
 
         # (8) plain imperative / request / wish

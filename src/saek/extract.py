@@ -60,7 +60,8 @@ class Extractor:
                 return self._sr_from_double_negation(tokens)
             case "negative-imperative":
                 items, content = self._command_items(tokens)
-                found = negative_imperative(items)
+                ma = [i for i, t in enumerate(items) if t.negation == "ma"]
+                found = negative_imperative(items, ma)
                 if found is None:
                     raise ExtractionFailed("negative imperative without a -지 predicate")
                 return self._prohibition(items, content, *found)
@@ -362,7 +363,7 @@ class Extractor:
     def _sr_from_double_negation(self, tokens: Sequence[Eojeol]) -> Argument:
         items, content = self._command_items(tokens)
         idx, core = self._conditional_core(items)
-        core = self.analyzer.strip_preverbal(core)
+        core = self.lexicon.strip_preverbal(core)
         span = self._trim_subordinate(items, idx)
         span = [t for t in span if t.negation != "preverbal"]
         nominal = self._nominalize_stem(core, span)

@@ -75,11 +75,6 @@ def tail(ch: str) -> int:
     return decompose(ch).tail if is_syllable(ch) else -1
 
 
-def has_batchim(ch: str) -> bool:
-    """True iff the syllable carries a final consonant."""
-    return decompose(ch).tail != TAIL_NONE
-
-
 def tail_jamo(ch: str) -> str:
     """The final consonant letter, or '' for an open syllable."""
     return TAILS[decompose(ch).tail]

@@ -311,6 +311,13 @@ class Lexicon:
             return True
         return False
 
+    def strip_preverbal(self, core: str) -> str:
+        """``core`` without a fused preverbal negator (안매 -> 매)."""
+        for k in self.negation_lengths["preverbal"]:
+            if len(core) > k and self.negation.get(core[:k]) == "preverbal":
+                return core[k:]
+        return core
+
 
 def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
     tables = {name: table() for name, table in TABLES.items()}

@@ -109,32 +109,32 @@ def test_reconstruction_invariant(analyzer):
             assert rebuilt == t.surface
 
 
-def test_profile_negation_negative_imperative(analyzer):
-    p = analyzer.normalize("태풍 오니까 밖에 나가지 마").negation
-    assert p.suffix_ci_ma is True
-    assert p.malgo is None and not p.danger_pred
+def _step(analyzer, classifier, text):
+    return classifier.classify(analyzer.normalize(text)).step
 
 
-def test_profile_negation_double_negation(analyzer):
-    p = analyzer.normalize("안전띠 안매면 큰일나").negation
-    assert p.preverbal_an and p.conditional_myen and p.danger_pred
+def test_profile_negation_negative_imperative(analyzer, classifier):
+    assert _step(analyzer, classifier, "태풍 오니까 밖에 나가지 마") == "negative-imperative"
 
 
-def test_profile_negation_plain_request(analyzer):
-    p = analyzer.normalize("인적사항 확인 바랍니다").negation
-    assert p == type(p)()  # every field at its negative default
+def test_profile_negation_double_negation(analyzer, classifier):
+    assert _step(analyzer, classifier, "안전띠 안매면 큰일나") == "double-negation"
 
 
-def test_profile_negation_malgo_index(analyzer):
-    p = analyzer.normalize("욕심부리지 말고 지금 팔아").negation
-    assert p.malgo == 1
+def test_profile_negation_plain_request(analyzer, classifier):
+    assert _step(analyzer, classifier, "인적사항 확인 바랍니다") == "imperative-ending"
 
 
-def test_profile_negation_danger_pair_not_preverbal(analyzer):
-    p = analyzer.normalize("가면 안 돼").negation
-    assert p.conditional_myen and p.danger_pred and not p.preverbal_an
-    p = analyzer.normalize("안 가면 안 돼").negation
-    assert p.preverbal_an
+def test_profile_negation_malgo_index(analyzer, classifier):
+    u = analyzer.normalize("욕심부리지 말고 지금 팔아")
+    c = classifier.classify(u)
+    assert c.step == "negation-coordination"
+    assert [e.span for e in c.evidence] == [(u.offsets[1], u.offsets[1] + len("말고"))]
+
+
+def test_profile_negation_danger_pair_not_preverbal(analyzer, classifier):
+    assert _step(analyzer, classifier, "가면 안 돼") == "danger-conditional"
+    assert _step(analyzer, classifier, "안 가면 안 돼") == "double-negation"
 
 
 def test_wh_hits_multi_token(analyzer):
@@ -168,8 +168,16 @@ def test_token_cues_tagged_once(analyzer, text, cues):
     assert _cues(analyzer, text) == cues
 
 
+def _ma(u):
+    return [i for i in u.cued if u.tokens[i].negation == "ma"]
+
+
 def test_negative_imperative_reads_the_tags(analyzer):
     u = analyzer.normalize("밖에 나가지 마")
-    assert negative_imperative(u.tokens) == (1, "나가지")
-    assert negative_imperative(analyzer.normalize("밖에 나가지마세요").tokens) == (1, "나가지")
-    assert negative_imperative(analyzer.normalize("밖에 나가 마").tokens) is None
+    assert _ma(u) == [2]
+    assert negative_imperative(u.tokens, _ma(u)) == (1, "나가지")
+    u = analyzer.normalize("밖에 나가지마세요")
+    assert negative_imperative(u.tokens, _ma(u)) == (1, "나가지")
+    u = analyzer.normalize("밖에 나가 마")
+    assert negative_imperative(u.tokens, _ma(u)) is None
+    assert negative_imperative(u.tokens, []) is None

@@ -3,6 +3,7 @@ import pytest
 from golden_cases import GOLDEN
 from saek.classify import IntentLabel
 from saek.errors import Unclassifiable
+from saek.lexicon import Lexicon
 
 
 @pytest.mark.parametrize("text,label,_arg,_cat", GOLDEN)
@@ -108,3 +109,34 @@ def test_negativeness_projection(engine):
 def test_label_encoding_matches_dataset_order():
     assert [int(l) for l in IntentLabel] == [0, 1, 2, 3, 4, 5]
     assert IntentLabel.YES_NO == 0 and IntentLabel.STRONG_REQUIREMENT == 5
+
+
+# one input per question step of the rule cascade, several with a -면 clause
+QUESTION_STEPS = {
+    "info-seeking+wh-word": "지갑 어디 있는지 말해줘",
+    "info-seeking+universal-quantifier": "이번 주 일정을 모두 말해",
+    "info-seeking": "어제 소식 말해줘",
+    "wh-word": "비 오면 뭐 할래",
+    "parallel-clauses": "짜장 먹을래 짬뽕 먹을래",
+    "disjunction": "커피 아니면 차 마실래",
+    "polar-ending": "안 먹으면 혼나니",
+    "want-to-know": "가면 안 되는지 궁금해",
+}
+
+
+def test_a_question_makes_no_danger_lookup(monkeypatch, analyzer, classifier):
+    # only the negation steps, after every question step, read the danger table
+    calls = []
+    is_danger_predicate = Lexicon.is_danger_predicate
+
+    def counted(self, tokens):
+        calls.append(tokens)
+        return is_danger_predicate(self, tokens)
+
+    monkeypatch.setattr(Lexicon, "is_danger_predicate", counted)
+    for step, text in QUESTION_STEPS.items():
+        assert classifier.classify(analyzer.normalize(text)).step == step
+    assert calls == []
+    # the counter is live: a -면 command reads the table once
+    assert classifier.classify(analyzer.normalize("먹으면 혼나")).step == "danger-conditional"
+    assert calls == [["먹으면", "혼나"]]

@@ -1,10 +1,10 @@
 """Negation and disjunction cues come from the lexicon: no source file spells
-one out.  Only the classifier reads the negation profile to pick a rule."""
+one out.  Only the classifier reads the cued tokens and the danger table to
+pick a rule."""
 
 import ast
 from pathlib import Path
 
-from saek.analyze import NegationProfile
 from saek.lexicon import default_lexicon
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "saek"
@@ -27,21 +27,30 @@ def test_no_negation_surface_literals_in_source():
     assert not found, "cue surfaces belong in the lexicon: " + ", ".join(found)
 
 
-def test_extract_makes_no_rule_decision():
-    # the cascade step that fired picks the extraction routine, so extract
-    # reads no negation-profile field and projects no label; the classifier
-    # hands the info verb over, so extract reads no info-verb table either
-    fields = set(NegationProfile._fields)
-    assert {"malgo", "suffix_ci_ma", "preverbal_an", "danger_pred", "conditional_myen"} <= fields
-    path = SRC / "extract.py"
+def names_in(path, attrs, names=frozenset()):
+    """Where ``path`` reads an attribute in ``attrs``, or uses or imports a
+    bare name in ``names``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-        if isinstance(node, ast.Attribute) and node.attr in fields | {"negativeness", "infoverbs"}:
+        if isinstance(node, ast.Attribute) and node.attr in attrs:
             found.append(f"{path.name}:{node.lineno}: .{node.attr}")
-        elif isinstance(node, ast.Name) and node.id == "negativeness":
+        elif isinstance(node, ast.Name) and node.id in names:
             found.append(f"{path.name}:{node.lineno}: {node.id}")
-        elif isinstance(node, ast.alias) and node.name == "negativeness":
+        elif isinstance(node, ast.alias) and node.name in names:
             found.append(f"{path.name}:{node.lineno}: import {node.name}")
+    return found
+
+
+def test_extract_makes_no_rule_decision():
+    # the cascade step that fired picks the extraction routine, so outside
+    # the lexicon only the classifier reads the cued tokens or the danger
+    # table; extract projects no label, and as the classifier hands the info
+    # verb over, extract reads no info-verb table either
+    rule = {"cued", "danger_pairs", "is_danger_predicate"}
+    found = names_in(SRC / "extract.py", rule | {"negativeness", "infoverbs"}, {"negativeness"})
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("lexicon.py", "classify.py", "extract.py"):
+            found += names_in(path, rule)
     assert not found, "rule decisions belong in the classifier: " + ", ".join(found)
 
 
@@ -51,13 +60,6 @@ def test_only_predicate_forms_rebuild_syllables():
     arithmetic = {"decompose", "compose", "with_tail"}
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in ("hangul.py", "predicate.py", "lexicon.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in arithmetic:
-                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
-            elif isinstance(node, ast.Name) and node.id in arithmetic:
-                found.append(f"{path.name}:{node.lineno}: {node.id}")
-            elif isinstance(node, ast.alias) and node.name in arithmetic:
-                found.append(f"{path.name}:{node.lineno}: import {node.name}")
+        if path.name not in ("hangul.py", "predicate.py", "lexicon.py"):
+            found += names_in(path, arithmetic, arithmetic)
     assert not found, "syllable arithmetic belongs in saek.predicate: " + ", ".join(found)

@@ -55,15 +55,6 @@ def test_compose_index_errors():
         hangul.compose(hangul.JamoTriple(-1, 0, 0))
 
 
-def test_has_batchim():
-    assert hangul.has_batchim("신") is True
-    assert hangul.has_batchim("어") is False
-    assert hangul.has_batchim("왔") is True
-    assert nfd_triple("왔")[2] == hangul.TAIL_SSANG_SIOT  # oracle shows coda ㅆ
-    with pytest.raises(NotHangulSyllable):
-        hangul.has_batchim("x")
-
-
 def test_round_trip_full_block():
     for cp in range(hangul.SYLLABLE_BASE, hangul.SYLLABLE_LAST + 1):
         ch = chr(cp)
@@ -96,3 +87,4 @@ def test_tail_helpers():
     assert hangul.tail("달") == hangul.TAIL_RIEUL
     assert hangul.tail("하") == hangul.TAIL_NONE
     assert [hangul.tail(s) for s in ("ㄹ", "x", "", "달달")] == [-1, -1, -1, -1]
+    assert hangul.tail("왔") == nfd_triple("왔")[2] == hangul.TAIL_SSANG_SIOT  # oracle shows coda ㅆ

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import fuzz_grammar
 import saek
 from golden_cases import GOLDEN
-from saek import Analyzer, Engine, Extractor, hangul
-from saek.analyze import Eojeol
-from saek.errors import EmptyUtterance, LexiconError
+from saek import Analyzer, Classifier, Engine, Extractor, hangul
+from saek.analyze import Eojeol, negative_imperative
+from saek.errors import EmptyUtterance, LexiconError, Unclassifiable
 from saek.lexicon import (
     TABLES,
     ArgumentCategory,
@@ -408,7 +408,7 @@ def test_indexed_lookups_equal_a_table_scan(name):
             match = lex.lookup_wh(token)
             assert (tuple(match) if match else None) == wh_scan(lex, token)
             assert analyzer._cues(token) == cues_scan(lex, token)
-            assert analyzer.strip_preverbal(token) == preverbal_scan(lex, token)
+            assert lex.strip_preverbal(token) == preverbal_scan(lex, token)
         for a, b in zip(tokens, tokens[1:]):
             assert lex.lookup_wh_pair(a, b) == wh_pair_scan(lex, a, b)
         assert lex.match_cue(tokens) == cue_scan(lex, tokens)
@@ -484,12 +484,32 @@ def token_scan(analyzer, surfaces):
     return tokens, offsets, bearer
 
 
+def negative_imperative_scan(tokens):
+    """The -지 마 rule as a scan of every token."""
+    for i, t in enumerate(tokens):
+        if t.surface.endswith("지") and i + 1 < len(tokens):
+            after = tokens[i + 1]
+            if after.negation == "ma" and after.fused is None:
+                return i, t.surface
+        if t.negation == "ma" and t.fused is not None:
+            return i, t.surface[: -len(t.fused)]
+    return None
+
+
+def classify_or_none(classifier, u):
+    try:
+        return classifier.classify(u)
+    except Unclassifiable:
+        return None
+
+
 @pytest.mark.parametrize("name", sorted(LEXICONS))
 def test_plain_token_shortcut_equals_a_full_scan(name):
-    """Skipping the lookups on plain tokens, and profiling negation over the
-    cued tokens alone, give what looking up every token gives."""
+    """Skipping the lookups on plain tokens, and reading the negation cues
+    of the cued tokens alone, give what looking up every token gives."""
     lex = LEXICONS[name]
     analyzer = Analyzer(lex)
+    classifier = Classifier(lex)
 
     @settings(max_examples=300, deadline=None)
     @given(utterances(lex))
@@ -502,7 +522,11 @@ def test_plain_token_shortcut_equals_a_full_scan(name):
         assert [t._replace(is_wh=False) for t in u.tokens] == tokens
         assert u.offsets == offsets
         assert u.bearer == bearer
-        assert u.negation == analyzer.profile_negation(tokens, range(len(tokens)))
+        assert u.cued == tuple(i for i, t in enumerate(tokens) if t.negation or t.conditional)
+        every = u._replace(cued=tuple(range(len(u.tokens))))
+        assert classify_or_none(classifier, u) == classify_or_none(classifier, every)
+        ma = [i for i in u.cued if u.tokens[i].negation == "ma"]
+        assert negative_imperative(u.tokens, ma) == negative_imperative_scan(tokens)
 
     check()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from saek.analyze import Eojeol, NegationProfile, WhHit
+from saek.analyze import Eojeol, WhHit
 from saek.classify import Classification, Evidence, IntentLabel
 from saek.extract import Argument
 from saek.hangul import JamoTriple
@@ -19,7 +19,6 @@ from saek.lexicon import (
 RECORDS = {
     "Eojeol": lambda: Eojeol("사과를", "사과", "를"),
     "WhHit": lambda: WhHit(WhKind.WHO, 0, 1, 0, 2),
-    "NegationProfile": lambda: NegationProfile(malgo=1, danger_pred=True),
     "Evidence": lambda: Evidence("wh-word", (0, 1)),
     "Classification": lambda: Classification(
         IntentLabel.WH, "wh-word", WhCategory(WhKind.WHAT, ("의미",)), (Evidence("wh-word", (0, 1)),)
