@@ -234,11 +234,14 @@ class Analyzer:
         return tuple(hits)
 
 
-def negative_imperative(tokens: Sequence[Eojeol], ma: Iterable[int]) -> Optional[tuple[int, str]]:
-    """Index and text of the first -지 predicate a ma negator follows (나가지 마,
-    나가지마); ``ma``: the indices, in order, of the ma tokens, the only ones
-    it reads, with the token before each."""
-    for i in ma:
+def negative_imperative(
+    tokens: Sequence[Eojeol], negators: Iterable[int]
+) -> Optional[tuple[int, str]]:
+    """Index and text of the first -지 predicate a ma or malgo negator follows,
+    fused or spaced (나가지마, 나가지 마, 놀지 말고); ``negators``: the indices,
+    in order, of the negator tokens, the only ones it reads, with the token
+    before each."""
+    for i in negators:
         fused = tokens[i].fused
         if fused is not None:
             return i, tokens[i].surface[: -len(fused)]

@@ -154,10 +154,9 @@ class Classifier:
                 if i == last or (t.surface, surfaces[i + 1]) not in lex.danger_pairs:
                     preverbal = True
 
-        # (5) negated clause coordinated onto a positive imperative
+        # (5) negated clause coordinated onto a positive imperative (놀지 말고)
         if malgo is not None and imperative and bearer > malgo:
-            # 놀지말고, or 놀지 말고
-            if tokens[malgo].fused is not None or (malgo > 0 and surfaces[malgo - 1].endswith("지")):
+            if negative_imperative(tokens, (malgo,)) is not None:
                 return _fired(
                     IntentLabel.STRONG_REQUIREMENT, "negation-coordination", token_span(malgo)
                 )

@@ -212,22 +212,19 @@ def evaluate(predictions: Sequence[Prediction], gold: Sequence[CorpusEntry]) -> 
     if not gold:
         raise EmptyCorpus("nothing to evaluate")
 
-    hits = sum(
-        1 for (p, _), g in zip(predictions, gold) if p is not None and p == int(g.label)
-    )
-    covered = sum(1 for p, _ in predictions if p is not None)
+    # (predicted, gold) label pairs: the counts every label score reads
+    pairs = Counter((p, int(g.label)) for (p, _), g in zip(predictions, gold))
+    predicted, actual = Counter(), Counter()
+    for (p, g), n in pairs.items():
+        predicted[p] += n
+        actual[g] += n
+    hits = sum(pairs[c, c] for c in range(N_LABELS))
+    covered = len(gold) - predicted[None]
 
     per_class = []
     for c in range(N_LABELS):
-        tp = sum(
-            1 for (p, _), g in zip(predictions, gold) if p == c and int(g.label) == c
-        )
-        fp = sum(
-            1 for (p, _), g in zip(predictions, gold) if p == c and int(g.label) != c
-        )
-        fn = sum(
-            1 for (p, _), g in zip(predictions, gold) if p != c and int(g.label) == c
-        )
+        tp = pairs[c, c]
+        fp, fn = predicted[c] - tp, actual[c] - tp
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

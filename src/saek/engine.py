@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .analyze import UNDECODED_RE, Analyzer
@@ -14,7 +14,12 @@ from .lexicon import Lexicon, default_lexicon, load_lexicon
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """Flat record for one input line; optional fields follow the super-type."""
+    """Flat record for one input line; optional fields follow the super-type.
+
+    The fields are the record's one definition: ``to_dict``'s keys and the TSV
+    columns follow them, in order (``__init__`` sets them in order, so
+    ``__dict__`` holds them in order).
+    """
 
     text: str
     label: Optional[int] = None
@@ -27,58 +32,34 @@ class OutputRecord:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        out: dict = {"text": self.text}
-        if self.label is not None:
-            out["label"] = self.label
-            out["label_name"] = self.label_name
-        if self.question_type is not None:
-            out["question_type"] = self.question_type
-        if self.negativeness is not None:
-            out["negativeness"] = self.negativeness
-        if self.argument is not None:
-            out["argument"] = self.argument
-            out["category"] = self.category
+        """The fields in order, less those that do not apply: None, or no evidence."""
+        out = {k: v for k, v in self.__dict__.items() if v is not None}
         if self.evidence:
             out["evidence"] = list(self.evidence)
-        if self.error is not None:
-            out["error"] = self.error
+        else:
+            del out["evidence"]
         return out
 
 
-TSV_COLUMNS = (
-    "text",
-    "label",
-    "label_name",
-    "question_type",
-    "negativeness",
-    "argument",
-    "category",
-    "evidence",
-    "error",
-)
+TSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
+
+
+def _tsv_cell(name: str, value) -> str:
+    if name == "evidence":
+        return ";".join(
+            f"{e['rule']}@{e['span'][0]}-{e['span'][1]}" if "span" in e else e["rule"]
+            for e in value
+        )
+    return "" if value is None else str(value)
 
 
 def record_tsv_row(record: OutputRecord) -> str:
-    evidence = ";".join(
-        f"{e['rule']}@{e['span'][0]}-{e['span'][1]}" if "span" in e else e["rule"]
-        for e in record.evidence
-    )
-    cells = [
-        record.text,
-        "" if record.label is None else str(record.label),
-        record.label_name or "",
-        record.question_type or "",
-        record.negativeness or "",
-        record.argument or "",
-        record.category or "",
-        evidence,
-        record.error or "",
-    ]
-    return "\t".join(cells)
+    """The fields in TSV_COLUMNS order: "" for None, evidence as rule@start-end;note."""
+    return "\t".join(_tsv_cell(k, v) for k, v in record.__dict__.items())
 
 
-# the one definition of the record fields each label carries:
-# (label, label_name, question_type, negativeness)
+# the one definition of the record fields each label carries: the four
+# OutputRecord fields after text, in order
 _LABEL_FIELDS = {
     IntentLabel.YES_NO: (0, "yes_no", "yes/no", None),
     IntentLabel.ALTERNATIVE: (1, "alternative", "alternative", None),
@@ -120,7 +101,6 @@ class Engine:
         except Unclassifiable:
             return OutputRecord(text=u.text, error="unclassifiable")
 
-        label, label_name, qt, neg = _LABEL_FIELDS[c.label]
         evidence = [{"rule": e.rule, "span": list(e.span)} for e in c.evidence]
 
         argument = category = None
@@ -136,13 +116,5 @@ class Engine:
                 error = "extraction-failed"
 
         return OutputRecord(
-            text=u.text,
-            label=label,
-            label_name=label_name,
-            question_type=qt,
-            negativeness=neg,
-            argument=argument,
-            category=category,
-            evidence=tuple(evidence),
-            error=error,
+            u.text, *_LABEL_FIELDS[c.label], argument, category, tuple(evidence), error
         )

@@ -18,6 +18,7 @@ from .errors import ExtractionFailed
 _CONTRACTION_VOWELS = {
     "ㅘ": "ㅗ",  # 왔 -> 오
     "ㅝ": "ㅜ",  # 줬 -> 주
+    "ㅙ": "ㅚ",  # 됐 -> 되
     "ㅏ": "ㅏ",  # 갔 -> 가
     "ㅓ": "ㅓ",  # 섰 -> 서
     "ㅐ": "ㅐ",  # 냈 -> 내

@@ -374,3 +374,87 @@ def test_eval_empty_reports(tmp_path, capsys):
     code = cli.run(["eval", str(empty)])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "") and err.startswith("saek: ")
+
+
+# one input per record shape: invalid-utf8, empty-utterance, unclassifiable,
+# extraction-failed, label 0, a question type, a negativeness, a note
+PINNED_INPUT = b"\n".join(
+    [
+        "비가 ".encode() + b"\xff " + "온다".encode(),
+        b". \t .",
+        "비가 온다".encode(),
+        "뭐 하는 거야".encode(),
+        "밥 먹었어".encode(),
+        "오늘은 누구 왔니".encode(),
+        "창문 열어줘".encode(),
+        "누가 긨니".encode(),
+    ]
+)
+_PINNED_ERRORS = [
+    '{"text": "비가 � 온다", "error": "invalid-utf8"}',
+    '{"text": ". .", "error": "empty-utterance"}',
+    '{"text": "비가 온다", "error": "unclassifiable"}',
+]
+PINNED = {
+    "extract": _PINNED_ERRORS
+    + [
+        '{"text": "뭐 하는 거야", "label": 2, "label_name": "wh", "question_type": "wh", '
+        '"evidence": [{"rule": "wh-word", "span": [0, 1]}], "error": "extraction-failed"}',
+        '{"text": "밥 먹었어", "label": 0, "label_name": "yes_no", "question_type": "yes/no", '
+        '"argument": "밥 먹었는지 여부", "category": "여부", '
+        '"evidence": [{"rule": "polar-ending", "span": [4, 5]}]}',
+        '{"text": "오늘은 누구 왔니", "label": 2, "label_name": "wh", "question_type": "wh", '
+        '"argument": "오늘 온 사람", "category": "사람", '
+        '"evidence": [{"rule": "wh-word", "span": [4, 6]}]}',
+        '{"text": "창문 열어줘", "label": 4, "label_name": "requirement", '
+        '"negativeness": "requirement", "argument": "창문 열어주기", "category": "요구", '
+        '"evidence": [{"rule": "imperative-ending", "span": [5, 6]}]}',
+        '{"text": "누가 긨니", "label": 2, "label_name": "wh", "question_type": "wh", '
+        '"argument": "긨은 사람", "category": "사람", '
+        '"evidence": [{"rule": "wh-word", "span": [0, 2]}, {"rule": "contraction-fallback"}]}',
+    ],
+    "classify": _PINNED_ERRORS
+    + [
+        '{"text": "뭐 하는 거야", "label": 2, "label_name": "wh", "question_type": "wh", '
+        '"evidence": [{"rule": "wh-word", "span": [0, 1]}]}',
+        '{"text": "밥 먹었어", "label": 0, "label_name": "yes_no", "question_type": "yes/no", '
+        '"evidence": [{"rule": "polar-ending", "span": [4, 5]}]}',
+        '{"text": "오늘은 누구 왔니", "label": 2, "label_name": "wh", "question_type": "wh", '
+        '"evidence": [{"rule": "wh-word", "span": [4, 6]}]}',
+        '{"text": "창문 열어줘", "label": 4, "label_name": "requirement", '
+        '"negativeness": "requirement", "evidence": [{"rule": "imperative-ending", "span": [5, 6]}]}',
+        '{"text": "누가 긨니", "label": 2, "label_name": "wh", "question_type": "wh", '
+        '"evidence": [{"rule": "wh-word", "span": [0, 2]}]}',
+    ],
+    "extract --format tsv": [
+        "비가 � 온다\t\t\t\t\t\t\t\tinvalid-utf8",
+        ". .\t\t\t\t\t\t\t\tempty-utterance",
+        "비가 온다\t\t\t\t\t\t\t\tunclassifiable",
+        "뭐 하는 거야\t2\twh\twh\t\t\t\twh-word@0-1\textraction-failed",
+        "밥 먹었어\t0\tyes_no\tyes/no\t\t밥 먹었는지 여부\t여부\tpolar-ending@4-5\t",
+        "오늘은 누구 왔니\t2\twh\twh\t\t오늘 온 사람\t사람\twh-word@4-6\t",
+        "창문 열어줘\t4\trequirement\t\trequirement\t창문 열어주기\t요구\timperative-ending@5-6\t",
+        "누가 긨니\t2\twh\twh\t\t긨은 사람\t사람\twh-word@0-2;contraction-fallback\t",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_output_lines_are_pinned(command):
+    code, out, _ = run_cli_bytes(command.split(), PINNED_INPUT, via_stdin=False)
+    assert code == 0
+    assert out.split("\n") == PINNED[command] + [""]
+
+
+def test_eval_failures_line_is_pinned(tmp_path, capsys):
+    data = tmp_path / "gold.tsv"
+    data.write_text("0\t밥 먹었어\n2\t뭐 하는 거야\n", encoding="utf-8")
+    failures = tmp_path / "fail.jsonl"
+    code = cli.run(["eval", str(data), "--failures", str(failures)])
+    capsys.readouterr()
+    assert code == 0
+    assert failures.read_text("utf-8") == (
+        '{"line": 2, "text": "뭐 하는 거야", "label": 2, "label_name": "wh", '
+        '"question_type": "wh", "evidence": [{"rule": "wh-word", "span": [0, 1]}], '
+        '"error": "extraction-failed"}\n'
+    )

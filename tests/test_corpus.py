@@ -183,6 +183,34 @@ def test_evaluate_hand_computed_three_rows():
     assert report.arg_char_f1 == pytest.approx((1.0 + 1.0 + 0.75) / 3)
 
 
+def _per_class_oracle(preds, gold):
+    """One pass per class and count, kept independent of the implementation."""
+    labels = [int(g.label) for g in gold]
+    scores = []
+    for c in range(corpus.N_LABELS):
+        tp = sum(1 for p, g in zip(preds, labels) if p == c and g == c)
+        fp = sum(1 for p, g in zip(preds, labels) if p == c and g != c)
+        fn = sum(1 for p, g in zip(preds, labels) if p != c and g == c)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        scores.append(corpus.ClassScore(precision, recall, f1, tp + fn))
+    return tuple(scores)
+
+
+_LABELS = st.integers(min_value=0, max_value=corpus.N_LABELS - 1)
+
+
+@given(st.lists(st.tuples(st.one_of(st.none(), _LABELS), _LABELS), min_size=1, max_size=40))
+def test_evaluate_per_class_scores_equal_a_pass_per_class(rows):
+    gold, _ = corpus.load([f"{g}\t밥 먹었어" for _, g in rows])
+    preds = [p for p, _ in rows]
+    report = corpus.evaluate([(p, None) for p in preds], gold)
+    assert report.per_class == _per_class_oracle(preds, gold)
+    assert report.label_accuracy == sum(p == g for p, g in rows) / len(rows)
+    assert report.coverage == sum(p is not None for p in preds) / len(rows)
+
+
 def test_evaluate_skips_argument_metrics_without_gold():
     gold, _ = corpus.load(["0\t밥 먹었어", "4\t창문 열어줘"])
     report = corpus.evaluate([(0, None), (None, None)], gold)

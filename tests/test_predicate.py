@@ -23,12 +23,13 @@ def test_adnominalize_contraction_table():
     assert predicate.adnominal("먹었", []) == "먹은"
     assert predicate.adnominal("보냈", []) == "보낸"
     assert predicate.adnominal("뒀", []) == "둔"
+    assert predicate.adnominal("됐", []) == "된"
 
 
 def test_adnominalize_unsupported_contraction():
     notes: list[str] = []
-    # ㅙ is outside the contraction table: the fallback is a note, not an error
-    assert (predicate.adnominal("됐", notes), notes) == ("됐은", ["contraction-fallback"])
+    # ㅔ is outside the contraction table: the fallback is a note, not an error
+    assert (predicate.adnominal("셌", notes), notes) == ("셌은", ["contraction-fallback"])
     notes.clear()
     assert (predicate.adnominal("없", notes), notes) == ("없는", [])  # lexical ㅆ, not a tense mark
 
@@ -46,7 +47,8 @@ FORMS = [
     ("밥 먹니 빵 먹니", 1, "밥 빵 중 먹을 것", ()),  # closed stem takes 을
     ("a ok니 b ok니", 1, "a b 중 ok을 것", ()),  # no Hangul syllable
     ("버스로 왔어 택시로 왔어", 1, "버스 택시 중 온 것", ()),  # past: the adnominal
-    ("집에 됐니 학교 됐니", 1, "집 학교 중 됐은 것", ("contraction-fallback",)),
+    ("집에 됐니 학교 됐니", 1, "집 학교 중 된 것", ()),
+    ("돈 셌니 표 셌니", 1, "돈 표 중 셌은 것", ("contraction-fallback",)),
     ("커피 아니면 차 니", 1, "extraction-failed", ()),  # the ending is the whole token
     # whether: -는지, or -지 after -(으)ㄹ
     ("커피 마실래", 0, "커피 마실지 여부", ()),
@@ -62,7 +64,8 @@ FORMS = [
     ("뭐 보았니", 2, "본 의미", ()),
     ("누가 왔니", 2, "온 사람", ()),  # contraction undone
     ("어디 있는지 알려줘", 2, "있는 위치", ()),  # lexical ㅆ is no past
-    ("뭐 됐니", 2, "됐은 의미", ("contraction-fallback",)),
+    ("뭐 됐니", 2, "된 의미", ()),
+    ("뭐 셌니", 2, "셌은 의미", ("contraction-fallback",)),
     # embedded-question stem, and a periphrastic predicate already adnominal
     ("어디 가는지 말해줘", 2, "가는 위치", ()),
     ("뭐 먹을 거야", 2, "먹을 의미", ()),
