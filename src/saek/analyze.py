@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_right
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
@@ -58,15 +59,20 @@ class NormalizedUtterance(NamedTuple):
     bearer: int  # the last non-vocative token, the one an ending sits on (-1: none)
 
     def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+        # ``text`` is the surfaces joined by single spaces, and none holds one
+        return self.text.split(" ")
 
 
 class Analyzer:
     """Turns raw text into the feature substrate the classifier reads."""
 
     def __init__(self, lexicon: Optional[Lexicon] = None):
-        self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self._finals = self._suffix_finals(self.lexicon)
+        lex = self.lexicon = lexicon if lexicon is not None else default_lexicon()
+        # one gate per table: a token that ends outside a gate's characters
+        # takes none of its lookups; ``_cues`` reads the negators and the
+        # conditional's 면, and a token outside the union carries nothing
+        self._cue_finals = lex.negation_finals | {"면"}
+        self._suffix_finals = self._cue_finals | lex.josa_finals | frozenset(lex.vocative)
 
     # -- normalization -------------------------------------------------
 
@@ -80,7 +86,7 @@ class Analyzer:
         tokens, offsets, bearer, cued = self._analyze_tokens(surfaces)
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
-        wh_hits = self.find_wh(tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
+        wh_hits = self.find_wh(text, tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
         for hit in wh_hits:
             for i in range(hit.token_start, hit.token_end):
                 tokens[i] = tokens[i]._replace(is_wh=True)
@@ -93,15 +99,21 @@ class Analyzer:
         the tokens that carry a negation or conditional cue.
 
         The sentence-final ending sits on the bearer, the last non-vocative
-        token (-1: every token is a vocative). Any other token that ends
-        outside the suffix-final characters is plain: it carries no cue,
-        particle or vocative marker, so no lookup runs on it."""
+        token (-1: every token is a vocative). Any other token takes only
+        the lookups its last character can match: the cues, the vocative
+        test and the particle split each have their own gate, and a token
+        outside all three is plain, its stem its surface."""
         lex = self.lexicon
-        finals, markers = self._finals, lex.vocative
+        suffix_finals, cue_finals = self._suffix_finals, self._cue_finals
+        josa_finals, markers = lex.josa_finals, lex.vocative
         bearer = len(surfaces) - 1
         while bearer >= 0 and surfaces[bearer][-1] in markers and self._is_vocative(surfaces, bearer):
             bearer -= 1
 
+        # tuple.__new__ skips the NamedTuple's keyword-handling constructor
+        # and its field count: test_eojeol_fields_are_the_order_normalize_builds
+        # pins the order the two calls below write
+        new = tuple.__new__
         tokens: list[Eojeol] = []
         offsets: list[int] = []
         cued: list[int] = []
@@ -109,33 +121,32 @@ class Analyzer:
         for i, surface in enumerate(surfaces):
             offsets.append(at)
             at += len(surface) + 1
-            if i != bearer and surface[-1] not in finals:
-                tokens.append(Eojeol(surface, surface))
+            final = surface[-1]
+            if i != bearer and final not in suffix_finals:
+                plain = (surface, surface, None, None, False, False, None, None, False)
+                tokens.append(new(Eojeol, plain))
                 continue
-            negation, fused, cond = self._cues(surface)
-            if negation is not None or cond:
-                cued.append(i)
+            negation = fused = None
+            cond = False
+            if final in cue_finals:
+                negation, fused, cond = self._cues(surface)
+                if negation is not None or cond:
+                    cued.append(i)
             # every token after the bearer is a vocative
             voc = i > bearer or (
-                i < bearer and surface[-1] in markers and self._is_vocative(surfaces, i)
+                i < bearer and final in markers and self._is_vocative(surfaces, i)
             )
             ending = lex.match_ending(surface) if i == bearer else None
+            stem, particle = surface, None
             if voc:
-                stem, particle = surface[:-1], surface[-1]
+                stem, particle = surface[:-1], final
             elif ending is not None:
-                stem, particle = surface[: len(surface) - len(ending.surface)], None
-            else:
+                stem = surface[: len(surface) - len(ending.surface)]
+            elif final in josa_finals:
                 stem, particle = self.strip_josa(surface)
-            tokens.append(Eojeol(surface, stem, particle, ending, voc, False, negation, fused, cond))
+            fields = (surface, stem, particle, ending, voc, False, negation, fused, cond)
+            tokens.append(new(Eojeol, fields))
         return tokens, tuple(offsets), bearer, tuple(cued)
-
-    @staticmethod
-    def _suffix_finals(lex: Lexicon) -> frozenset[str]:
-        """The last character of every particle, vocative marker and negator
-        in the tables, and the conditional's 면: a token that ends in another
-        character has no cue (``_cues``), no vocative marker and no particle."""
-        finals = {s[-1] for table in (lex.josa, lex.vocative, lex.negation) for s in table}
-        return frozenset(finals | {"면"})
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields
@@ -197,24 +208,38 @@ class Analyzer:
             return False
         if index < len(surfaces) - 1:
             return True
-        # final position: vocative only when the predicate came earlier
+        # final position: vocative only when the predicate came earlier; a
+        # surface that ends in no ending's last character matches none
+        finals = self.lexicon.ending_finals
         return any(
-            self.lexicon.match_ending(s) is not None for s in surfaces[:index]
+            s[-1] in finals and self.lexicon.match_ending(s) is not None for s in surfaces[:index]
         )
 
     # -- utterance-level features ---------------------------------------
 
-    def find_wh(self, tokens: Sequence[Eojeol], offsets: Sequence[int]) -> tuple[WhHit, ...]:
+    def find_wh(
+        self, text: str, tokens: Sequence[Eojeol], offsets: Sequence[int]
+    ) -> tuple[WhHit, ...]:
+        """The wh forms in the tokens of ``text``, left to right; a two-token
+        form is tried first at each token and takes its second token along.
+
+        Every wh surface and first stem of a two-token form is a substring of
+        the token that holds it, so only the tokens an anchor match falls in
+        are looked up."""
         lex = self.lexicon
         hits: list[WhHit] = []
-        i = 0
-        while i < len(tokens):
+        free = 0  # the first token no earlier hit took or looked at
+        for anchor in lex.wh_anchors(text):
+            i = bisect_right(offsets, anchor) - 1
+            if i < free:
+                continue
+            free = i + 1
             if i + 1 < len(tokens):
                 pair = lex.lookup_wh_pair(tokens[i].stem, tokens[i + 1].stem)
                 if pair is not None:
                     end = offsets[i + 1] + len(tokens[i + 1].stem)
                     hits.append(WhHit(pair, i, i + 2, offsets[i], end))
-                    i += 2
+                    free = i + 2
                     continue
             match = lex.lookup_wh(tokens[i].stem)
             if match is None and tokens[i].surface != tokens[i].stem:
@@ -230,7 +255,6 @@ class Analyzer:
                         offsets[i] + match.end,
                     )
                 )
-            i += 1
         return tuple(hits)
 
 

@@ -43,8 +43,8 @@ class Classification(NamedTuple):
     step: str  # the cascade step that fired; it picks the extraction routine
     wh: Optional[WhCategory] = None  # present exactly when label == WH
     evidence: tuple[Evidence, ...] = ()
-    # tokens of the info verb the argument loses, on the info-seeking steps
-    # that extract a wh argument: 1, or 2 for a spaced benefactive (말해 줘)
+    # tokens of the info verb the argument loses, on the info-seeking
+    # steps: 1, or 2 for a spaced benefactive (말해 줘)
     info: int = 0
 
 
@@ -73,7 +73,16 @@ class Classifier:
         kind = ending.kind if ending is not None else None
         interrogative = kind is EndingKind.INTERROGATIVE
         imperative = kind is EndingKind.IMPERATIVE
-        cue = lex.match_cue([t.surface for t in tokens if not t.is_vocative])
+        # a cue is matched at the end, so the last cue_length non-vocatives,
+        # which end on the bearer, decide it
+        words: list[str] = []
+        for i in range(bearer, -1, -1):
+            if len(words) == lex.cue_length:
+                break
+            if not tokens[i].is_vocative:
+                words.append(surfaces[i])
+        words.reverse()
+        cue = lex.match_cue(words)
 
         def token_span(i: int) -> tuple[int, int]:
             start = u.offsets[i]
@@ -106,7 +115,7 @@ class Classifier:
                     (info, Evidence("universal-quantifier", token_span(quant))),
                     n_info,
                 )
-            return _fired(IntentLabel.YES_NO, "info-seeking", info.span)
+            return Classification(IntentLabel.YES_NO, "info-seeking", None, (info,), n_info)
 
         # (2) wh word with an interrogative or want-to-know reading
         if wh_hits and (interrogative or cue is not None):
@@ -116,16 +125,17 @@ class Classifier:
 
         # (3) parallel clauses with a repeated predicate, or explicit disjunction
         if interrogative:
-            repeat = next((i for i in range(bearer) if surfaces[i] == surfaces[bearer]), None)
-            if repeat is not None:
+            # the first token with the bearer's surface: the bearer itself when none repeats it
+            repeat = surfaces.index(surfaces[bearer])
+            if repeat < bearer:
                 return _fired(
                     IntentLabel.ALTERNATIVE,
                     "parallel-clauses",
                     token_span(repeat),
                     token_span(bearer),
                 )
-            i = next((i for i, s in enumerate(surfaces) if s in lex.disjunction), None)
-            if i is not None:
+            if not lex.disjunction.isdisjoint(surfaces):
+                i = next(i for i, s in enumerate(surfaces) if s in lex.disjunction)
                 return _fired(IntentLabel.ALTERNATIVE, "disjunction", token_span(i))
 
             # (4) plain polar question
@@ -162,19 +172,21 @@ class Classifier:
                 )
 
         # (6) negated conditional whose consequence induces prohibition; the
-        # negator may be fused onto the -면 clause (안매면)
-        danger = myen is not None and lex.is_danger_predicate(surfaces[-2:])
+        # negator may be fused onto the -면 clause (안매면). The consequence is
+        # the predicate that ends at the bearer, before any trailing name call.
+        consequence = surfaces[max(bearer - 1, 0) : bearer + 1]
+        danger = myen is not None and lex.is_danger_predicate(consequence)
         if danger and not preverbal:
             core = predicate.conditional_core(surfaces[myen])
             preverbal = lex.strip_preverbal(core) != core
         if danger and preverbal:
-            return _fired(IntentLabel.STRONG_REQUIREMENT, "double-negation", token_span(last))
+            return _fired(IntentLabel.STRONG_REQUIREMENT, "double-negation", token_span(bearer))
 
         # (7) negative imperative, or conditional with a danger consequence
         if ma and negative_imperative(tokens, ma) is not None:
-            return _fired(IntentLabel.PROHIBITION, "negative-imperative", token_span(last))
+            return _fired(IntentLabel.PROHIBITION, "negative-imperative", token_span(bearer))
         if danger:
-            return _fired(IntentLabel.PROHIBITION, "danger-conditional", token_span(last))
+            return _fired(IntentLabel.PROHIBITION, "danger-conditional", token_span(bearer))
 
         # (8) plain imperative / request / wish
         if imperative:

@@ -36,8 +36,12 @@ class Extractor:
     """One extraction routine per step of the classifier's rule cascade."""
 
     def __init__(self, lexicon: Optional[Lexicon] = None, analyzer: Optional[Analyzer] = None):
-        self.lexicon = lexicon if lexicon is not None else default_lexicon()
+        lex = self.lexicon = lexicon if lexicon is not None else default_lexicon()
         self.analyzer = analyzer if analyzer is not None else Analyzer(self.lexicon)
+        # a plain token (no particle, ending, negation or vocative marker) is
+        # its own content, and _droppable_in_question's rule for it reduces
+        # to one probe of the union of the tables it reads
+        self._plain_droppable = lex.pronouns | lex.lightverb_stems | lex.depnouns
 
     # -- dispatch --------------------------------------------------------
 
@@ -47,7 +51,7 @@ class Extractor:
         tokens = u.tokens
         match c.step:
             case "info-seeking" | "polar-ending" | "want-to-know":
-                return self.extract_yesno(tokens)
+                return self.extract_yesno(tokens, c.info)
             case "parallel-clauses" | "disjunction":
                 return self.extract_alternative(tokens)
             case "wh-word" | "info-seeking+wh-word":
@@ -90,20 +94,32 @@ class Extractor:
             return self.analyzer.strip_josa_all(e.surface, droppable_only)
         return self.analyzer.strip_josa_all(e.stem, droppable_only)
 
-    def _question_items(self, tokens: Iterable[Eojeol]) -> tuple[list[Eojeol], dict[int, str]]:
+    def _question_items(self, tokens: Iterable[Eojeol]) -> tuple[list[Eojeol], list[str]]:
         """The tokens a question argument keeps, from after the last 말고 on,
-        and the content of each, by ``id``, so that each token's content is
-        computed once."""
+        and the content of each at the same index, computed once; a routine
+        trims both lists from the end only."""
+        plain_droppable = self._plain_droppable
         items: list[Eojeol] = []
-        content: dict[int, str] = {}
+        content: list[str] = []
+        malgo: list[int] = []
         for t in tokens:
             if t.is_vocative:
                 continue
-            stem = t.stem if t.particle is None else self._content(t)
-            if not self._droppable_in_question(t, stem):
-                items.append(t)
-                content[id(t)] = stem
-        return self._after_malgo(items), content
+            stem = t.stem
+            if t.particle is None and t.ending is None and t.negation is None:
+                if stem in plain_droppable:  # a plain token: see ``_plain_droppable``
+                    continue
+            else:
+                if t.particle is not None:
+                    stem = self._content(t)
+                if self._droppable_in_question(t, stem):
+                    continue
+            if t.negation == "malgo":
+                malgo.append(len(items))
+            items.append(t)
+            content.append(stem)
+        start = _after_malgo(malgo, len(items))
+        return items[start:], content[start:]
 
     def _droppable_in_question(self, e: Eojeol, stem: str) -> bool:
         lex = self.lexicon
@@ -120,14 +136,6 @@ class Extractor:
         bare nouns); the no-ending-leakage contract outranks recall here."""
         return [p for p in parts if p and p not in self.lexicon.endings]
 
-    def _after_malgo(self, items: list[Eojeol]) -> list[Eojeol]:
-        """말고 marks rejected material: only the clause after it survives."""
-        cut = None
-        for i, t in enumerate(items[:-1]):
-            if t.negation == "malgo":
-                cut = i
-        return items[cut + 1 :] if cut is not None else items
-
     def _is_bare_noun(self, e: Eojeol) -> bool:
         return (
             e.ending is None
@@ -138,9 +146,13 @@ class Extractor:
 
     # -- yes/no questions ---------------------------------------------------
 
-    def extract_yesno(self, tokens: Sequence[Eojeol]) -> Argument:
+    def extract_yesno(self, tokens: Sequence[Eojeol], info: int = 0) -> Argument:
+        """``info``: tokens of the info verb the utterance ends on, which the
+        classifier found (0: none)."""
         lex = self.lexicon
         items, content = self._question_items(tokens)
+        if info:
+            items = items[:-info]
         items = self._drop_want_cue(items)
 
         head = ""
@@ -161,14 +173,16 @@ class Extractor:
                 head = last.surface
                 items = items[:-1]
 
-        parts = self._clean_parts([content[id(t)] for t in items])
+        parts = self._clean_parts(content[: len(items)])
         parts += ([head] if head else []) + ["여부"]
         if len(parts) == 1:
             raise ExtractionFailed("no content left for a polar argument")
         return Argument(" ".join(parts), ArgumentCategory.WHETHER, IntentLabel.YES_NO)
 
     def _drop_want_cue(self, items: list[Eojeol]) -> list[Eojeol]:
-        cue = self.lexicon.match_cue([t.surface for t in items])
+        lex = self.lexicon
+        # a cue is matched at the end, so the last cue_length items decide it
+        cue = lex.match_cue([t.surface for t in items[-lex.cue_length :]])
         if cue is not None:
             return items[: len(items) - len(cue)]
         return items
@@ -177,7 +191,9 @@ class Extractor:
 
     def extract_alternative(self, tokens: Sequence[Eojeol]) -> Argument:
         lex = self.lexicon
-        items = self._after_malgo([t for t in tokens if not t.is_vocative])
+        items = [t for t in tokens if not t.is_vocative]
+        malgo = [i for i, t in enumerate(items) if t.negation == "malgo"]
+        items = items[_after_malgo(malgo, len(items)) :]
         # each interrogative predicate with its ending: ``normalize`` matched
         # the bearer's (the last item), which parallel clauses repeat, and a
         # token that ends in no ending's last character matches none
@@ -214,9 +230,14 @@ class Extractor:
 
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
         """Option content of a clause; the disjunction (아니면) is no option."""
+        disjunction, plain_droppable = self.lexicon.disjunction, self._plain_droppable
         out = []
         for t in clause:
-            if t.surface in self.lexicon.disjunction:
+            if t.surface in disjunction:
+                continue
+            if t.particle is None and t.ending is None and t.negation is None:
+                if t.stem not in plain_droppable:
+                    out.append(t.stem)
                 continue
             stem = self._content(t)
             if stem and not self._droppable_in_question(t, stem):
@@ -265,7 +286,7 @@ class Extractor:
             # the token before the bare ending, already adnominalized
             adnominal = items.pop().surface
 
-        stems = self._clean_parts([content[id(t)] for t in items])
+        stems = self._clean_parts(content[: len(items)])
         if append_noun:
             stems.append(append_noun)
 
@@ -289,8 +310,7 @@ class Extractor:
         stems: list[str] = []
         quant: Optional[str] = None
         object_pos: Optional[int] = None
-        for t in items[:-info]:
-            stem = content[id(t)]
+        for t, stem in zip(items[:-info], content):
             if not stem:
                 continue
             if stem in lex.advdet and quant is None:
@@ -309,47 +329,53 @@ class Extractor:
 
     # -- commands -------------------------------------------------------------
 
-    def _command_items(self, tokens: Sequence[Eojeol]) -> tuple[list[Eojeol], dict[int, str]]:
+    def _command_items(self, tokens: Sequence[Eojeol]) -> tuple[list[Eojeol], list[str]]:
         """The tokens a command argument keeps, from after the last 말고 on,
-        and the content of each by ``id``, computed once."""
-        lex = self.lexicon
+        and the content of each at the same index, computed once."""
+        pronouns = self.lexicon.pronouns
         items: list[Eojeol] = []
-        content: dict[int, str] = {}
+        content: list[str] = []
+        malgo: list[int] = []
         for t in tokens:
-            if t.is_vocative or t.surface in lex.pronouns:
+            if t.is_vocative or t.surface in pronouns:
                 continue
             stem = t.stem if t.particle is None else self._content(t, droppable_only=True)
-            if stem not in lex.pronouns:
-                items.append(t)
-                content[id(t)] = stem
-        return self._after_malgo(items), content
+            if stem in pronouns:
+                continue
+            if t.negation == "malgo":
+                malgo.append(len(items))
+            items.append(t)
+            content.append(stem)
+        start = _after_malgo(malgo, len(items))
+        return items[start:], content[start:]
 
-    # clause trimming: everything up to the last subordinate connective goes
-    def _trim_subordinate(self, items: list[Eojeol], end: int) -> list[Eojeol]:
+    def _clause_start(self, items: list[Eojeol], end: int) -> int:
+        """Where the clause that ends before ``items[end]`` starts: after the
+        last token before ``end`` that ends in a subordinate connective, else
+        0. Only tokens that end in a connective's last character are probed,
+        from ``end`` back."""
         lex = self.lexicon
-        start = 0
-        for i in range(end):
+        finals = lex.connective_finals
+        for i in range(end - 1, -1, -1):
             s = items[i].surface
+            if s[-1] not in finals:
+                continue
             for k in lex.connective_lengths:
                 conn = s[-k:]
                 if len(s) <= k or conn not in lex.connectives:
                     continue
-                if conn == "니까":
-                    prev = s[-k - 1]
-                    # -ㅂ니까 is a polite ending, not the causal connective
-                    if hangul.tail(prev) == hangul.TAIL_BIEUP:
-                        continue
-                start = i + 1
-                break
-        return items[start:end]
+                # -ㅂ니까 is a polite ending, not the causal connective
+                if conn == "니까" and hangul.tail(s[-k - 1]) == hangul.TAIL_BIEUP:
+                    continue
+                return i + 1
+        return 0
 
     def _prohibition(
-        self, items: list[Eojeol], content: dict[int, str], idx: int, form: str
+        self, items: list[Eojeol], content: list[str], idx: int, form: str
     ) -> Argument:
         """The prohibited action: the clause before the -지 ``form`` at
         ``idx``, then the form and 않기."""
-        span = self._trim_subordinate(items, idx)
-        parts = self._clean_parts([content[id(t)] for t in span])
+        parts = self._clean_parts(content[self._clause_start(items, idx) : idx])
         return Argument(
             " ".join(parts + [form, "않기"]), ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION
         )
@@ -364,10 +390,11 @@ class Extractor:
         items, content = self._command_items(tokens)
         idx, core = self._conditional_core(items)
         core = self.lexicon.strip_preverbal(core)
-        span = self._trim_subordinate(items, idx)
-        span = [t for t in span if t.negation != "preverbal"]
-        nominal = self._nominalize_stem(core, span)
-        parts = self._clean_parts([content[id(t)] for t in span])
+        start = self._clause_start(items, idx)
+        keep = [i for i in range(start, idx) if items[i].negation != "preverbal"]
+        span = [items[i] for i in keep]
+        nominal = self._nominalize_stem(core, span)  # may pop from span
+        parts = self._clean_parts([content[i] for i in keep[: len(span)]])
         text = " ".join(parts + [nominal])
         return Argument(text, ArgumentCategory.REQUIREMENT, IntentLabel.STRONG_REQUIREMENT)
 
@@ -381,14 +408,15 @@ class Extractor:
     def _requirement(
         self,
         items: list[Eojeol],
-        content: dict[int, str],
+        content: list[str],
         label: IntentLabel = IntentLabel.REQUIREMENT,
     ) -> Argument:
         if not items:
             raise ExtractionFailed("empty required action")
-        span = self._trim_subordinate(items, len(items) - 1) + [items[-1]]
-        last = span[-1]
-        rest = span[:-1]
+        end = len(items) - 1
+        start = self._clause_start(items, end)
+        last = items[end]
+        rest = items[start:end]
         if last.ending is not None and last.ending.kind is EndingKind.IMPERATIVE:
             stem = last.stem + last.ending.stem  # 확인 + 하 for 확인해
             if stem:
@@ -398,11 +426,11 @@ class Extractor:
                 # remaining action, whose head is typically a verbal noun
                 if not rest:
                     raise ExtractionFailed("request cue with no action span")
-                nominal = predicate.nominal(content[id(rest.pop())])
+                rest.pop()
+                nominal = predicate.nominal(content[start + len(rest)])
         else:
-            nominal = predicate.nominal(content[id(span.pop())])
-            rest = span
-        parts = self._clean_parts([content[id(t)] for t in rest])
+            nominal = predicate.nominal(content[end])
+        parts = self._clean_parts(content[start : start + len(rest)])
         return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, label)
 
     def _nominalize_stem(self, stem: str, preceding: list[Eojeol]) -> str:
@@ -418,3 +446,13 @@ class Extractor:
                 return noun.surface + "하기"
             return "하기"
         return stem + "기"
+
+
+def _after_malgo(malgo: list[int], n: int) -> int:
+    """Where the kept clause of ``n`` items starts: 말고 marks rejected
+    material, so only the items after the last 말고 (``malgo``: the 말고
+    items' indices, in order) before the final item survive."""
+    for i in reversed(malgo):
+        if i < n - 1:
+            return i + 1
+    return 0

@@ -72,7 +72,9 @@ def compose(j: JamoTriple) -> str:
 
 def tail(ch: str) -> int:
     """Tail index of a syllable (TAIL_NONE when open); -1 for any other string."""
-    return decompose(ch).tail if is_syllable(ch) else -1
+    if len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST:
+        return (ord(ch) - SYLLABLE_BASE) % 28
+    return -1
 
 
 def tail_jamo(ch: str) -> str:

@@ -12,7 +12,7 @@ import io
 import os
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import hangul
 from .errors import LexiconError
@@ -115,10 +115,10 @@ _JOSA_CONDS = {"any", "batchim", "no_batchim", "open_or_rieul", "batchim_not_rie
 def _check_cond(cond: str, stem_final: str) -> bool:
     if cond == "any":
         return True
-    if not hangul.is_syllable(stem_final):
+    tail = hangul.tail(stem_final)
+    if tail < 0:
         # non-Hangul stems (digits, latin) take the unconditioned reading
         return cond in ("any", "no_batchim", "open_or_rieul")
-    tail = hangul.decompose(stem_final).tail
     if cond == "batchim":
         return tail != hangul.TAIL_NONE
     if cond == "no_batchim":
@@ -160,6 +160,15 @@ def _lengths(surfaces: Iterable[str]) -> tuple[int, ...]:
     return tuple(sorted({len(s) for s in surfaces}, reverse=True))
 
 
+def _lengths_by_final(surfaces: Iterable[str]) -> dict[str, tuple[int, ...]]:
+    """Last character -> the lengths of the surfaces that end in it, longest
+    first: a token is probed only at the lengths its last character allows."""
+    by_final: dict[str, list[str]] = {}
+    for s in surfaces:
+        by_final.setdefault(s[-1], []).append(s)
+    return {final: _lengths(group) for final, group in by_final.items()}
+
+
 class Lexicon:
     """Every correspondence table, plus the lookup indexes built from them here.
 
@@ -173,11 +182,15 @@ class Lexicon:
         "_josa_lengths",
         "_ending_lengths",
         "ending_finals",
+        "josa_finals",
+        "negation_finals",
+        "connective_finals",
         "_danger_lengths",
         "_wh_re",
         "_wh_anchor_re",
         "_wh_pairs_by_first",
         "_cues_ranked",
+        "cue_length",
         "connective_lengths",
         "negation_lengths",
     )
@@ -186,10 +199,14 @@ class Lexicon:
         for name in TABLES:
             table = tables[name]
             setattr(self, name, frozenset(table) if isinstance(table, set) else table)
-        self._josa_lengths = _lengths(self.josa)
-        self._ending_lengths = _lengths(self.endings)
-        # the last character of every ending: a token that ends in another matches none
-        self.ending_finals = frozenset(s[-1] for s in self.endings)
+        self._josa_lengths = _lengths_by_final(self.josa)
+        self._ending_lengths = _lengths_by_final(self.endings)
+        # the last character of every surface in a suffix table: a token
+        # that ends in another character matches no entry of that table
+        self.ending_finals = frozenset(self._ending_lengths)
+        self.josa_finals = frozenset(self._josa_lengths)
+        self.negation_finals = frozenset(s[-1] for s in self.negation)
+        self.connective_finals = frozenset(s[-1] for s in self.connectives)
         self._danger_lengths = _lengths(self.danger)
         self.connective_lengths = _lengths(self.connectives)
         # negation kind -> the lengths of its surfaces, longest first
@@ -210,6 +227,8 @@ class Lexicon:
         self._wh_pairs_by_first = {a: tuple(bs) for a, bs in pairs.items()}
         # match order: most parts first, then the longer final part
         self._cues_ranked = tuple(sorted(self.cues, key=lambda p: (-len(p), -len(p[-1]), p)))
+        # the most parts of any cue: match_cue reads no more tokens than this
+        self.cue_length = max(map(len, self.cues), default=0)
         self._validate()
 
     def _validate(self) -> None:
@@ -232,10 +251,11 @@ class Lexicon:
     def longest_josa(self, token: str, droppable_only: bool = False) -> Optional[str]:
         """Longest particle suffix of ``token`` passing its batchim condition."""
         n = len(token)
-        for k in self._josa_lengths:
+        josa = self.josa
+        for k in self._josa_lengths.get(token[-1:], ()):
             if k >= n:
                 continue
-            entry = self.josa.get(token[-k:])
+            entry = josa.get(token[-k:])
             if entry is None or (droppable_only and not entry.droppable):
                 continue
             if _check_cond(entry.cond, token[-k - 1]):
@@ -245,7 +265,7 @@ class Lexicon:
     def match_ending(self, token: str) -> Optional[Ending]:
         """Longest sentence-final ending that matches the end of ``token``."""
         n = len(token)
-        for k in self._ending_lengths:
+        for k in self._ending_lengths.get(token[-1:], ()):
             if k > n:
                 continue
             entry = self.endings.get(token[-k:])
@@ -274,6 +294,11 @@ class Lexicon:
         """True iff a wh surface or the first stem of a wh pair occurs in
         ``text``; where none does, no token of it can hold a wh form."""
         return self._wh_anchor_re.search(text) is not None
+
+    def wh_anchors(self, text: str) -> Iterator[int]:
+        """Start offsets of the wh surfaces and first stems of wh pairs in
+        ``text``, left to right, matches not overlapping."""
+        return (m.start() for m in self._wh_anchor_re.finditer(text))
 
     def lookup_wh_pair(self, stem_a: str, stem_b: str) -> Optional[WhKind]:
         """Two-token wh form (counting interrogatives like 몇 시)."""

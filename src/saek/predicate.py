@@ -28,7 +28,7 @@ _CONTRACTION_VOWELS = {
 # lexical coda-ㅆ stems that carry no past marking
 _PLAIN_SSANG_STEMS = ("있", "없")
 
-_EMBEDDED_Q_SUFFIXES = ("는지", "은지", "인지", "을지", "ㄹ지")
+_EMBEDDED_Q_SUFFIXES = ("는지", "은지", "인지", "을지")
 
 
 def is_past(stem: str) -> bool:
@@ -93,10 +93,16 @@ def whether(stem: str) -> str:
 
 def embedded_question_stem(surface: str) -> Optional[str]:
     """The stem before an embedded-question suffix (가는지 -> 가), the surface
-    itself when it is only the suffix, and None when it ends in none."""
+    itself when it is only the suffix, and None when it ends in none.
+
+    After an open stem the suffix -ㄹ지 fuses its ㄹ onto the stem's last
+    syllable (갈지 -> 가), so it shows as an ㄹ coda before 지; 을지 is
+    tested first (먹을지 -> 먹)."""
     for s in _EMBEDDED_Q_SUFFIXES:
         if surface.endswith(s):
             return surface[: -len(s)] or surface
+    if surface.endswith("지") and hangul.tail(surface[-2:-1]) == hangul.TAIL_RIEUL:
+        return surface[:-2] + hangul.with_tail(surface[-2], hangul.TAIL_NONE)
     return None
 
 

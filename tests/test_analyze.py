@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from saek.analyze import PUNCTUATION, negative_imperative
+from saek.analyze import PUNCTUATION, Eojeol, negative_imperative
 from saek.errors import EmptyUtterance
 
 
@@ -12,6 +12,23 @@ def test_normalize_golden_question(analyzer):
     assert u.text == "너 의료 봉사 신청 했어"
     assert len(u.tokens) == 5
     assert u.raw == "너 의료 봉사 신청 했어?"
+
+
+def test_eojeol_fields_are_the_order_normalize_builds():
+    """``Analyzer._analyze_tokens`` builds each token with ``tuple.__new__`` from
+    nine positional values, which checks neither their number nor their
+    order: a field added or moved must be added or moved there too."""
+    assert Eojeol._fields == (
+        "surface",
+        "stem",
+        "particle",
+        "ending",
+        "is_vocative",
+        "is_wh",
+        "negation",
+        "fused",
+        "conditional",
+    )
 
 
 def test_normalize_whitespace_only_raises(analyzer):

@@ -39,9 +39,32 @@ def test_want_to_know_cue_skips_a_trailing_vocative(analyzer, classifier):
     assert u.text[slice(*evidence.span)] == "궁금해"
 
 
+@pytest.mark.parametrize(
+    "text, step, bearer",
+    [
+        ("밖에 나가면 위험해 민수야", "danger-conditional", "위험해"),
+        ("안전벨트 안 매면 위험해 민수야", "double-negation", "위험해"),
+        ("나가지 마 민수야", "negative-imperative", "마"),
+    ],
+)
+def test_negated_steps_read_the_predicate_at_the_bearer(analyzer, classifier, text, step, bearer):
+    # a trailing name call neither hides the danger predicate nor takes the evidence
+    u = analyzer.normalize(text)
+    got = classifier.classify(u)
+    assert got.step == step
+    (evidence,) = got.evidence
+    assert u.text[slice(*evidence.span)] == bearer
+
+
 def test_info_seeking_without_wh_or_quantifier_is_polar(analyzer, classifier):
     got = classifier.classify(analyzer.normalize("어제 소식 말해줘"))
     assert got.label is IntentLabel.YES_NO
+
+
+@pytest.mark.parametrize("text, info", [("어제 소식 말해줘", 1), ("내일 비 오는지 말해 줘", 2)])
+def test_polar_info_seeking_counts_the_info_verb_tokens(analyzer, classifier, text, info):
+    got = classifier.classify(analyzer.normalize(text))
+    assert (got.step, got.info) == ("info-seeking", info)
 
 
 def test_info_seeking_with_wh_word(analyzer, classifier):

@@ -169,6 +169,8 @@ STEP_PICKS_ROUTINE = [
     ("이거 말고 저거 만지면 위험해", 3, "저거 만지지 않기"),
     # a trailing vocative does not hide the want-to-know cue
     ("밥 먹었는지 궁금해 민수야", 0, "밥 먹었는지 여부"),
+    # nor does one inside it
+    ("밥 먹었는지 알고 민수야 싶다", 0, "밥 먹었는지 여부"),
     # 안으면 is the verb 안다, not a negator fused onto -으면
     ("안으면 혼나", 3, "안지 않기"),
 ]

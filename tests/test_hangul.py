@@ -88,3 +88,11 @@ def test_tail_helpers():
     assert hangul.tail("하") == hangul.TAIL_NONE
     assert [hangul.tail(s) for s in ("ㄹ", "x", "", "달달")] == [-1, -1, -1, -1]
     assert hangul.tail("왔") == nfd_triple("왔")[2] == hangul.TAIL_SSANG_SIOT  # oracle shows coda ㅆ
+
+
+def test_tail_is_the_decomposed_tail_of_every_syllable():
+    for code in range(hangul.SYLLABLE_BASE, hangul.SYLLABLE_LAST + 1):
+        ch = chr(code)
+        assert hangul.tail(ch) == hangul.decompose(ch).tail, ch
+    for s in ("ㄱ", "ㄹ", "ㅏ", "a", "1", " ", "", "가나", "ㄹ지"):
+        assert hangul.tail(s) == -1, s

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -8,13 +9,13 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fuzz_grammar
 import saek
 from golden_cases import GOLDEN
 from saek import Analyzer, Classifier, Engine, Extractor, hangul
-from saek.analyze import Eojeol, negative_imperative
+from saek.analyze import Eojeol, WhHit, negative_imperative
 from saek.errors import EmptyUtterance, LexiconError, Unclassifiable
 from saek.lexicon import (
     TABLES,
@@ -414,7 +415,7 @@ def test_indexed_lookups_equal_a_table_scan(name):
         assert lex.match_cue(tokens) == cue_scan(lex, tokens)
         assert lex.is_danger_predicate(tokens) == danger_scan(lex, tokens)
         items = [Eojeol(s, s) for s in tokens]
-        assert len(extractor._trim_subordinate(items, len(items))) == len(items) - trim_scan(lex, tokens)
+        assert extractor._clause_start(items, len(items)) == trim_scan(lex, tokens)
 
     check()
 
@@ -436,28 +437,95 @@ def utterances(draw, lex):
     return " ".join(tokens)
 
 
+def vocative_scan(lex, surfaces, index):
+    """The vocative test with the final-position branch matching an ending
+    on every earlier surface."""
+    surface = surfaces[index]
+    marker, stem = surface[-1], surface[:-1]
+    cond = lex.vocative.get(marker)
+    if len(surface) < 3 or cond is None or not all(hangul.is_syllable(c) for c in stem):
+        return False
+    ending = lex.match_ending(surface)
+    if not _check_cond(cond, stem[-1]) or (ending is not None and len(ending.surface) > 1):
+        return False
+    return index < len(surfaces) - 1 or any(lex.match_ending(s) is not None for s in surfaces[:index])
+
+
+def wh_hits_scan(lex, tokens, offsets):
+    """The wh hits as a loop that looks up every token gives them: a
+    two-token form first, then the stem, then the surface."""
+    hits = []
+    i = 0
+    while i < len(tokens):
+        if i + 1 < len(tokens):
+            pair = lex.lookup_wh_pair(tokens[i].stem, tokens[i + 1].stem)
+            if pair is not None:
+                end = offsets[i + 1] + len(tokens[i + 1].stem)
+                hits.append(WhHit(pair, i, i + 2, offsets[i], end))
+                i += 2
+                continue
+        match = lex.lookup_wh(tokens[i].stem) or lex.lookup_wh(tokens[i].surface)
+        if match is not None:
+            hits.append(WhHit(match.kind, i, i + 1, offsets[i] + match.start, offsets[i] + match.end))
+        i += 1
+    return tuple(hits)
+
+
 @pytest.mark.parametrize("name", sorted(LEXICONS))
 def test_per_utterance_shortcuts_equal_a_full_scan(name):
-    """The wh text check drops no wh hit, and extract's content, which goes
-    on from normalize's particle split, is what stripping the surface gives."""
+    """The wh text check and the anchor-only token scan drop no wh hit, the
+    final-position vocative test probes no ending it needs, a plain token's
+    one probe drops what the full question rule drops, and extract's
+    content, which goes on from normalize's particle split, is what
+    stripping the surface gives."""
     lex = LEXICONS[name]
     analyzer = Analyzer(lex)
     extractor = Extractor(lex, analyzer)
+    # the shortcut _question_items and _option_phrases take on a plain token
+    plain = extractor._plain_droppable
 
     @settings(max_examples=400, deadline=None)
     @given(utterances(lex))
+    @example("몇 시누가 왔니")  # a two-token form takes a token that holds a wh form
+    @example("먹었니 사과 민수야")  # a final name call after an earlier predicate
+    @example("뭐 하니")  # a light-verb stem under an ending is no plain token
     def check(text):
         try:
             u = analyzer.normalize(text)
         except EmptyUtterance:
             return
-        assert u.wh_hits == analyzer.find_wh(u.tokens, u.offsets)
+        assert u.wh_hits == wh_hits_scan(lex, u.tokens, u.offsets)
+        surfaces = u.surfaces()
+        for i in range(len(surfaces)):
+            assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, surfaces, i)
         for t in u.tokens:
+            if t.particle is None and t.ending is None and t.negation is None:
+                assert (t.stem in plain) == extractor._droppable_in_question(t, t.stem)
             if t.ending is None:
                 assert extractor._content(t) == analyzer.strip_josa_all(t.surface)
                 assert extractor._content(t, droppable_only=True) == analyzer.strip_josa_all(
                     t.surface, droppable_only=True
                 )
+
+    for s in sorted(lex.pronouns | lex.lightverb_stems | lex.depnouns | {"사과", "하기"}):
+        assert (s in plain) == extractor._droppable_in_question(Eojeol(s, s), s)
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(LEXICONS))
+def test_cue_window_equals_reading_every_token(name):
+    """Matching the want-to-know cue on the last ``cue_length`` non-vocative
+    tokens gives what matching it on all of them gives."""
+    lex = LEXICONS[name]
+    wide = copy.copy(lex)
+    wide.cue_length = 10**6  # every window reaches the first token
+    engine, reference = Engine(lex), Engine(wide)
+
+    @settings(max_examples=400, deadline=None)
+    @given(utterances(lex))
+    @example("밥 먹었는지 알고 민수야 싶다")  # a vocative inside the window
+    def check(text):
+        assert engine.process(text) == reference.process(text)
 
     check()
 
@@ -531,7 +599,9 @@ def test_plain_token_shortcut_equals_a_full_scan(name):
     check()
 
 
-def test_plain_tokens_take_no_lookup(monkeypatch):
+def _lookup_counts(monkeypatch, filler: str, end: str = "먹어") -> list[Counter]:
+    """The calls of each per-token lookup in normalizing ``filler * n + end``,
+    for n = 10 and n = 1000."""
     calls: Counter = Counter()
     for cls, name in ((Lexicon, "longest_josa"), (Lexicon, "match_ending"), (Analyzer, "_cues")):
 
@@ -541,13 +611,57 @@ def test_plain_tokens_take_no_lookup(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     analyzer = Analyzer()
+    out = []
+    for n in (10, 1000):
+        calls.clear()
+        analyzer.normalize(filler * n + end)
+        out.append(Counter(calls))
+    return out
+
+
+def test_plain_tokens_take_no_lookup(monkeypatch):
+    plain = _lookup_counts(monkeypatch, "나무 ")
+    assert plain[0] == plain[1]
+    assert plain[0]["match_ending"] >= 1  # the bearer's ending, so the wrappers are live
+
+
+@pytest.mark.parametrize(
+    "filler, gated, taken",
+    [
+        ("가마 ", "longest_josa", "_cues"),  # ends in a negator's last character, no particle's
+        ("나라가 ", "_cues", "longest_josa"),  # ends in a particle's last character, no negator's
+    ],
+)
+def test_each_table_gates_its_own_lookup(monkeypatch, filler, gated, taken):
+    counts = _lookup_counts(monkeypatch, filler)
+    assert counts[0][gated] == counts[1][gated]
+    assert counts[1][taken] >= 1000  # each filler token still takes the other lookup
+
+
+def test_final_name_call_probes_only_ending_finals(monkeypatch):
+    # a final name call needs an earlier ending, looked for only on the
+    # surfaces that end in an ending's last character
+    counts = _lookup_counts(monkeypatch, "사과 ", "먹어 철수야")
+    assert counts[0]["match_ending"] == counts[1]["match_ending"] >= 2
+
+
+def test_wh_scan_visits_only_anchor_tokens(monkeypatch):
+    calls: Counter = Counter()
+    for name in ("lookup_wh", "lookup_wh_pair"):
+
+        def counted(self, *args, _name=name, _original=getattr(Lexicon, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Lexicon, name, counted)
+    analyzer = Analyzer()
     counts = []
     for n in (10, 1000):
         calls.clear()
-        analyzer.normalize("나무 " * n + "먹어")
-        counts.append(dict(calls))
-    assert counts[0] == counts[1]
-    assert counts[0]["match_ending"] >= 1  # the bearer's ending, so the wrappers are live
+        u = analyzer.normalize("사과 " * n + "뭐 먹었니")
+        assert [h.token_start for h in u.wh_hits] == [n]
+        counts.append(calls["lookup_wh"] + calls["lookup_wh_pair"])
+    assert counts[0] == counts[1] >= 1
 
 
 def test_alternative_question_probes_only_ending_finals(monkeypatch):

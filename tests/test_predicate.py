@@ -68,6 +68,8 @@ FORMS = [
     ("뭐 셌니", 2, "셌은 의미", ("contraction-fallback",)),
     # embedded-question stem, and a periphrastic predicate already adnominal
     ("어디 가는지 말해줘", 2, "가는 위치", ()),
+    ("어디 갈지 말해줘", 2, "가는 위치", ()),  # -ㄹ지 fused onto an open stem
+    ("누가 할지 말해줘", 2, "extraction-failed", ()),  # a bare light verb, as 하는지
     ("뭐 먹을 거야", 2, "먹을 의미", ()),
     ("뭐 하는 거야", 2, "extraction-failed", ()),  # a bare light verb is no content
     # prohibition: the -지 form before 않기
@@ -81,6 +83,8 @@ FORMS = [
     ("공부하기를 바랍니다", 4, "공부하기", ()),
     ("숙제하기 바랍니다", 4, "숙제하기", ()),
     ("안 먹으면 안 돼", 5, "먹기", ()),
+    # a bare 하 takes the noun before it out of the clause
+    ("숙제 공부 안 하면 안 돼", 5, "숙제 공부하기", ()),
 ]
 
 
@@ -101,7 +105,7 @@ _STEM_CHARS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(_STEM_CHARS, max_size=4), st.sampled_from(["", "었", "았", "는지", "ㄹ지", "면", "으면"]))
+@given(st.text(_STEM_CHARS, max_size=4), st.sampled_from(["", "었", "았", "는지", "ㄹ지", "지", "면", "으면"]))
 def test_predicate_forms_are_total(stem, suffix):
     stem += suffix
     notes: list[str] = []
