@@ -71,8 +71,8 @@ class Analyzer:
         # one gate per table: a token that ends outside a gate's characters
         # takes none of its lookups; ``_cues`` reads the negators and the
         # conditional's 면, and a token outside the union carries nothing
-        self._cue_finals = lex.negation_finals | {"면"}
-        self._suffix_finals = self._cue_finals | lex.josa_finals | frozenset(lex.vocative)
+        self._cue_finals = frozenset({*lex.negation_ends, "면"})
+        self._suffix_finals = frozenset({*self._cue_finals, *lex.josa_ends, *lex.vocative})
 
     # -- normalization -------------------------------------------------
 
@@ -105,7 +105,7 @@ class Analyzer:
         outside all three is plain, its stem its surface."""
         lex = self.lexicon
         suffix_finals, cue_finals = self._suffix_finals, self._cue_finals
-        josa_finals, markers = lex.josa_finals, lex.vocative
+        josa_ends, markers = lex.josa_ends, lex.vocative
         bearer = len(surfaces) - 1
         while bearer >= 0 and surfaces[bearer][-1] in markers and self._is_vocative(surfaces, bearer):
             bearer -= 1
@@ -142,7 +142,7 @@ class Analyzer:
                 stem, particle = surface[:-1], final
             elif ending is not None:
                 stem = surface[: len(surface) - len(ending.surface)]
-            elif final in josa_finals:
+            elif final in josa_ends:
                 stem, particle = self.strip_josa(surface)
             fields = (surface, stem, particle, ending, voc, False, negation, fused, cond)
             tokens.append(new(Eojeol, fields))
@@ -158,8 +158,9 @@ class Analyzer:
         negation = lex.negation.get(surface)
         if negation is None and "지" in surface:
             # a fused negator follows -지; ma before malgo, longest first within a kind
+            ends = lex.negation_ends.get(surface[-1:], ())
             for kind in ("ma", "malgo"):
-                for k in lex.negation_lengths[kind]:
+                for k in ends:
                     if surface[-k - 1 : -k] == "지" and lex.negation.get(surface[-k:]) == kind:
                         return kind, surface[-k:], cond
         return negation, None, cond
@@ -178,16 +179,6 @@ class Analyzer:
         if suffix is None:
             return surface, None
         return surface[: -len(suffix)], suffix
-
-    def strip_josa_all(self, surface: str, droppable_only: bool = False) -> str:
-        """Repeatedly strip particle suffixes (stacked particles like 에서는)."""
-        stem = surface
-        while len(stem) > 1 and stem not in self.lexicon.nostrip:
-            suffix = self.lexicon.longest_josa(stem, droppable_only=droppable_only)
-            if suffix is None:
-                break
-            stem = stem[: -len(suffix)]
-        return stem
 
     def _is_vocative(self, surfaces: list[str], index: int) -> bool:
         """Noun + 야/아 not in predicate position (e.g. trailing name calls)."""
@@ -210,9 +201,9 @@ class Analyzer:
             return True
         # final position: vocative only when the predicate came earlier; a
         # surface that ends in no ending's last character matches none
-        finals = self.lexicon.ending_finals
+        ends = self.lexicon.ending_ends
         return any(
-            s[-1] in finals and self.lexicon.match_ending(s) is not None for s in surfaces[:index]
+            s[-1] in ends and self.lexicon.match_ending(s) is not None for s in surfaces[:index]
         )
 
     # -- utterance-level features ---------------------------------------

@@ -77,7 +77,7 @@ class Engine:
         self.lexicon = lexicon if lexicon is not None else default_lexicon()
         self.analyzer = Analyzer(self.lexicon)
         self.classifier = Classifier(self.lexicon)
-        self.extractor = Extractor(self.lexicon, self.analyzer)
+        self.extractor = Extractor(self.lexicon)
 
     @classmethod
     def from_lexicon_path(cls, path: Optional[str]) -> "Engine":

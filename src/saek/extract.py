@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul, predicate
-from .analyze import Analyzer, Eojeol, NormalizedUtterance, negative_imperative
+from .analyze import Eojeol, NormalizedUtterance, negative_imperative
 from .classify import Classification, IntentLabel
 from .errors import ExtractionFailed, OptionsNotFound
 from .lexicon import (
@@ -20,6 +20,7 @@ from .lexicon import (
     WH_TO_CATEGORY,
     WhCategory,
     default_lexicon,
+    prev_coda_fits,
 )
 
 
@@ -35,9 +36,8 @@ class Argument(NamedTuple):
 class Extractor:
     """One extraction routine per step of the classifier's rule cascade."""
 
-    def __init__(self, lexicon: Optional[Lexicon] = None, analyzer: Optional[Analyzer] = None):
+    def __init__(self, lexicon: Optional[Lexicon] = None):
         lex = self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self.analyzer = analyzer if analyzer is not None else Analyzer(self.lexicon)
         # a plain token (no particle, ending, negation or vocative marker) is
         # its own content, and _droppable_in_question's rule for it reduces
         # to one probe of the union of the tables it reads
@@ -91,8 +91,8 @@ class Extractor:
         if e.is_vocative or (droppable_only and not self.lexicon.josa[e.particle].droppable):
             # the vocative marker is no particle split, and a command may
             # drop a shorter case particle than the one split: start over
-            return self.analyzer.strip_josa_all(e.surface, droppable_only)
-        return self.analyzer.strip_josa_all(e.stem, droppable_only)
+            return self.lexicon.strip_josa_all(e.surface, droppable_only)
+        return self.lexicon.strip_josa_all(e.stem, droppable_only)
 
     def _question_items(self, tokens: Iterable[Eojeol]) -> tuple[list[Eojeol], list[str]]:
         """The tokens a question argument keeps, from after the last 말고 on,
@@ -202,7 +202,7 @@ class Extractor:
         for i, t in enumerate(items):
             if t.surface == bearer.surface:
                 m = bearer.ending
-            elif t.surface[-1] in lex.ending_finals:
+            elif t.surface[-1] in lex.ending_ends:
                 m = lex.match_ending(t.surface)
             else:
                 continue
@@ -316,7 +316,8 @@ class Extractor:
             if stem in lex.advdet and quant is None:
                 quant = lex.advdet[stem]
                 continue
-            if t.particle in ("을", "를"):
+            particle = lex.josa.get(t.particle)
+            if particle is not None and particle.object:
                 object_pos = len(stems)
             stems.append(stem)
         stems = self._clean_parts(stems)
@@ -355,17 +356,17 @@ class Extractor:
         0. Only tokens that end in a connective's last character are probed,
         from ``end`` back."""
         lex = self.lexicon
-        finals = lex.connective_finals
+        ends, connectives, endings = lex.connective_ends, lex.connectives, lex.endings
         for i in range(end - 1, -1, -1):
             s = items[i].surface
-            if s[-1] not in finals:
-                continue
-            for k in lex.connective_lengths:
+            for k in ends.get(s[-1], ()):
                 conn = s[-k:]
-                if len(s) <= k or conn not in lex.connectives:
+                if len(s) <= k or conn not in connectives:
                     continue
-                # -ㅂ니까 is a polite ending, not the causal connective
-                if conn == "니까" and hangul.tail(s[-k - 1]) == hangul.TAIL_BIEUP:
+                # a connective that is also an ending whose previous coda the
+                # token meets is that ending (-ㅂ니까), not a clause boundary
+                ending = endings.get(conn)
+                if ending is not None and ending.prev_coda and prev_coda_fits(s, k, ending.prev_coda):
                     continue
                 return i + 1
         return 0

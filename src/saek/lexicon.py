@@ -72,6 +72,7 @@ class Josa(NamedTuple):
     surface: str
     cond: str  # any | batchim | no_batchim | open_or_rieul | batchim_not_rieul
     droppable: bool  # case particle a command argument may lose
+    object: bool = False  # object case particle: a quantifier goes before its noun
 
 
 class Ending(NamedTuple):
@@ -155,18 +156,23 @@ TABLES = {
 }
 
 
-def _lengths(surfaces: Iterable[str]) -> tuple[int, ...]:
-    """Distinct surface lengths, longest first: the probe order of a suffix lookup."""
-    return tuple(sorted({len(s) for s in surfaces}, reverse=True))
-
-
-def _lengths_by_final(surfaces: Iterable[str]) -> dict[str, tuple[int, ...]]:
-    """Last character -> the lengths of the surfaces that end in it, longest
-    first: a token is probed only at the lengths its last character allows."""
-    by_final: dict[str, list[str]] = {}
+def _suffix_index(surfaces: Iterable[str]) -> dict[str, tuple[int, ...]]:
+    """Last character -> the distinct lengths of the surfaces that end in it,
+    longest first: a token is probed only at the lengths its last character
+    allows, and one whose last character is no key ends no surface."""
+    by_final: dict[str, set[int]] = {}
     for s in surfaces:
-        by_final.setdefault(s[-1], []).append(s)
-    return {final: _lengths(group) for final, group in by_final.items()}
+        by_final.setdefault(s[-1], set()).add(len(s))
+    return {final: tuple(sorted(ks, reverse=True)) for final, ks in by_final.items()}
+
+
+def prev_coda_fits(token: str, k: int, coda: str) -> bool:
+    """True iff the character before the last ``k`` of ``token`` is a Hangul
+    syllable closed by ``coda``; any other character fits no coda."""
+    if len(token) <= k:
+        return False
+    prev = token[-k - 1]
+    return hangul.is_syllable(prev) and hangul.tail_jamo(prev) == coda
 
 
 class Lexicon:
@@ -179,41 +185,31 @@ class Lexicon:
 
     __slots__ = (
         *TABLES,
-        "_josa_lengths",
-        "_ending_lengths",
-        "ending_finals",
-        "josa_finals",
-        "negation_finals",
-        "connective_finals",
-        "_danger_lengths",
+        "josa_ends",
+        "ending_ends",
+        "negation_ends",
+        "danger_ends",
+        "connective_ends",
+        "_preverbals",
         "_wh_re",
         "_wh_anchor_re",
         "_wh_pairs_by_first",
         "_cues_ranked",
         "cue_length",
-        "connective_lengths",
-        "negation_lengths",
     )
 
     def __init__(self, **tables) -> None:
         for name in TABLES:
             table = tables[name]
             setattr(self, name, frozenset(table) if isinstance(table, set) else table)
-        self._josa_lengths = _lengths_by_final(self.josa)
-        self._ending_lengths = _lengths_by_final(self.endings)
-        # the last character of every surface in a suffix table: a token
-        # that ends in another character matches no entry of that table
-        self.ending_finals = frozenset(self._ending_lengths)
-        self.josa_finals = frozenset(self._josa_lengths)
-        self.negation_finals = frozenset(s[-1] for s in self.negation)
-        self.connective_finals = frozenset(s[-1] for s in self.connectives)
-        self._danger_lengths = _lengths(self.danger)
-        self.connective_lengths = _lengths(self.connectives)
-        # negation kind -> the lengths of its surfaces, longest first
-        self.negation_lengths = {
-            kind: _lengths(s for s, k in self.negation.items() if k == kind)
-            for kind in NEGATION_KINDS
-        }
+        # one suffix index per suffix table; its keys are the table's gate
+        self.josa_ends = _suffix_index(self.josa)
+        self.ending_ends = _suffix_index(self.endings)
+        self.negation_ends = _suffix_index(self.negation)
+        self.danger_ends = _suffix_index(self.danger)
+        self.connective_ends = _suffix_index(self.connectives)
+        preverbals = [s for s, kind in self.negation.items() if kind == "preverbal"]
+        self._preverbals = tuple(sorted(preverbals, key=len, reverse=True))  # longest first
         # at each position the first alternative wins, so list longer surfaces
         # first; an empty alternation would match everywhere, (?!) matches nowhere
         wh_by_len = sorted(self.wh_surfaces, key=len, reverse=True)
@@ -252,7 +248,7 @@ class Lexicon:
         """Longest particle suffix of ``token`` passing its batchim condition."""
         n = len(token)
         josa = self.josa
-        for k in self._josa_lengths.get(token[-1:], ()):
+        for k in self.josa_ends.get(token[-1:], ()):
             if k >= n:
                 continue
             entry = josa.get(token[-k:])
@@ -265,20 +261,14 @@ class Lexicon:
     def match_ending(self, token: str) -> Optional[Ending]:
         """Longest sentence-final ending that matches the end of ``token``."""
         n = len(token)
-        for k in self._ending_lengths.get(token[-1:], ()):
+        for k in self.ending_ends.get(token[-1:], ()):
             if k > n:
                 continue
             entry = self.endings.get(token[-k:])
             if entry is None:
                 continue
-            if entry.prev_coda:
-                if n <= k:
-                    continue
-                prev = token[-k - 1]
-                if not hangul.is_syllable(prev):
-                    continue
-                if hangul.tail_jamo(prev) != entry.prev_coda:
-                    continue
+            if entry.prev_coda and not prev_coda_fits(token, k, entry.prev_coda):
+                continue
             return entry
         return None
 
@@ -329,19 +319,27 @@ class Lexicon:
         if not toks:
             return False
         last = toks[-1]
-        for k in self._danger_lengths:
+        for k in self.danger_ends.get(last[-1:], ()):
             if last[-k:] in self.danger:
                 return True
-        if len(toks) >= 2 and (toks[-2], last) in self.danger_pairs:
-            return True
-        return False
+        return len(toks) >= 2 and (toks[-2], last) in self.danger_pairs
 
     def strip_preverbal(self, core: str) -> str:
         """``core`` without a fused preverbal negator (안매 -> 매)."""
-        for k in self.negation_lengths["preverbal"]:
-            if len(core) > k and self.negation.get(core[:k]) == "preverbal":
-                return core[k:]
+        for neg in self._preverbals:
+            if len(core) > len(neg) and core.startswith(neg):
+                return core[len(neg) :]
         return core
+
+    def strip_josa_all(self, surface: str, droppable_only: bool = False) -> str:
+        """Repeatedly strip particle suffixes (stacked particles like 에서는)."""
+        stem = surface
+        while len(stem) > 1 and stem not in self.nostrip:
+            suffix = self.longest_josa(stem, droppable_only=droppable_only)
+            if suffix is None:
+                break
+            stem = stem[: -len(suffix)]
+        return stem
 
 
 def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
@@ -388,7 +386,7 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
         cond = attrs.get("cond", "any")
         if cond not in _JOSA_CONDS:
             raise LexiconError(f"{where}: bad josa condition {cond!r}")
-        t["josa"][surface] = Josa(surface, cond, "droppable" in attrs)
+        t["josa"][surface] = Josa(surface, cond, "droppable" in attrs, "object" in attrs)
     elif role == "vocative":
         t["vocative"][surface] = attrs.get("cond", "any")
     elif role == "ending":

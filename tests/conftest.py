@@ -23,8 +23,8 @@ def classifier(lexicon):
 
 
 @pytest.fixture(scope="session")
-def extractor(lexicon, analyzer):
-    return Extractor(lexicon, analyzer)
+def extractor(lexicon):
+    return Extractor(lexicon)
 
 
 @pytest.fixture(scope="session")

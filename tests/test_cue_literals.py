@@ -1,6 +1,6 @@
-"""Negation and disjunction cues come from the lexicon: no source file spells
-one out.  Only the classifier reads the cued tokens and the danger table to
-pick a rule."""
+"""Negation, disjunction, object-particle and connective cues come from the
+lexicon: no source file spells one out.  Only the classifier reads the cued
+tokens and the danger table to pick a rule."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,16 @@ from pathlib import Path
 from saek.lexicon import default_lexicon
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "saek"
+
+
+def literals_in(path, forbidden):
+    """Where ``path`` holds a string constant in ``forbidden``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value in forbidden:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    return found
 
 
 def test_no_negation_surface_literals_in_source():
@@ -18,13 +28,20 @@ def test_no_negation_surface_literals_in_source():
     assert {"말고", "지말고", "안", "못", "아니면"} <= forbidden
     paths = sorted(SRC.glob("*.py"))
     assert paths
-    found = []
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value in forbidden:
-                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    found = [hit for path in paths for hit in literals_in(path, forbidden)]
     assert not found, "cue surfaces belong in the lexicon: " + ", ".join(found)
+
+
+def test_no_object_particle_or_connective_literals_in_source():
+    # predicate.py builds verb forms, whose suffixes may spell like a
+    # particle (the -을 of 먹을); it reads no particle or connective
+    lexicon = default_lexicon()
+    objects = {s for s, entry in lexicon.josa.items() if entry.object}
+    forbidden = objects | lexicon.connectives
+    assert {"을", "를", "니까", "어서"} <= forbidden
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "predicate.py"]
+    found = [hit for path in paths for hit in literals_in(path, forbidden)]
+    assert not found, "particle and connective surfaces belong in the lexicon: " + ", ".join(found)
 
 
 def names_in(path, attrs, names=frozenset()):

@@ -97,6 +97,18 @@ def test_command_keeps_locative_particle(analyzer, classifier, extractor):
     assert got.text == "밖에 나가지 않기"  # 에 kept, reason clause dropped
 
 
+@pytest.mark.parametrize(
+    "text, arg",
+    [
+        ("a니까 밖에 나가지 마", "밖에 나가지 않기"),  # no syllable before 니까: the connective
+        ("그럽니까 밖에 나가지 마", "그럽니까 밖에 나가지 않기"),  # -ㅂ니까 is an ending, no boundary
+    ],
+)
+def test_connective_that_is_an_ending_is_no_clause_boundary(engine, text, arg):
+    record = engine.process(text)
+    assert (record.label, record.argument) == (3, arg)
+
+
 def test_command_requirement_nominalizers(analyzer, classifier, extractor):
     assert run(analyzer, classifier, extractor, "인적사항 확인 바랍니다").text == "인적사항 확인하기"
     assert run(analyzer, classifier, extractor, "손 씻어라").text == "손 씻기"

@@ -160,6 +160,15 @@ def test_negation_rows_drive_behaviour():
     assert (double_negation.label, double_negation.argument) == (5, "먹기")
 
 
+def test_object_flag_places_the_quantifier():
+    rows = _default_rows()
+    text = "그 책을 오늘 모두 알려줘"
+    assert Engine(parse_lexicon(rows)).process(text).argument == "그 모든 책 오늘"
+    plain = [row.replace(";object", "") for row in rows]
+    # with no object particle the determiner goes before the last noun
+    assert Engine(parse_lexicon(plain)).process(text).argument == "그 책 모든 오늘"
+
+
 def test_disjunction_row_drives_behaviour():
     text = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8")
     engine = Engine(parse_lexicon(text.splitlines() + ["disjunction\t혹은"]))
@@ -397,7 +406,7 @@ def token_lists(draw, lex):
 def test_indexed_lookups_equal_a_table_scan(name):
     lex = LEXICONS[name]
     analyzer = Analyzer(lex)
-    extractor = Extractor(lex, analyzer)
+    extractor = Extractor(lex)
 
     @settings(max_examples=300, deadline=None)
     @given(token_lists(lex))
@@ -418,6 +427,13 @@ def test_indexed_lookups_equal_a_table_scan(name):
         assert extractor._clause_start(items, len(items)) == trim_scan(lex, tokens)
 
     check()
+
+
+def test_fused_ma_outranks_a_longer_malgo():
+    # 고 (ma) and 말지고 (malgo) share one suffix-index entry, longest first;
+    # the shorter ma still wins
+    lex = LEXICONS["extra"]
+    assert Analyzer(lex)._cues("가지말지고") == cues_scan(lex, "가지말지고") == ("ma", "고", False)
 
 
 @st.composite
@@ -480,7 +496,7 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
     stripping the surface gives."""
     lex = LEXICONS[name]
     analyzer = Analyzer(lex)
-    extractor = Extractor(lex, analyzer)
+    extractor = Extractor(lex)
     # the shortcut _question_items and _option_phrases take on a plain token
     plain = extractor._plain_droppable
 
@@ -502,8 +518,8 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
             if t.particle is None and t.ending is None and t.negation is None:
                 assert (t.stem in plain) == extractor._droppable_in_question(t, t.stem)
             if t.ending is None:
-                assert extractor._content(t) == analyzer.strip_josa_all(t.surface)
-                assert extractor._content(t, droppable_only=True) == analyzer.strip_josa_all(
+                assert extractor._content(t) == lex.strip_josa_all(t.surface)
+                assert extractor._content(t, droppable_only=True) == lex.strip_josa_all(
                     t.surface, droppable_only=True
                 )
 

@@ -13,9 +13,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 
-# targets whose code is gone on purpose, until the benchmark drops them:
-# NegationProfile and its per-utterance pass were folded into the cascade
-RETIRED = {"analyze.profile_negation"}
+# targets whose code is gone or moved on purpose, until the benchmark drops them:
+# NegationProfile and its per-utterance pass were folded into the cascade, and
+# strip_josa_all reads only the lexicon, so it is Lexicon.strip_josa_all now
+RETIRED = {"analyze.profile_negation", "analyze.strip_josa_all"}
 
 
 def test_every_span_target_resolves():
