@@ -26,7 +26,6 @@ _EXPORTS = {
     "Lexicon": "lexicon",
     "NormalizedUtterance": "analyze",
     "OutputRecord": "engine",
-    "WhCategory": "lexicon",
     "WhKind": "lexicon",
     "default_lexicon": "lexicon",
     "evaluate": "corpus",

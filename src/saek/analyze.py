@@ -31,7 +31,6 @@ class Eojeol(NamedTuple):
     particle: Optional[str] = None
     ending: Optional[Ending] = None
     is_vocative: bool = False
-    is_wh: bool = False
     negation: Optional[str] = None  # negation kind the token is, or carries fused onto -지
     fused: Optional[str] = None  # that fused ma/malgo negator (나가지마 -> 마)
     conditional: bool = False  # a -(으)면 conditional clause token
@@ -87,14 +86,11 @@ class Analyzer:
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
         wh_hits = self.find_wh(text, tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
-        for hit in wh_hits:
-            for i in range(hit.token_start, hit.token_end):
-                tokens[i] = tokens[i]._replace(is_wh=True)
-        return NormalizedUtterance(raw, text, tuple(tokens), offsets, wh_hits, cued, bearer)
+        return NormalizedUtterance(raw, text, tokens, offsets, wh_hits, cued, bearer)
 
     def _analyze_tokens(
         self, surfaces: list[str]
-    ) -> tuple[list[Eojeol], tuple[int, ...], int, tuple[int, ...]]:
+    ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], int, tuple[int, ...]]:
         """The analyzed tokens, their offsets, the bearer and the indices of
         the tokens that carry a negation or conditional cue.
 
@@ -123,7 +119,7 @@ class Analyzer:
             at += len(surface) + 1
             final = surface[-1]
             if i != bearer and final not in suffix_finals:
-                plain = (surface, surface, None, None, False, False, None, None, False)
+                plain = (surface, surface, None, None, False, None, None, False)
                 tokens.append(new(Eojeol, plain))
                 continue
             negation = fused = None
@@ -144,9 +140,9 @@ class Analyzer:
                 stem = surface[: len(surface) - len(ending.surface)]
             elif final in josa_ends:
                 stem, particle = self.strip_josa(surface)
-            fields = (surface, stem, particle, ending, voc, False, negation, fused, cond)
+            fields = (surface, stem, particle, ending, voc, negation, fused, cond)
             tokens.append(new(Eojeol, fields))
-        return tokens, tuple(offsets), bearer, tuple(cued)
+        return tuple(tokens), tuple(offsets), bearer, tuple(cued)
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields

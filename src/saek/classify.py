@@ -2,9 +2,10 @@
 
 Labels follow the dataset encoding (0..5): yes/no, alternative and wh
 questions, then prohibition, requirement and strong requirement commands.
-A fixed first-match rule cascade keeps the decision deterministic; every
-fired rule leaves an evidence span for explainability, and the step that
-fired picks the extraction routine, so the rule is decided here only.
+A fixed first-match rule cascade keeps the decision deterministic; ``STEPS``
+gives each step its label and evidence rules, every fired rule leaves an
+evidence span for explainability, and the step that fired picks the
+extraction routine, so the rule is decided here only.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from typing import NamedTuple, Optional
 from . import predicate
 from .analyze import NormalizedUtterance, negative_imperative
 from .errors import Unclassifiable
-from .lexicon import (
-    EndingKind,
-    Lexicon,
-    WhCategory,
-    WhKind,
-    default_lexicon,
-)
+from .lexicon import EndingKind, Lexicon, WhKind, default_lexicon
 
 
 class IntentLabel(IntEnum):
@@ -41,18 +36,40 @@ class Evidence(NamedTuple):
 class Classification(NamedTuple):
     label: IntentLabel
     step: str  # the cascade step that fired; it picks the extraction routine
-    wh: Optional[WhCategory] = None  # present exactly when label == WH
+    wh: Optional[WhKind] = None  # present exactly when label == WH
     evidence: tuple[Evidence, ...] = ()
     # tokens of the info verb the argument loses, on the info-seeking
     # steps: 1, or 2 for a spaced benefactive (말해 줘)
     info: int = 0
 
 
+# the cascade's steps, in the order they are tried: step -> (label, the
+# evidence rule of each span the step leaves); README's "Rule cascade" table
+# and Extractor.extract's routines follow it
+STEPS: dict[str, tuple[IntentLabel, tuple[str, ...]]] = {
+    "info-seeking+wh-word": (IntentLabel.WH, ("info-seeking", "wh-word")),
+    "info-seeking+universal-quantifier": (IntentLabel.WH, ("info-seeking", "universal-quantifier")),
+    "info-seeking": (IntentLabel.YES_NO, ("info-seeking",)),
+    "wh-word": (IntentLabel.WH, ("wh-word",)),
+    "parallel-clauses": (IntentLabel.ALTERNATIVE, ("parallel-clauses", "parallel-clauses")),
+    "disjunction": (IntentLabel.ALTERNATIVE, ("disjunction",)),
+    "polar-ending": (IntentLabel.YES_NO, ("polar-ending",)),
+    "want-to-know": (IntentLabel.YES_NO, ("want-to-know",)),
+    "negation-coordination": (IntentLabel.STRONG_REQUIREMENT, ("negation-coordination",)),
+    "double-negation": (IntentLabel.STRONG_REQUIREMENT, ("double-negation",)),
+    "negative-imperative": (IntentLabel.PROHIBITION, ("negative-imperative",)),
+    "danger-conditional": (IntentLabel.PROHIBITION, ("danger-conditional",)),
+    "imperative-ending": (IntentLabel.REQUIREMENT, ("imperative-ending",)),
+}
+
+
 def _fired(
-    label: IntentLabel, step: str, *spans: tuple[int, int], wh: Optional[WhCategory] = None
+    step: str, *spans: tuple[int, int], wh: Optional[WhKind] = None, info: int = 0
 ) -> Classification:
-    """The step that fired, with one evidence span per cue it found."""
-    return Classification(label, step, wh, tuple([Evidence(step, s) for s in spans]))
+    """The step that fired, with its label and one evidence span per rule."""
+    label, rules = STEPS[step]
+    evidence = tuple([Evidence(r, s) for r, s in zip(rules, spans, strict=True)])
+    return Classification(label, step, wh, evidence, info)
 
 
 class Classifier:
@@ -95,54 +112,40 @@ class Classifier:
         # (1) information-seeking imperatives are treated as questions
         info_idx = self._info_verb_index(u)
         if info_idx is not None:
-            info = Evidence("info-seeking", token_span(info_idx))
+            verb = token_span(info_idx)
             n_info = bearer - info_idx + 1
             if wh_hits:
                 hit = wh_hits[0]
-                return Classification(
-                    IntentLabel.WH,
-                    "info-seeking+wh-word",
-                    lex.wh_category(hit.kind),
-                    (info, Evidence("wh-word", (hit.char_start, hit.char_end))),
-                    n_info,
-                )
+                span = (hit.char_start, hit.char_end)
+                return _fired("info-seeking+wh-word", verb, span, wh=hit.kind, info=n_info)
             quant = self._universal_quantifier_index(u, exclude=info_idx)
             if quant is not None:
-                return Classification(
-                    IntentLabel.WH,
-                    "info-seeking+universal-quantifier",
-                    lex.wh_category(WhKind.WHAT),
-                    (info, Evidence("universal-quantifier", token_span(quant))),
-                    n_info,
+                span = token_span(quant)
+                return _fired(
+                    "info-seeking+universal-quantifier", verb, span, wh=WhKind.WHAT, info=n_info
                 )
-            return Classification(IntentLabel.YES_NO, "info-seeking", None, (info,), n_info)
+            return _fired("info-seeking", verb, info=n_info)
 
         # (2) wh word with an interrogative or want-to-know reading
         if wh_hits and (interrogative or cue is not None):
             hit = wh_hits[0]
-            span = (hit.char_start, hit.char_end)
-            return _fired(IntentLabel.WH, "wh-word", span, wh=lex.wh_category(hit.kind))
+            return _fired("wh-word", (hit.char_start, hit.char_end), wh=hit.kind)
 
         # (3) parallel clauses with a repeated predicate, or explicit disjunction
         if interrogative:
             # the first token with the bearer's surface: the bearer itself when none repeats it
             repeat = surfaces.index(surfaces[bearer])
             if repeat < bearer:
-                return _fired(
-                    IntentLabel.ALTERNATIVE,
-                    "parallel-clauses",
-                    token_span(repeat),
-                    token_span(bearer),
-                )
+                return _fired("parallel-clauses", token_span(repeat), token_span(bearer))
             if not lex.disjunction.isdisjoint(surfaces):
                 i = next(i for i, s in enumerate(surfaces) if s in lex.disjunction)
-                return _fired(IntentLabel.ALTERNATIVE, "disjunction", token_span(i))
+                return _fired("disjunction", token_span(i))
 
             # (4) plain polar question
-            return _fired(IntentLabel.YES_NO, "polar-ending", ending_span(bearer))
+            return _fired("polar-ending", ending_span(bearer))
         # (4) so is a want-to-know cue without an interrogative ending
         if cue is not None:
-            return _fired(IntentLabel.YES_NO, "want-to-know", token_span(bearer))
+            return _fired("want-to-know", token_span(bearer))
 
         # steps (5)-(7) read the negation and conditional tags of the cued tokens only
         malgo = myen = None  # first 말고 and first -면 token, never the last token
@@ -167,9 +170,7 @@ class Classifier:
         # (5) negated clause coordinated onto a positive imperative (놀지 말고)
         if malgo is not None and imperative and bearer > malgo:
             if negative_imperative(tokens, (malgo,)) is not None:
-                return _fired(
-                    IntentLabel.STRONG_REQUIREMENT, "negation-coordination", token_span(malgo)
-                )
+                return _fired("negation-coordination", token_span(malgo))
 
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is
@@ -180,17 +181,17 @@ class Classifier:
             core = predicate.conditional_core(surfaces[myen])
             preverbal = lex.strip_preverbal(core) != core
         if danger and preverbal:
-            return _fired(IntentLabel.STRONG_REQUIREMENT, "double-negation", token_span(bearer))
+            return _fired("double-negation", token_span(bearer))
 
         # (7) negative imperative, or conditional with a danger consequence
         if ma and negative_imperative(tokens, ma) is not None:
-            return _fired(IntentLabel.PROHIBITION, "negative-imperative", token_span(bearer))
+            return _fired("negative-imperative", token_span(bearer))
         if danger:
-            return _fired(IntentLabel.PROHIBITION, "danger-conditional", token_span(bearer))
+            return _fired("danger-conditional", token_span(bearer))
 
         # (8) plain imperative / request / wish
         if imperative:
-            return _fired(IntentLabel.REQUIREMENT, "imperative-ending", ending_span(bearer))
+            return _fired("imperative-ending", ending_span(bearer))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 

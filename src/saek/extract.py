@@ -10,15 +10,15 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul, predicate
-from .analyze import Eojeol, NormalizedUtterance, negative_imperative
-from .classify import Classification, IntentLabel
+from .analyze import Eojeol, NormalizedUtterance, WhHit, negative_imperative
+from .classify import Classification
 from .errors import ExtractionFailed, OptionsNotFound
 from .lexicon import (
     ArgumentCategory,
     EndingKind,
     Lexicon,
     WH_TO_CATEGORY,
-    WhCategory,
+    WhKind,
     default_lexicon,
     prev_coda_fits,
 )
@@ -29,7 +29,6 @@ class Argument(NamedTuple):
 
     text: str
     category: ArgumentCategory
-    source_label: IntentLabel
     notes: tuple[str, ...] = ()  # extraction fallbacks worth surfacing
 
 
@@ -55,7 +54,7 @@ class Extractor:
             case "parallel-clauses" | "disjunction":
                 return self.extract_alternative(tokens)
             case "wh-word" | "info-seeking+wh-word":
-                return self.extract_wh(tokens, c.wh, c.info)
+                return self.extract_wh(tokens, c.wh, c.info, u.wh_hits)
             case "info-seeking+universal-quantifier":
                 return self._object_span(tokens, c.wh, c.info)
             case "negation-coordination":
@@ -177,7 +176,7 @@ class Extractor:
         parts += ([head] if head else []) + ["여부"]
         if len(parts) == 1:
             raise ExtractionFailed("no content left for a polar argument")
-        return Argument(" ".join(parts), ArgumentCategory.WHETHER, IntentLabel.YES_NO)
+        return Argument(" ".join(parts), ArgumentCategory.WHETHER)
 
     def _drop_want_cue(self, items: list[Eojeol]) -> list[Eojeol]:
         lex = self.lexicon
@@ -226,31 +225,30 @@ class Extractor:
         i, ending = preds[-1]
         stem = items[i].surface[: len(items[i].surface) - len(ending.surface)]
         text = " ".join(options + ["중", predicate.choice(stem, notes), "것"])
-        return Argument(text, ArgumentCategory.CHOICE, IntentLabel.ALTERNATIVE, tuple(notes))
+        return Argument(text, ArgumentCategory.CHOICE, tuple(notes))
 
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
-        """Option content of a clause; the disjunction (아니면) is no option."""
-        disjunction, plain_droppable = self.lexicon.disjunction, self._plain_droppable
-        out = []
-        for t in clause:
-            if t.surface in disjunction:
-                continue
-            if t.particle is None and t.ending is None and t.negation is None:
-                if t.stem not in plain_droppable:
-                    out.append(t.stem)
-                continue
-            stem = self._content(t)
-            if stem and not self._droppable_in_question(t, stem):
-                out.append(stem)
-        return self._clean_parts(out)
+        """Option content of a clause, kept as a question argument keeps it;
+        the disjunction (아니면) is no option. ``extract_alternative`` has cut
+        the material before the last 말고, so ``_question_items`` cuts none."""
+        disjunction = self.lexicon.disjunction
+        items, content = self._question_items(clause)
+        return self._clean_parts(
+            [c for t, c in zip(items, content) if t.surface not in disjunction]
+        )
 
     # -- wh questions -----------------------------------------------------------
 
-    def extract_wh(self, tokens: Sequence[Eojeol], wh: WhCategory, info: int = 0) -> Argument:
+    def extract_wh(
+        self, tokens: Sequence[Eojeol], wh: WhKind, info: int, hits: Sequence[WhHit]
+    ) -> Argument:
         """``info``: tokens of the info verb the utterance ends on, which the
-        classifier found (0: none)."""
+        classifier found (0: none); ``hits``: the wh forms, whose tokens go."""
         lex = self.lexicon
-        items, content = self._question_items(t for t in tokens if not t.is_wh)
+        wh_tokens = {i for h in hits for i in range(h.token_start, h.token_end)}
+        items, content = self._question_items(
+            t for i, t in enumerate(tokens) if i not in wh_tokens
+        )
         if info:
             items = items[:-info]
 
@@ -290,18 +288,19 @@ class Extractor:
         if append_noun:
             stems.append(append_noun)
 
-        if wh.kind.value == "why":
+        noun = lex.wh_nouns[wh][0]
+        if wh is WhKind.WHY:
             # reason arguments keep only the predicate; context tokens are noise
             if not adnominal:
                 raise ExtractionFailed("reason question without a predicate")
-            parts = [adnominal, wh.primary_noun]
+            parts = [adnominal, noun]
         else:
-            parts = stems + ([adnominal] if adnominal else []) + [wh.primary_noun]
+            parts = stems + ([adnominal] if adnominal else []) + [noun]
             if len(parts) == 1:
                 raise ExtractionFailed("no content around the wh word")
-        return Argument(" ".join(parts), WH_TO_CATEGORY[wh.kind], IntentLabel.WH, tuple(notes))
+        return Argument(" ".join(parts), WH_TO_CATEGORY[wh], tuple(notes))
 
-    def _object_span(self, tokens: Sequence[Eojeol], wh: WhCategory, info: int) -> Argument:
+    def _object_span(self, tokens: Sequence[Eojeol], wh: WhKind, info: int) -> Argument:
         """Information-seeking imperatives with a universal quantifier keep
         their object span verbatim, the quantifier adverb turned determiner;
         the last ``info`` items are the info verb and go."""
@@ -326,7 +325,7 @@ class Extractor:
         if quant is not None:
             at = object_pos if object_pos is not None else len(stems) - 1
             stems.insert(at, quant)
-        return Argument(" ".join(stems), WH_TO_CATEGORY[wh.kind], IntentLabel.WH)
+        return Argument(" ".join(stems), WH_TO_CATEGORY[wh])
 
     # -- commands -------------------------------------------------------------
 
@@ -377,9 +376,7 @@ class Extractor:
         """The prohibited action: the clause before the -지 ``form`` at
         ``idx``, then the form and 않기."""
         parts = self._clean_parts(content[self._clause_start(items, idx) : idx])
-        return Argument(
-            " ".join(parts + [form, "않기"]), ArgumentCategory.PROHIBITION, IntentLabel.PROHIBITION
-        )
+        return Argument(" ".join(parts + [form, "않기"]), ArgumentCategory.PROHIBITION)
 
     def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
         for i, t in enumerate(items[:-1]):
@@ -396,22 +393,16 @@ class Extractor:
         span = [items[i] for i in keep]
         nominal = self._nominalize_stem(core, span)  # may pop from span
         parts = self._clean_parts([content[i] for i in keep[: len(span)]])
-        text = " ".join(parts + [nominal])
-        return Argument(text, ArgumentCategory.REQUIREMENT, IntentLabel.STRONG_REQUIREMENT)
+        return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT)
 
     def _sr_from_coordination(self, tokens: Sequence[Eojeol]) -> Argument:
         items, content = self._command_items(tokens)
         # a bearer with a pronoun stem (전해) is not in items, so 말고 can be last
         if items and items[-1].negation == "malgo":
             raise ExtractionFailed("no action after the coordination marker")
-        return self._requirement(items, content, IntentLabel.STRONG_REQUIREMENT)
+        return self._requirement(items, content)
 
-    def _requirement(
-        self,
-        items: list[Eojeol],
-        content: list[str],
-        label: IntentLabel = IntentLabel.REQUIREMENT,
-    ) -> Argument:
+    def _requirement(self, items: list[Eojeol], content: list[str]) -> Argument:
         if not items:
             raise ExtractionFailed("empty required action")
         end = len(items) - 1
@@ -432,7 +423,7 @@ class Extractor:
         else:
             nominal = predicate.nominal(content[end])
         parts = self._clean_parts(content[start : start + len(rest)])
-        return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, label)
+        return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT)
 
     def _nominalize_stem(self, stem: str, preceding: list[Eojeol]) -> str:
         """Attach the -기 nominalizer; a bare light verb folds onto the

@@ -57,16 +57,6 @@ WH_TO_CATEGORY = {
     WhKind.HOW: ArgumentCategory.METHOD,
 }
 
-class WhCategory(NamedTuple):
-    """One wh class with its replacement nouns, primary noun first."""
-
-    kind: WhKind
-    nouns: tuple[str, ...]
-
-    @property
-    def primary_noun(self) -> str:
-        return self.nouns[0]
-
 
 class Josa(NamedTuple):
     surface: str
@@ -240,9 +230,6 @@ class Lexicon:
                     raise LexiconError(f"wh noun must be a bare noun: {kind.value}: {noun!r}")
 
     # -- queries -------------------------------------------------------
-
-    def wh_category(self, kind: WhKind) -> WhCategory:
-        return WhCategory(kind, self.wh_nouns[kind])
 
     def longest_josa(self, token: str, droppable_only: bool = False) -> Optional[str]:
         """Longest particle suffix of ``token`` passing its batchim condition."""

@@ -16,7 +16,7 @@ def test_normalize_golden_question(analyzer):
 
 def test_eojeol_fields_are_the_order_normalize_builds():
     """``Analyzer._analyze_tokens`` builds each token with ``tuple.__new__`` from
-    nine positional values, which checks neither their number nor their
+    eight positional values, which checks neither their number nor their
     order: a field added or moved must be added or moved there too."""
     assert Eojeol._fields == (
         "surface",
@@ -24,7 +24,6 @@ def test_eojeol_fields_are_the_order_normalize_builds():
         "particle",
         "ending",
         "is_vocative",
-        "is_wh",
         "negation",
         "fused",
         "conditional",

@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from golden_cases import GOLDEN
-from saek.classify import IntentLabel
+from saek.classify import STEPS, IntentLabel
 from saek.errors import Unclassifiable
-from saek.lexicon import Lexicon
+from saek.lexicon import Lexicon, WhKind
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("text,label,_arg,_cat", GOLDEN)
@@ -70,7 +75,7 @@ def test_polar_info_seeking_counts_the_info_verb_tokens(analyzer, classifier, te
 def test_info_seeking_with_wh_word(analyzer, classifier):
     got = classifier.classify(analyzer.normalize("지갑 어디 있는지 말해줘"))
     assert got.label is IntentLabel.WH
-    assert got.wh.kind.value == "where"
+    assert got.wh is WhKind.WHERE
 
 
 def test_alternative_requires_parallel_or_disjunction(analyzer, classifier):
@@ -134,8 +139,9 @@ def test_label_encoding_matches_dataset_order():
     assert IntentLabel.YES_NO == 0 and IntentLabel.STRONG_REQUIREMENT == 5
 
 
-# one input per question step of the rule cascade, several with a -면 clause
-QUESTION_STEPS = {
+# one input per step of the rule cascade, in cascade order; several of the
+# question steps' inputs hold a -면 clause
+STEP_INPUTS = {
     "info-seeking+wh-word": "지갑 어디 있는지 말해줘",
     "info-seeking+universal-quantifier": "이번 주 일정을 모두 말해",
     "info-seeking": "어제 소식 말해줘",
@@ -144,7 +150,49 @@ QUESTION_STEPS = {
     "disjunction": "커피 아니면 차 마실래",
     "polar-ending": "안 먹으면 혼나니",
     "want-to-know": "가면 안 되는지 궁금해",
+    "negation-coordination": "놀지 말고 공부해",
+    "double-negation": "안전띠 안매면 큰일나",
+    "negative-imperative": "태풍 오니까 밖에 나가지 마",
+    "danger-conditional": "밖에 나가면 위험해",
+    "imperative-ending": "인적사항 확인 바랍니다",
 }
+QUESTION_STEPS = {s: text for s, text in STEP_INPUTS.items() if STEPS[s][0] <= IntentLabel.WH}
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_each_step_fires_with_its_label_and_evidence_rules(analyzer, classifier, engine, step):
+    label, rules = STEPS[step]
+    text = STEP_INPUTS[step]
+    got = classifier.classify(analyzer.normalize(text))
+    assert (got.step, got.label) == (step, label)
+    assert tuple(e.rule for e in got.evidence) == rules
+    assert (got.wh is not None) == (label is IntentLabel.WH)
+    record = engine.process(text)
+    assert (record.label, record.error) == (label, None)
+
+
+def readme_cascade() -> list[tuple[int, str, int, tuple[str, ...]]]:
+    """(row number, step, label, evidence rules) of each row of README's
+    "Rule cascade" table; a rule named twice in a row is read once."""
+    section = README.read_text("utf-8").split("\n## Rule cascade\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 4 or not cells[0].isdigit():
+            continue
+        (step,) = re.findall(r"`([^`]+)`", cells[1])
+        rules = tuple(dict.fromkeys(re.findall(r"`([^`]+)`", cells[3])))
+        rows.append((int(cells[0]), step, int(cells[2]), rules))
+    return rows
+
+
+def test_readme_cascade_table_is_the_steps_table():
+    expected = [
+        (n, step, int(label), tuple(dict.fromkeys(rules)))
+        for n, (step, (label, rules)) in enumerate(STEPS.items(), start=1)
+    ]
+    assert readme_cascade() == expected
 
 
 def test_a_question_makes_no_danger_lookup(monkeypatch, analyzer, classifier):

@@ -1,10 +1,12 @@
 """Negation, disjunction, object-particle and connective cues come from the
 lexicon: no source file spells one out.  Only the classifier reads the cued
-tokens and the danger table to pick a rule."""
+tokens and the danger table to pick a rule, and its ``STEPS`` table is the
+one definition of each cascade step."""
 
 import ast
 from pathlib import Path
 
+from saek.classify import STEPS
 from saek.lexicon import default_lexicon
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "saek"
@@ -80,3 +82,49 @@ def test_only_predicate_forms_rebuild_syllables():
         if path.name not in ("hangul.py", "predicate.py", "lexicon.py"):
             found += names_in(path, arithmetic, arithmetic)
     assert not found, "syllable arithmetic belongs in saek.predicate: " + ", ".join(found)
+
+
+def calls_of(tree, name):
+    """(enclosing function, line) of each call of ``name``, or of one of its
+    attributes (``name._make``), in ``tree``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute):
+                f = f.value
+            if isinstance(f, ast.Name) and f.id == name:
+                found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_classification_is_built_only_from_the_steps_table():
+    # _fired reads each step's label and evidence rules from STEPS, so no
+    # other code spells out a label for a step
+    built = {
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where, _ in calls_of(ast.parse(path.read_text("utf-8")), "Classification")
+    }
+    assert built == {("classify.py", "_fired")}
+
+
+def test_extract_dispatches_exactly_the_cascade_steps():
+    tree = ast.parse((SRC / "extract.py").read_text("utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Extractor"]
+    (extract,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "extract"]
+    (match,) = [n for n in ast.walk(extract) if isinstance(n, ast.Match)]
+    patterns = []
+    for case in match.cases:
+        p = case.pattern
+        for alt in p.patterns if isinstance(p, ast.MatchOr) else [p]:
+            assert isinstance(alt, ast.MatchValue), ast.dump(alt)
+            patterns.append(alt.value.value)
+    assert sorted(patterns) == sorted(STEPS)

@@ -11,7 +11,6 @@ from saek.lexicon import (
     Ending,
     EndingKind,
     Josa,
-    WhCategory,
     WhKind,
     WhMatch,
 )
@@ -21,11 +20,10 @@ RECORDS = {
     "WhHit": lambda: WhHit(WhKind.WHO, 0, 1, 0, 2),
     "Evidence": lambda: Evidence("wh-word", (0, 1)),
     "Classification": lambda: Classification(
-        IntentLabel.WH, "wh-word", WhCategory(WhKind.WHAT, ("의미",)), (Evidence("wh-word", (0, 1)),)
+        IntentLabel.WH, "wh-word", WhKind.WHAT, (Evidence("wh-word", (0, 1)),)
     ),
-    "Argument": lambda: Argument("먹는 의미", ArgumentCategory.MEANING, IntentLabel.WH),
+    "Argument": lambda: Argument("먹는 의미", ArgumentCategory.MEANING),
     "JamoTriple": lambda: JamoTriple(0, 0, 4),
-    "WhCategory": lambda: WhCategory(WhKind.WHO, ("사람",)),
     "Josa": lambda: Josa("를", "no_batchim", True),
     "Ending": lambda: Ending("니", EndingKind.INTERROGATIVE),
     "WhMatch": lambda: WhMatch(WhKind.WHO, 0, 2),
@@ -57,4 +55,5 @@ def test_eojeol_replace_keeps_the_other_fields(analyzer):
     assert split == Eojeol("나가지마", "나가지", "마", negation="ma", fused="마")
     assert e.stem == "나가지마" and e.particle is None
     assert analyzer.normalize("사과를 줘").tokens[0] == Eojeol("사과를", "사과", "를")
-    assert [t.is_wh for t in analyzer.normalize("누가 왔니").tokens] == [True, False]
+    hits = analyzer.normalize("누가 왔니").wh_hits
+    assert [(h.token_start, h.token_end) for h in hits] == [(0, 1)]
