@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import hangul
 from .errors import EmptyUtterance
 from .lexicon import Ending, Lexicon, WhKind, _check_cond, default_lexicon
+from .predicate import CONDITIONAL, NEGATION_HOST, is_negation_host
 
 # sentence punctuation dropped up front (ASR-style input carries none)
 PUNCTUATION = ".?!,…~"
@@ -70,7 +71,7 @@ class Analyzer:
         # one gate per table: a token that ends outside a gate's characters
         # takes none of its lookups; ``_cues`` reads the negators and the
         # conditional's 면, and a token outside the union carries nothing
-        self._cue_finals = frozenset({*lex.negation_ends, "면"})
+        self._cue_finals = frozenset({*lex.negation_ends, CONDITIONAL})
         self._suffix_finals = frozenset({*self._cue_finals, *lex.josa_ends, *lex.vocative})
 
     # -- normalization -------------------------------------------------
@@ -150,14 +151,14 @@ class Analyzer:
         말고, 안) or carries fused onto -지 (나가지마), that fused negator,
         and whether it is a -(으)면 conditional (아니면 is not)."""
         lex = self.lexicon
-        cond = surface.endswith("면") and len(surface) > 1 and surface not in lex.disjunction
+        cond = surface.endswith(CONDITIONAL) and len(surface) > 1 and surface not in lex.disjunction
         negation = lex.negation.get(surface)
-        if negation is None and "지" in surface:
+        if negation is None and NEGATION_HOST in surface:
             # a fused negator follows -지; ma before malgo, longest first within a kind
             ends = lex.negation_ends.get(surface[-1:], ())
             for kind in ("ma", "malgo"):
                 for k in ends:
-                    if surface[-k - 1 : -k] == "지" and lex.negation.get(surface[-k:]) == kind:
+                    if lex.negation.get(surface[-k:]) == kind and is_negation_host(surface[:-k]):
                         return kind, surface[-k:], cond
         return negation, None, cond
 
@@ -256,6 +257,6 @@ def negative_imperative(
         fused = tokens[i].fused
         if fused is not None:
             return i, tokens[i].surface[: -len(fused)]
-        if i > 0 and tokens[i - 1].surface.endswith("지"):
+        if i > 0 and is_negation_host(tokens[i - 1].surface):
             return i - 1, tokens[i - 1].surface
     return None

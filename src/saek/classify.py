@@ -209,7 +209,7 @@ class Classifier:
         # spaced benefactive: 말해 줘
         if (
             t.ending is not None
-            and t.ending.stem == "주"
+            and t.ending.stem == predicate.BENEFACTIVE
             and final > 0
             and u.tokens[final - 1].surface in lex.infoverbs
         ):

@@ -71,7 +71,7 @@ class Extractor:
             case "danger-conditional":
                 items, content = self._command_items(tokens)
                 idx, core = self._conditional_core(items)
-                return self._prohibition(items, content, idx, core + "지")
+                return self._prohibition(items, content, idx, predicate.negation_host(core))
             case "imperative-ending":
                 return self._requirement(*self._command_items(tokens))
         raise ValueError(f"no extraction routine for cascade step {c.step!r}")
@@ -158,25 +158,20 @@ class Extractor:
         if items:
             last = items[-1]
             if last.ending is not None:
-                stem = last.stem
+                stem, copula = last.stem, last.ending.copula
                 items = items[:-1]
-                if last.ending.copula:
-                    head = (stem + "인지") if stem else ""
-                elif stem in lex.lightverb_stems:
-                    # the action lives in the preceding verbal noun
-                    if not (items and self._is_bare_noun(items[-1])):
-                        head = stem + "는지"
-                elif stem:
-                    head = predicate.whether(stem)
+                # a bare light verb's action lives in the preceding verbal noun
+                light = not copula and stem in lex.lightverb_stems
+                if stem and not (light and items and self._is_bare_noun(items[-1])):
+                    head = predicate.whether(stem, copula, light)
             elif predicate.embedded_question_stem(last.surface) is not None:
                 head = last.surface
                 items = items[:-1]
 
-        parts = self._clean_parts(content[: len(items)])
-        parts += ([head] if head else []) + ["여부"]
-        if len(parts) == 1:
+        parts = self._clean_parts(content[: len(items)]) + ([head] if head else [])
+        if not parts:
             raise ExtractionFailed("no content left for a polar argument")
-        return Argument(" ".join(parts), ArgumentCategory.WHETHER)
+        return Argument(predicate.polar(parts), ArgumentCategory.WHETHER)
 
     def _drop_want_cue(self, items: list[Eojeol]) -> list[Eojeol]:
         lex = self.lexicon
@@ -224,7 +219,7 @@ class Extractor:
 
         i, ending = preds[-1]
         stem = items[i].surface[: len(items[i].surface) - len(ending.surface)]
-        text = " ".join(options + ["중", predicate.choice(stem, notes), "것"])
+        text = " ".join(options + [predicate.choice(stem, notes)])
         return Argument(text, ArgumentCategory.CHOICE, tuple(notes))
 
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
@@ -376,7 +371,7 @@ class Extractor:
         """The prohibited action: the clause before the -지 ``form`` at
         ``idx``, then the form and 않기."""
         parts = self._clean_parts(content[self._clause_start(items, idx) : idx])
-        return Argument(" ".join(parts + [form, "않기"]), ArgumentCategory.PROHIBITION)
+        return Argument(predicate.prohibition(parts, form), ArgumentCategory.PROHIBITION)
 
     def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
         for i, t in enumerate(items[:-1]):
@@ -426,18 +421,15 @@ class Extractor:
         return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT)
 
     def _nominalize_stem(self, stem: str, preceding: list[Eojeol]) -> str:
-        """Attach the -기 nominalizer; a bare light verb folds onto the
-        preceding verbal noun (확인 + 하 -> 확인하기)."""
-        if stem in self.lexicon.lightverb_stems and stem in ("하", "해", "했"):
-            if (
-                preceding
-                and self._is_bare_noun(preceding[-1])
-                and not preceding[-1].surface.endswith(("히", "게", "이", "리", "로"))
-            ):
-                noun = preceding.pop()
-                return noun.surface + "하기"
-            return "하기"
-        return stem + "기"
+        """``predicate.stem_nominal`` of ``stem``; a bare light verb may fold
+        onto the preceding verbal noun, which then leaves ``preceding``
+        (확인 + 하 -> 확인하기)."""
+        light = stem in self.lexicon.lightverb_stems
+        bare = light and preceding and self._is_bare_noun(preceding[-1])
+        nominal, folded = predicate.stem_nominal(stem, light, preceding[-1].surface if bare else "")
+        if folded:
+            preceding.pop()
+        return nominal
 
 
 def _after_malgo(malgo: list[int], n: int) -> int:

@@ -2,9 +2,10 @@
 
 A stem is what is left of a token once its ending is cut off (왔, 먹었,
 마실).  Each function here builds one form an argument ends in, from the
-stem string alone: the adnominal (온, 먹는), the form ``중 … 것`` takes,
--는지, the -(으)면 core and the -기 nominal.  Korean verbal morphology as in
-Sohn, *The Korean Language* (CUP 1999).
+stem string alone: the adnominal (온, 먹는), -는지, the -지 host, the
+-(으)면 core, the -기 nominal and the frames ``중 … 것``, ``… 여부`` and
+``… 않기``; no other module of the analysis spells a suffix.  Korean verbal
+morphology as in Sohn, *The Korean Language* (CUP 1999).
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ _CONTRACTION_VOWELS = {
 _PLAIN_SSANG_STEMS = ("있", "없")
 
 _EMBEDDED_Q_SUFFIXES = ("는지", "은지", "인지", "을지")
+
+# the host -지 of the long negation and of a ma/malgo negator (먹지 않기, 나가지 마)
+NEGATION_HOST = "지"
+# the stem of the auxiliary 주다 a spaced benefactive ends on (말해 줘)
+BENEFACTIVE = "주"
+
+# the -기 nominalizer and 하다's nominal; the stems of 하다 that fold onto the
+# verbal noun before them, and the adverb endings that block the fold (조용히 해)
+_NOMINALIZER, _LIGHT_NOMINAL = "기", "하기"
+_FOLDING_STEMS = ("하", "해", "했")
+_ADVERB_ENDINGS = ("히", "게", "이", "리", "로")
 
 
 def is_past(stem: str) -> bool:
@@ -71,24 +83,51 @@ def adnominal(stem: str, notes: list[str]) -> str:
 
 
 def choice(stem: str, notes: list[str]) -> str:
-    """The form ``중 … 것`` takes: the past adnominal (온), else -(으)ㄹ,
-    which an ㄹ-final stem already shows (살, 마실, 먹을)."""
+    """The frame ``중 … 것`` of a choice argument around the form the shared
+    predicate takes: the past adnominal (온), else -(으)ㄹ, which an ㄹ-final
+    stem already shows (살, 마실, 먹을)."""
     if not stem:
         raise ExtractionFailed("empty shared predicate")
     last = stem[-1]
     tail = hangul.tail(last)
     if tail == hangul.TAIL_RIEUL:
-        return stem
-    if tail == hangul.TAIL_NONE:
-        return stem[:-1] + hangul.with_tail(last, hangul.TAIL_RIEUL)
-    if is_past(stem):
-        return adnominal(stem, notes)
-    return stem + "을"
+        form = stem
+    elif tail == hangul.TAIL_NONE:
+        form = stem[:-1] + hangul.with_tail(last, hangul.TAIL_RIEUL)
+    elif is_past(stem):
+        form = adnominal(stem, notes)
+    else:
+        form = stem + "을"
+    return f"중 {form} 것"
 
 
-def whether(stem: str) -> str:
-    """Embedded-question form: -는지, or -지 after -(으)ㄹ (마실지)."""
-    return stem + ("지" if hangul.tail(stem[-1:]) == hangul.TAIL_RIEUL else "는지")
+def whether(stem: str, copula: bool = False, light: bool = False) -> str:
+    """Embedded-question form: -인지 on a copula's stem (학생인지), else -는지,
+    or -지 after -(으)ㄹ (마실지) on any but a light verb's stem (할는지)."""
+    if copula:
+        return stem + "인지"
+    rieul = not light and hangul.tail(stem[-1:]) == hangul.TAIL_RIEUL
+    return stem + ("지" if rieul else "는지")
+
+
+def polar(parts: list[str]) -> str:
+    """A yes/no argument: its content, then 여부 (밥 먹었는지 여부)."""
+    return " ".join(parts + ["여부"])
+
+
+def is_negation_host(surface: str) -> bool:
+    """The token ends in -지, a negator's host; a bare 지 is one (지 마)."""
+    return surface.endswith(NEGATION_HOST)
+
+
+def negation_host(core: str) -> str:
+    """The -지 host of a -(으)면 core (먹 -> 먹지, 만지 -> 만지지)."""
+    return core + NEGATION_HOST
+
+
+def prohibition(parts: list[str], host: str) -> str:
+    """A prohibited action: its clause, the -지 ``host``, then 않기."""
+    return " ".join(parts + [host, "않기"])
 
 
 def embedded_question_stem(surface: str) -> Optional[str]:
@@ -111,6 +150,10 @@ def looks_adnominal(surface: str) -> bool:
     return surface.endswith("는") or hangul.tail(surface[-1:]) == hangul.TAIL_RIEUL
 
 
+# the last syllable of a -(으)면 conditional, the analyzer's gate for the cue
+CONDITIONAL = "면"
+
+
 def conditional_core(surface: str) -> str:
     """A -(으)면 conditional token without -(으)면 (먹으면 -> 먹, 안매면 -> 안매)."""
     return surface[:-2] if surface.endswith("으면") and len(surface) > 2 else surface[:-1]
@@ -124,7 +167,19 @@ def nominal(text: str) -> str:
     if text.endswith("기를"):
         return text[:-1]
     if text.endswith("길"):
-        return text[:-1] + "기"
-    if text.endswith("기"):
+        return text[:-1] + _NOMINALIZER
+    if text.endswith(_NOMINALIZER):
         return text
-    return text + "하기"
+    return text + _LIGHT_NOMINAL
+
+
+def stem_nominal(stem: str, light: bool, noun: str) -> tuple[str, bool]:
+    """The -기 nominal of an imperative's stem (매 -> 매기), and whether it
+    takes ``noun``, the bare noun before it ("" for none), along. The stem of
+    the light verb 하다 (``light``: a lexicon row) is 하기, folded onto the
+    noun unless that is an adverb (청소 해 -> 청소하기, 조용히 해 -> 하기)."""
+    if not (light and stem in _FOLDING_STEMS):
+        return stem + _NOMINALIZER, False
+    if noun and not noun.endswith(_ADVERB_ENDINGS):
+        return noun + _LIGHT_NOMINAL, True
+    return _LIGHT_NOMINAL, False

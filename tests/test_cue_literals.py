@@ -1,9 +1,11 @@
 """Negation, disjunction, object-particle and connective cues come from the
-lexicon: no source file spells one out.  Only the classifier reads the cued
+lexicon, and every suffix and argument frame from ``saek.predicate``: no
+other source file spells one out.  Only the classifier reads the cued
 tokens and the danger table to pick a rule, and its ``STEPS`` table is the
 one definition of each cascade step."""
 
 import ast
+import re
 from pathlib import Path
 
 from saek.classify import STEPS
@@ -44,6 +46,49 @@ def test_no_object_particle_or_connective_literals_in_source():
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "predicate.py"]
     found = [hit for path in paths for hit in literals_in(path, forbidden)]
     assert not found, "particle and connective surfaces belong in the lexicon: " + ", ".join(found)
+
+
+# precomposed syllables, conjoining jamo and compatibility jamo
+HANGUL = re.compile("[\uac00-\ud7a3\u1100-\u11ff\u3130-\u318f]")
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def hangul_literals_in(path):
+    """Where ``path`` holds a string constant with Hangul in it, outside a
+    docstring or the message of a raised exception."""
+    tree = ast.parse(path.read_text("utf-8"))
+    prose = set()
+    for node in ast.walk(tree):
+        if isinstance(node, DOCUMENTED) and node.body and isinstance(node.body[0], ast.Expr):
+            prose.add(id(node.body[0].value))
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            prose.update(id(n) for n in ast.walk(node.exc))
+    return [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in prose
+        and HANGUL.search(node.value)
+    ]
+
+
+def test_no_suffix_literals_outside_predicate_forms():
+    # each Korean suffix and frame is decided in saek.predicate (or read
+    # from the lexicon), so analysis, classification and extraction spell none
+    paths = [SRC / f"{name}.py" for name in ("analyze", "classify", "extract")]
+    found = [hit for path in paths for hit in hangul_literals_in(path)]
+    assert not found, "suffixes belong in saek.predicate: " + ", ".join(found)
+
+
+def test_the_suffix_guard_sees_a_literal(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        'def f(s):\n    """-지 host."""\n    if s.endswith("지"):\n'
+        '        raise ValueError("no -지")\n    return s + "ㅂ"\n',
+        "utf-8",
+    )
+    assert hangul_literals_in(source) == ["probe.py:3: '지'", "probe.py:5: 'ㅂ'"]
 
 
 def names_in(path, attrs, names=frozenset()):

@@ -1,5 +1,9 @@
 """Predicate forms: the argument shapes rebuilt from a predicate stem."""
 
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,7 +54,9 @@ FORMS = [
     ("집에 됐니 학교 됐니", 1, "집 학교 중 된 것", ()),
     ("돈 셌니 표 셌니", 1, "돈 표 중 셌은 것", ("contraction-fallback",)),
     ("커피 아니면 차 니", 1, "extraction-failed", ()),  # the ending is the whole token
-    # whether: -는지, or -지 after -(으)ㄹ
+    # whether: -인지 on a copula, -는지, or -지 after -(으)ㄹ
+    ("학생이니", 0, "학생인지 여부", ()),
+    ("너 할래", 0, "할는지 여부", ()),  # a light verb keeps -는지
     ("커피 마실래", 0, "커피 마실지 여부", ()),
     ("밥 먹었어", 0, "밥 먹었는지 여부", ()),
     ("ok니 no니", 0, "ok니 no는지 여부", ()),
@@ -83,8 +89,9 @@ FORMS = [
     ("공부하기를 바랍니다", 4, "공부하기", ()),
     ("숙제하기 바랍니다", 4, "숙제하기", ()),
     ("안 먹으면 안 돼", 5, "먹기", ()),
-    # a bare 하 takes the noun before it out of the clause
+    # a bare 하 takes the noun before it out of the clause, unless an adverb
     ("숙제 공부 안 하면 안 돼", 5, "숙제 공부하기", ()),
+    ("조용히 안 하면 안 돼", 5, "조용히 하기", ()),
 ]
 
 
@@ -125,3 +132,32 @@ def test_predicate_forms_are_total(stem, suffix):
     assert isinstance(predicate.looks_adnominal(stem), bool)
     found = predicate.embedded_question_stem(stem)
     assert found is None or (isinstance(found, str) and found)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_predicate_functions() -> list[str]:
+    """The ASCII identifiers in the function column of README's "Predicate
+    forms" table."""
+    section = README.read_text("utf-8").split("**Predicate forms.**", 1)[1]
+    table = section.split("\n\n", 2)[1]
+    names = []
+    for line in table.splitlines()[2:]:  # past the header and the rule
+        function = line.strip().strip("|").split("|")[1]
+        for name in re.findall(r"`([^`]+)`", function):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", name, re.ASCII):
+                names.append(name)
+    return names
+
+
+def test_readme_predicate_forms_are_predicate_functions():
+    public = {
+        name
+        for name, f in vars(predicate).items()
+        if inspect.isfunction(f) and f.__module__ == predicate.__name__
+        if not name.startswith("_")
+    }
+    named = readme_predicate_functions()
+    assert {"whether", "choice", "prohibition", "stem_nominal", "nominal"} <= set(named)
+    assert [n for n in named if n not in public] == []

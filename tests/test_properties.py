@@ -2,10 +2,11 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fuzz_grammar
-from saek import Engine
+from saek import Engine, predicate
 
 
 def test_grammar_fuzz_contract(engine, lexicon):
@@ -21,6 +22,25 @@ def test_grammar_fuzz_contract(engine, lexicon):
         violations.extend(fuzz_grammar.check_contract(record, lexicon))
     assert classified >= 1000, f"only {classified} fuzz inputs classified"
     assert not violations, violations[:10]
+
+
+# a spaced 지 before a negator is taken for the -지 host, so the ending 지
+# (막히지) leaks into the argument: 지 마 -> 지 않기, 밖에 나가 지 마 -> 밖에
+# 지 않기; the fuzz digests hold such lines, so a fix may re-record them
+BARE_JI = ["지 마", "밖에 나가 지 마", "거기 가 지 마세요"]
+
+
+def test_a_bare_ji_token_hosts_a_negator():
+    # the recorded fuzz digests hold bare-지 prohibitions (3 지 않기)
+    assert predicate.is_negation_host("지")
+
+
+@pytest.mark.xfail(strict=True, reason="a bare 지 leaks into the prohibition")
+@pytest.mark.parametrize("text", BARE_JI)
+def test_a_bare_ji_keeps_the_no_ending_leakage_contract(engine, lexicon, text):
+    record = engine.process(text)
+    assert record.label == 3
+    assert fuzz_grammar.check_contract(record, lexicon) == []
 
 
 def test_sr_malgo_never_leaks_pre_clause(engine):
