@@ -87,7 +87,9 @@ class Analyzer:
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
         wh_hits = self.find_wh(text, tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
-        return NormalizedUtterance(raw, text, tokens, offsets, wh_hits, cued, bearer)
+        # positional, as each Eojeol below: test_records pins the field order
+        fields = (raw, text, tokens, offsets, wh_hits, cued, bearer)
+        return tuple.__new__(NormalizedUtterance, fields)
 
     def _analyze_tokens(
         self, surfaces: list[str]

@@ -63,13 +63,18 @@ STEPS: dict[str, tuple[IntentLabel, tuple[str, ...]]] = {
 }
 
 
+# tuple.__new__ skips a NamedTuple's keyword-handling constructor and its
+# field count: test_records pins the field order the calls below write
+_new = tuple.__new__
+
+
 def _fired(
     step: str, *spans: tuple[int, int], wh: Optional[WhKind] = None, info: int = 0
 ) -> Classification:
     """The step that fired, with its label and one evidence span per rule."""
     label, rules = STEPS[step]
-    evidence = tuple([Evidence(r, s) for r, s in zip(rules, spans, strict=True)])
-    return Classification(label, step, wh, evidence, info)
+    evidence = tuple([_new(Evidence, pair) for pair in zip(rules, spans, strict=True)])
+    return _new(Classification, (label, step, wh, evidence, info))
 
 
 class Classifier:
@@ -90,16 +95,19 @@ class Classifier:
         kind = ending.kind if ending is not None else None
         interrogative = kind is EndingKind.INTERROGATIVE
         imperative = kind is EndingKind.IMPERATIVE
-        # a cue is matched at the end, so the last cue_length non-vocatives,
-        # which end on the bearer, decide it
-        words: list[str] = []
-        for i in range(bearer, -1, -1):
-            if len(words) == lex.cue_length:
-                break
-            if not tokens[i].is_vocative:
-                words.append(surfaces[i])
-        words.reverse()
-        cue = lex.match_cue(words)
+        # a cue ends on the bearer, so only a bearer that starts with a key of
+        # the cue table's gate can carry one; the last cue_length
+        # non-vocatives, which end on the bearer, decide it
+        cue = None
+        if bearer >= 0 and surfaces[bearer][0] in lex.cue_starts:
+            words: list[str] = []
+            for i in range(bearer, -1, -1):
+                if len(words) == lex.cue_length:
+                    break
+                if not tokens[i].is_vocative:
+                    words.append(surfaces[i])
+            words.reverse()
+            cue = lex.match_cue(words)
 
         def token_span(i: int) -> tuple[int, int]:
             start = u.offsets[i]

@@ -17,8 +17,8 @@ class OutputRecord:
     """Flat record for one input line; optional fields follow the super-type.
 
     The fields are the record's one definition: ``to_dict``'s keys and the TSV
-    columns follow them, in order (``__init__`` sets them in order, so
-    ``__dict__`` holds them in order).
+    columns follow them, in order (``__init__`` and ``_record`` set them in
+    order, so ``__dict__`` holds them in order).
     """
 
     text: str
@@ -42,6 +42,36 @@ class OutputRecord:
 
 
 TSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
+
+
+def _record(
+    text: str,
+    label: Optional[int] = None,
+    label_name: Optional[str] = None,
+    question_type: Optional[str] = None,
+    negativeness: Optional[str] = None,
+    argument: Optional[str] = None,
+    category: Optional[str] = None,
+    evidence: tuple[dict, ...] = (),
+    error: Optional[str] = None,
+) -> OutputRecord:
+    """The record ``OutputRecord(...)`` builds, without the frozen
+    ``__init__``'s one ``object.__setattr__`` call per field: the fields go
+    into the instance's ``__dict__`` one by one, in TSV_COLUMNS order
+    (tests/test_records.py checks it), so the dict keeps sharing its keys
+    with every other record's, as the constructor's does."""
+    record = object.__new__(OutputRecord)
+    attrs = record.__dict__
+    attrs["text"] = text
+    attrs["label"] = label
+    attrs["label_name"] = label_name
+    attrs["question_type"] = question_type
+    attrs["negativeness"] = negativeness
+    attrs["argument"] = argument
+    attrs["category"] = category
+    attrs["evidence"] = evidence
+    attrs["error"] = error
+    return record
 
 
 def _tsv_cell(name: str, value) -> str:
@@ -91,30 +121,30 @@ class Engine:
         """
         if UNDECODED_RE.search(text):
             text = " ".join(UNDECODED_RE.sub("\ufffd", text).split())
-            return OutputRecord(text=text, error="invalid-utf8")
+            return _record(text, error="invalid-utf8")
         try:
             u = self.analyzer.normalize(text)
         except EmptyUtterance:
-            return OutputRecord(text=" ".join(text.split()), error="empty-utterance")
+            return _record(" ".join(text.split()), error="empty-utterance")
         try:
             c = self.classifier.classify(u)
         except Unclassifiable:
-            return OutputRecord(text=u.text, error="unclassifiable")
+            return _record(u.text, error="unclassifiable")
 
-        evidence = [{"rule": e.rule, "span": list(e.span)} for e in c.evidence]
+        evidence = [{"rule": rule, "span": [start, end]} for rule, (start, end) in c.evidence]
 
-        argument = category = None
-        error = None
+        argument = category = error = None
         if extract:
             try:
-                arg = self.extractor.extract(u, c)
-                argument, category = arg.text, arg.category.value
-                evidence.extend({"rule": note} for note in arg.notes)
+                argument, category, notes = self.extractor.extract(u, c)
             except OptionsNotFound:
                 error = "options-not-found"
             except ExtractionFailed:
                 error = "extraction-failed"
+            else:
+                # the member's value without the Enum.value property's call
+                category = category._value_
+                if notes:
+                    evidence += [{"rule": note} for note in notes]
 
-        return OutputRecord(
-            u.text, *_LABEL_FIELDS[c.label], argument, category, tuple(evidence), error
-        )
+        return _record(u.text, *_LABEL_FIELDS[c.label], argument, category, tuple(evidence), error)

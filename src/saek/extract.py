@@ -32,6 +32,11 @@ class Argument(NamedTuple):
     notes: tuple[str, ...] = ()  # extraction fallbacks worth surfacing
 
 
+# tuple.__new__ skips a NamedTuple's keyword-handling constructor and its
+# field count: test_records pins the field order each routine writes
+_new = tuple.__new__
+
+
 class Extractor:
     """One extraction routine per step of the classifier's rule cascade."""
 
@@ -171,14 +176,17 @@ class Extractor:
         parts = self._clean_parts(content[: len(items)]) + ([head] if head else [])
         if not parts:
             raise ExtractionFailed("no content left for a polar argument")
-        return Argument(predicate.polar(parts), ArgumentCategory.WHETHER)
+        return _new(Argument, (predicate.polar(parts), ArgumentCategory.WHETHER, ()))
 
     def _drop_want_cue(self, items: list[Eojeol]) -> list[Eojeol]:
         lex = self.lexicon
-        # a cue is matched at the end, so the last cue_length items decide it
-        cue = lex.match_cue([t.surface for t in items[-lex.cue_length :]])
-        if cue is not None:
-            return items[: len(items) - len(cue)]
+        # only a last item that starts with a key of the cue table's gate can
+        # end a cue; a cue is matched at the end, so the last cue_length
+        # items decide it
+        if items and items[-1].surface[0] in lex.cue_starts:
+            cue = lex.match_cue([t.surface for t in items[-lex.cue_length :]])
+            if cue is not None:
+                return items[: len(items) - len(cue)]
         return items
 
     # -- alternative questions ------------------------------------------------
@@ -220,7 +228,7 @@ class Extractor:
         i, ending = preds[-1]
         stem = items[i].surface[: len(items[i].surface) - len(ending.surface)]
         text = " ".join(options + [predicate.choice(stem, notes)])
-        return Argument(text, ArgumentCategory.CHOICE, tuple(notes))
+        return _new(Argument, (text, ArgumentCategory.CHOICE, tuple(notes)))
 
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
         """Option content of a clause, kept as a question argument keeps it;
@@ -293,7 +301,7 @@ class Extractor:
             parts = stems + ([adnominal] if adnominal else []) + [noun]
             if len(parts) == 1:
                 raise ExtractionFailed("no content around the wh word")
-        return Argument(" ".join(parts), WH_TO_CATEGORY[wh], tuple(notes))
+        return _new(Argument, (" ".join(parts), WH_TO_CATEGORY[wh], tuple(notes)))
 
     def _object_span(self, tokens: Sequence[Eojeol], wh: WhKind, info: int) -> Argument:
         """Information-seeking imperatives with a universal quantifier keep
@@ -320,7 +328,7 @@ class Extractor:
         if quant is not None:
             at = object_pos if object_pos is not None else len(stems) - 1
             stems.insert(at, quant)
-        return Argument(" ".join(stems), WH_TO_CATEGORY[wh])
+        return _new(Argument, (" ".join(stems), WH_TO_CATEGORY[wh], ()))
 
     # -- commands -------------------------------------------------------------
 
@@ -371,7 +379,8 @@ class Extractor:
         """The prohibited action: the clause before the -지 ``form`` at
         ``idx``, then the form and 않기."""
         parts = self._clean_parts(content[self._clause_start(items, idx) : idx])
-        return Argument(predicate.prohibition(parts, form), ArgumentCategory.PROHIBITION)
+        text = predicate.prohibition(parts, form)
+        return _new(Argument, (text, ArgumentCategory.PROHIBITION, ()))
 
     def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
         for i, t in enumerate(items[:-1]):
@@ -388,7 +397,7 @@ class Extractor:
         span = [items[i] for i in keep]
         nominal = self._nominalize_stem(core, span)  # may pop from span
         parts = self._clean_parts([content[i] for i in keep[: len(span)]])
-        return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT)
+        return _new(Argument, (" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, ()))
 
     def _sr_from_coordination(self, tokens: Sequence[Eojeol]) -> Argument:
         items, content = self._command_items(tokens)
@@ -418,7 +427,7 @@ class Extractor:
         else:
             nominal = predicate.nominal(content[end])
         parts = self._clean_parts(content[start : start + len(rest)])
-        return Argument(" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT)
+        return _new(Argument, (" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, ()))
 
     def _nominalize_stem(self, stem: str, preceding: list[Eojeol]) -> str:
         """``predicate.stem_nominal`` of ``stem``; a bare light verb may fold

@@ -184,7 +184,7 @@ class Lexicon:
         "_wh_re",
         "_wh_anchor_re",
         "_wh_pairs_by_first",
-        "_cues_ranked",
+        "cue_starts",
         "cue_length",
     )
 
@@ -211,8 +211,13 @@ class Lexicon:
         for (a, b), kind in sorted(self.wh_pairs.items(), key=lambda kv: -len(kv[0][1])):
             pairs.setdefault(a, []).append((b, kind))
         self._wh_pairs_by_first = {a: tuple(bs) for a, bs in pairs.items()}
-        # match order: most parts first, then the longer final part
-        self._cues_ranked = tuple(sorted(self.cues, key=lambda p: (-len(p), -len(p[-1]), p)))
+        # first character of the final part -> the cues, in match order: most
+        # parts first, then the longer final part; its keys are the cue
+        # table's gate, since only a token that starts a final part ends a cue
+        by_start: dict[str, list[tuple[str, ...]]] = {}
+        for parts in sorted(self.cues, key=lambda p: (-len(p), -len(p[-1]), p)):
+            by_start.setdefault(parts[-1][0], []).append(parts)
+        self.cue_starts = {start: tuple(cues) for start, cues in by_start.items()}
         # the most parts of any cue: match_cue reads no more tokens than this
         self.cue_length = max(map(len, self.cues), default=0)
         self._validate()
@@ -292,7 +297,9 @@ class Lexicon:
         Of the cues that match, the one with the most parts wins, then the
         one with the longer final part.
         """
-        for parts in self._cues_ranked:
+        if not tokens:
+            return None
+        for parts in self.cue_starts.get(tokens[-1][:1], ()):
             n = len(parts)
             if len(tokens) < n:
                 continue

@@ -211,3 +211,24 @@ def test_a_question_makes_no_danger_lookup(monkeypatch, analyzer, classifier):
     # the counter is live: a -면 command reads the table once
     assert classifier.classify(analyzer.normalize("먹으면 혼나")).step == "danger-conditional"
     assert calls == [["먹으면", "혼나"]]
+
+
+def test_a_polar_question_makes_no_cue_lookup(monkeypatch, lexicon, engine):
+    # the cue table's gate: a bearer that starts no cue's final part takes
+    # no match_cue call, in the cascade or in the extraction
+    calls = []
+    match_cue = Lexicon.match_cue
+
+    def counted(self, tokens):
+        calls.append(tokens)
+        return match_cue(self, tokens)
+
+    monkeypatch.setattr(Lexicon, "match_cue", counted)
+    text = "너 의료 봉사 신청 했어"
+    assert text.split()[-1][0] not in lexicon.cue_starts
+    assert engine.process(text).label == IntentLabel.YES_NO
+    assert calls == []
+    # the counter is live: a want-to-know cue is matched by both
+    record = engine.process(STEP_INPUTS["want-to-know"])
+    assert [e["rule"] for e in record.evidence] == ["want-to-know"]
+    assert calls == [["되는지", "궁금해"]] * 2

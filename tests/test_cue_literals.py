@@ -8,6 +8,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 from saek.classify import STEPS
 from saek.lexicon import default_lexicon
 
@@ -131,7 +133,9 @@ def test_only_predicate_forms_rebuild_syllables():
 
 def calls_of(tree, name):
     """(enclosing function, line) of each call of ``name``, or of one of its
-    attributes (``name._make``), in ``tree``."""
+    attributes (``name._make``), and of each call that takes ``name`` as an
+    argument: a positional build such as ``tuple.__new__(name, fields)``,
+    whatever the function is bound to, in ``tree``."""
     found = []
 
     def visit(node, where):
@@ -141,7 +145,8 @@ def calls_of(tree, name):
             f = node.func
             if isinstance(f, ast.Attribute):
                 f = f.value
-            if isinstance(f, ast.Name) and f.id == name:
+            passed = any(isinstance(a, ast.Name) and a.id == name for a in node.args)
+            if passed or (isinstance(f, ast.Name) and f.id == name):
                 found.append((where, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -159,6 +164,22 @@ def test_classification_is_built_only_from_the_steps_table():
         for where, _ in calls_of(ast.parse(path.read_text("utf-8")), "Classification")
     }
     assert built == {("classify.py", "_fired")}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        "Classification(IntentLabel.WH, 'wh-word')",
+        "Classification._make(fields)",
+        "tuple.__new__(Classification, fields)",
+        "_new(Classification, fields)",
+        "partial(tuple.__new__, Classification)(fields)",
+    ],
+)
+def test_calls_of_finds_a_build_outside_fired(build):
+    # the guard above still fails for any way of building one elsewhere
+    tree = ast.parse(f"def classify(fields):\n    return {build}\n")
+    assert [where for where, _ in calls_of(tree, "Classification")] == ["classify"]
 
 
 def test_extract_dispatches_exactly_the_cascade_steps():

@@ -402,11 +402,26 @@ def token_lists(draw, lex):
     return tokens
 
 
+class _EveryKey(dict):
+    """A cue index whose gate admits every character: what the gated callers
+    do with it is the scan the gate saves."""
+
+    def __contains__(self, key):
+        return True
+
+
+def ungated(lex):
+    wide = copy.copy(lex)
+    wide.cue_starts = _EveryKey(lex.cue_starts)
+    return wide
+
+
 @pytest.mark.parametrize("name", sorted(LEXICONS))
 def test_indexed_lookups_equal_a_table_scan(name):
     lex = LEXICONS[name]
     analyzer = Analyzer(lex)
     extractor = Extractor(lex)
+    classifier, scan_classifier = Classifier(lex), Classifier(ungated(lex))
 
     @settings(max_examples=300, deadline=None)
     @given(token_lists(lex))
@@ -425,6 +440,15 @@ def test_indexed_lookups_equal_a_table_scan(name):
         assert lex.is_danger_predicate(tokens) == danger_scan(lex, tokens)
         items = [Eojeol(s, s) for s in tokens]
         assert extractor._clause_start(items, len(items)) == trim_scan(lex, tokens)
+        # the cue table's gate: the want-to-know decision and the dropped cue
+        # are those of matching every window
+        cue = cue_scan(lex, tokens)
+        assert extractor._drop_want_cue(items) == (items[: -len(cue)] if cue else items)
+        try:
+            u = analyzer.normalize(" ".join(tokens))
+        except EmptyUtterance:
+            return
+        assert classify_or_none(classifier, u) == classify_or_none(scan_classifier, u)
 
     check()
 

@@ -1,9 +1,12 @@
 """The engine's record types compare by value and cannot be assigned to."""
 
+import dataclasses
+
 import pytest
 
-from saek.analyze import Eojeol, WhHit
+from saek.analyze import Eojeol, NormalizedUtterance, WhHit
 from saek.classify import Classification, Evidence, IntentLabel
+from saek.engine import TSV_COLUMNS, OutputRecord
 from saek.extract import Argument
 from saek.hangul import JamoTriple
 from saek.lexicon import (
@@ -57,3 +60,80 @@ def test_eojeol_replace_keeps_the_other_fields(analyzer):
     assert analyzer.normalize("사과를 줘").tokens[0] == Eojeol("사과를", "사과", "를")
     hits = analyzer.normalize("누가 왔니").wh_hits
     assert [(h.token_start, h.token_end) for h in hits] == [(0, 1)]
+
+
+def test_positional_builds_keep_their_field_order():
+    """``normalize``, ``_fired`` and the extraction routines build these with
+    ``tuple.__new__`` from positional values, which checks neither their
+    number nor their order: a field added or moved must be added or moved
+    there too."""
+    assert NormalizedUtterance._fields == (
+        "raw",
+        "text",
+        "tokens",
+        "offsets",
+        "wh_hits",
+        "cued",
+        "bearer",
+    )
+    assert Evidence._fields == ("rule", "span")
+    assert Classification._fields == ("label", "step", "wh", "evidence", "info")
+    assert Argument._fields == ("text", "category", "notes")
+
+
+# one input per record shape: each error, a label without and with a
+# negativeness, two evidence spans, and a note
+SHAPES = [
+    "비가 \udcff 온다",
+    ". \t .",
+    "비가 온다",
+    "로 왜 하는 거야",
+    "하 볼까 고 볼까",
+    "밥 먹었어",
+    "창문 열어줘",
+    "사과 살래 배 살래",
+    "뭐 셌니",
+]
+
+
+def test_engine_records_equal_the_keyword_constructor(engine):
+    errors, notes = set(), 0
+    for text in SHAPES:
+        for extract in (True, False):
+            record = engine.process(text, extract=extract)
+            assert type(record) is OutputRecord
+            assert tuple(record.__dict__) == TSV_COLUMNS
+            built = OutputRecord(**record.__dict__)
+            assert record == built and tuple(built.__dict__) == TSV_COLUMNS
+            errors.add(record.error)
+            notes += any("span" not in e for e in record.evidence)
+    assert errors == {
+        None,
+        "invalid-utf8",
+        "empty-utterance",
+        "unclassifiable",
+        "extraction-failed",
+        "options-not-found",
+    }
+    assert notes == 1
+
+
+def test_output_record_is_frozen_and_compares_by_value(engine):
+    record = engine.process("창문 열어줘")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.argument = "문 열기"
+    assert record == engine.process("창문 열어줘") and record is not engine.process("창문 열어줘")
+    assert record != engine.process("창문 닫아줘")
+    # evidence holds dicts, so only a record without evidence hashes
+    error = engine.process("비가 온다")
+    assert error.evidence == () and hash(error) == hash(engine.process("비가 온다"))
+    assert error == OutputRecord("비가 온다", error="unclassifiable")
+
+
+def test_output_record_replace_keeps_the_other_fields(engine):
+    record = engine.process("창문 열어줘")
+    moved = dataclasses.replace(record, text="창문 열어줘요")
+    assert moved.text == "창문 열어줘요" and tuple(moved.__dict__) == TSV_COLUMNS
+    assert [v for k, v in moved.__dict__.items() if k != "text"] == [
+        v for k, v in record.__dict__.items() if k != "text"
+    ]
