@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
 from .errors import EmptyUtterance
-from .lexicon import Ending, Lexicon, WhKind, _check_cond, default_lexicon
+from .lexicon import Ending, Lexicon, WhKind, default_lexicon
 from .predicate import CONDITIONAL, NEGATION_HOST, is_negation_host
 
 # sentence punctuation dropped up front (ASR-style input carries none)
@@ -185,12 +185,10 @@ class Analyzer:
         if len(surface) < 3:  # name of >=2 syllables plus the marker
             return False
         marker, stem = surface[-1], surface[:-1]
-        cond = self.lexicon.vocative.get(marker)
-        if cond is None:
+        if marker not in self.lexicon.vocative or not all(hangul.is_syllable(c) for c in stem):
             return False
-        if not all(hangul.is_syllable(c) for c in stem):
-            return False
-        if not _check_cond(cond, stem[-1]):
+        tails = self.lexicon.vocative[marker]
+        if tails is not None and hangul.tail(stem[-1]) not in tails:
             return False
         # a longer ending match (거야, 이야...) wins over the vocative reading
         ending = self.lexicon.match_ending(surface)

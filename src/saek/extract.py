@@ -20,7 +20,6 @@ from .lexicon import (
     WH_TO_CATEGORY,
     WhKind,
     default_lexicon,
-    prev_coda_fits,
 )
 
 
@@ -365,10 +364,10 @@ class Extractor:
                 conn = s[-k:]
                 if len(s) <= k or conn not in connectives:
                     continue
-                # a connective that is also an ending whose previous coda the
+                # a connective that is also an ending whose condition the
                 # token meets is that ending (-ㅂ니까), not a clause boundary
-                ending = endings.get(conn)
-                if ending is not None and ending.prev_coda and prev_coda_fits(s, k, ending.prev_coda):
+                tails = endings[conn].prev_tails if conn in endings else None
+                if tails is not None and hangul.tail(s[-k - 1]) in tails:
                     continue
                 return i + 1
         return 0

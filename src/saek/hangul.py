@@ -34,7 +34,6 @@ TAIL_NONE = 0
 TAIL_RIEUL = TAILS.index("ㄹ")
 TAIL_NIEUN = TAILS.index("ㄴ")
 TAIL_SSANG_SIOT = TAILS.index("ㅆ")
-TAIL_BIEUP = TAILS.index("ㅂ")
 
 
 class JamoTriple(NamedTuple):
@@ -75,11 +74,6 @@ def tail(ch: str) -> int:
     if len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST:
         return (ord(ch) - SYLLABLE_BASE) % 28
     return -1
-
-
-def tail_jamo(ch: str) -> str:
-    """The final consonant letter, or '' for an open syllable."""
-    return TAILS[decompose(ch).tail]
 
 
 def with_tail(ch: str, tail_index: int) -> str:

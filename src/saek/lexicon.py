@@ -60,7 +60,7 @@ WH_TO_CATEGORY = {
 
 class Josa(NamedTuple):
     surface: str
-    cond: str  # any | batchim | no_batchim | open_or_rieul | batchim_not_rieul
+    prev_tails: Optional[frozenset[int]]  # see _CONDITIONS
     droppable: bool  # case particle a command argument may lose
     object: bool = False  # object case particle: a quantifier goes before its noun
 
@@ -69,7 +69,7 @@ class Ending(NamedTuple):
     surface: str
     kind: EndingKind
     copula: bool = False
-    prev_coda: str = ""  # required coda on the syllable before the suffix
+    prev_tails: Optional[frozenset[int]] = None  # see _CONDITIONS
     stem: str = ""  # lexical stem recovered when the suffix is the whole token
 
 
@@ -100,32 +100,29 @@ _ENDING_KINDS = {
     "cue": EndingKind.DECLARATIVE_CUE,
 }
 
-_JOSA_CONDS = {"any", "batchim", "no_batchim", "open_or_rieul", "batchim_not_rieul"}
-
-
-def _check_cond(cond: str, stem_final: str) -> bool:
-    if cond == "any":
-        return True
-    tail = hangul.tail(stem_final)
-    if tail < 0:
-        # non-Hangul stems (digits, latin) take the unconditioned reading
-        return cond in ("any", "no_batchim", "open_or_rieul")
-    if cond == "batchim":
-        return tail != hangul.TAIL_NONE
-    if cond == "no_batchim":
-        return tail == hangul.TAIL_NONE
-    if cond == "open_or_rieul":
-        return tail in (hangul.TAIL_NONE, hangul.TAIL_RIEUL)
-    if cond == "batchim_not_rieul":
-        return tail not in (hangul.TAIL_NONE, hangul.TAIL_RIEUL)
-    raise LexiconError(f"unknown josa condition: {cond}")
+# the condition a suffix row puts on the character before it, compiled at
+# load into the hangul.tail values that character may have (None: any). A
+# josa or vocative row spells it cond=<name>, where a character that is no
+# syllable (tail -1) reads as open; an ending row spells it prev_coda=<final
+# consonant>, which only a syllable closed by that consonant meets
+_CLOSED = frozenset(range(1, len(hangul.TAILS)))
+_CONDITIONS = {
+    "cond": {
+        "any": None,
+        "batchim": _CLOSED,
+        "no_batchim": frozenset({-1, hangul.TAIL_NONE}),
+        "open_or_rieul": frozenset({-1, hangul.TAIL_NONE, hangul.TAIL_RIEUL}),
+        "batchim_not_rieul": _CLOSED - {hangul.TAIL_RIEUL},
+    },
+    "prev_coda": {coda: frozenset({i}) for i, coda in enumerate(hangul.TAILS) if coda},
+}
 
 
 # every table, by attribute name and type; parse_lexicon fills an empty one of
 # each, and Lexicon freezes the sets
 TABLES = {
     "josa": dict[str, Josa],
-    "vocative": dict[str, str],  # surface -> cond
+    "vocative": dict[str, Optional[frozenset[int]]],  # surface -> prev_tails
     "endings": dict[str, Ending],
     "cues": set[tuple[str, ...]],  # want-to-know prefixes
     "wh_surfaces": dict[str, WhKind],
@@ -154,15 +151,6 @@ def _suffix_index(surfaces: Iterable[str]) -> dict[str, tuple[int, ...]]:
     for s in surfaces:
         by_final.setdefault(s[-1], set()).add(len(s))
     return {final: tuple(sorted(ks, reverse=True)) for final, ks in by_final.items()}
-
-
-def prev_coda_fits(token: str, k: int, coda: str) -> bool:
-    """True iff the character before the last ``k`` of ``token`` is a Hangul
-    syllable closed by ``coda``; any other character fits no coda."""
-    if len(token) <= k:
-        return False
-    prev = token[-k - 1]
-    return hangul.is_syllable(prev) and hangul.tail_jamo(prev) == coda
 
 
 class Lexicon:
@@ -246,7 +234,7 @@ class Lexicon:
             entry = josa.get(token[-k:])
             if entry is None or (droppable_only and not entry.droppable):
                 continue
-            if _check_cond(entry.cond, token[-k - 1]):
+            if entry.prev_tails is None or hangul.tail(token[-k - 1]) in entry.prev_tails:
                 return entry.surface
         return None
 
@@ -259,9 +247,9 @@ class Lexicon:
             entry = self.endings.get(token[-k:])
             if entry is None:
                 continue
-            if entry.prev_coda and not prev_coda_fits(token, k, entry.prev_coda):
-                continue
-            return entry
+            tails = entry.prev_tails
+            if tails is None or (k < n and hangul.tail(token[-k - 1]) in tails):
+                return entry
         return None
 
     def lookup_wh(self, token: str) -> Optional[WhMatch]:
@@ -377,12 +365,10 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
     if role in _SET_ROLES:
         t[_SET_ROLES[role]].add(surface)
     elif role == "josa":
-        cond = attrs.get("cond", "any")
-        if cond not in _JOSA_CONDS:
-            raise LexiconError(f"{where}: bad josa condition {cond!r}")
-        t["josa"][surface] = Josa(surface, cond, "droppable" in attrs, "object" in attrs)
+        tails = _prev_tails(attrs, "cond", where)
+        t["josa"][surface] = Josa(surface, tails, "droppable" in attrs, "object" in attrs)
     elif role == "vocative":
-        t["vocative"][surface] = attrs.get("cond", "any")
+        t["vocative"][surface] = _prev_tails(attrs, "cond", where)
     elif role == "ending":
         kind = _ENDING_KINDS.get(attrs.get("kind", ""))
         if kind is None:
@@ -394,7 +380,7 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
                 surface,
                 kind,
                 copula="copula" in attrs,
-                prev_coda=attrs.get("prev_coda", ""),
+                prev_tails=_prev_tails(attrs, "prev_coda", where),
                 stem=attrs.get("stem", ""),
             )
     elif role in ("wh", "whnoun"):
@@ -423,6 +409,13 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
         if not det:
             raise LexiconError(f"{where}: advdet needs det=<determiner>")
         t["advdet"][surface] = det
+
+
+def _prev_tails(attrs: dict[str, str], key: str, where: str) -> Optional[frozenset[int]]:
+    value, spellings = attrs.get(key), _CONDITIONS[key]
+    if value is not None and value not in spellings:
+        raise LexiconError(f"{where}: bad condition {key}={value!r}")
+    return spellings.get(value)
 
 
 def load_lexicon(path: str | os.PathLike[str]) -> Lexicon:

@@ -283,6 +283,20 @@ def test_bad_lexicon_path_reports_and_exits_one(
     assert "Traceback" not in err
 
 
+def test_bad_condition_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsys, monkeypatch):
+    bundled = (Path(saek.__file__).parent / "data" / "default_lexicon.tsv").read_text("utf-8")
+    lines = bundled.splitlines()
+    line = lines.index("vocative\t야\tcond=no_batchim") + 1
+    lines[line - 1] = "vocative\t야\tcond=nobatchim"
+    path = tmp_path / "bad.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["--lexicon", str(path), "extract", "-"]
+    code, out, err = run_cli(argv, "손 씻어라\n철수야 뭐 먹을래\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"saek: {path}:{line}: bad condition cond='nobatchim'")
+    assert "Traceback" not in err
+
+
 def test_corpus_commands_never_read_the_lexicon(fixtures_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAEK_LEXICON", str(tmp_path / "missing.tsv"))
     code = cli.run(["corpus", "stats", str(fixtures_dir / "corpus60.tsv")])

@@ -93,6 +93,36 @@ def test_the_suffix_guard_sees_a_literal(tmp_path):
     assert hangul_literals_in(source) == ["probe.py:3: '지'", "probe.py:5: 'ㅂ'"]
 
 
+def private_imports_in(path):
+    """Where ``path`` imports an underscore name from a ``saek`` module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("saek")):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names if alias.name.startswith("saek.") for part in alias.name.split(".")]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name one module shares with another is public; a private one is
+    # that module's own
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_imports_in(path)]
+    assert not found, "private names stay in their module: " + ", ".join(found)
+
+
+def test_the_private_import_guard_sees_one(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from .lexicon import Lexicon, _check\nfrom saek import _x\nimport saek._y\nfrom os import _exit\n",
+        "utf-8",
+    )
+    assert private_imports_in(source) == ["probe.py:1: _check", "probe.py:2: _x", "probe.py:3: _y"]
+
+
 def names_in(path, attrs, names=frozenset()):
     """Where ``path`` reads an attribute in ``attrs``, or uses or imports a
     bare name in ``names``."""
@@ -121,12 +151,12 @@ def test_extract_makes_no_rule_decision():
 
 
 def test_only_predicate_forms_rebuild_syllables():
-    # syllable arithmetic belongs to the predicate forms and the lexicon's
-    # batchim conditions; any other module reads a coda through hangul.tail
+    # syllable arithmetic belongs to the predicate forms; any other module
+    # reads a coda through hangul.tail
     arithmetic = {"decompose", "compose", "with_tail"}
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name not in ("hangul.py", "predicate.py", "lexicon.py"):
+        if path.name not in ("hangul.py", "predicate.py"):
             found += names_in(path, arithmetic, arithmetic)
     assert not found, "syllable arithmetic belongs in saek.predicate: " + ", ".join(found)
 

@@ -80,8 +80,8 @@ def test_decompose_total_never_panics(ch):
 
 
 def test_tail_helpers():
-    assert hangul.tail_jamo("합") == "ㅂ"
-    assert hangul.tail_jamo("하") == ""
+    assert hangul.TAILS[hangul.tail("합")] == "ㅂ"
+    assert hangul.TAILS[hangul.tail("하")] == ""
     assert hangul.with_tail("오", hangul.TAIL_NIEUN) == "온"
     assert hangul.with_tail("팔", hangul.TAIL_NONE) == "파"
     assert hangul.tail("달") == hangul.TAIL_RIEUL

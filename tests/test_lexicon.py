@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import unicodedata
 from collections import Counter
 from importlib import resources
 from itertools import accumulate
@@ -23,10 +24,13 @@ from saek.lexicon import (
     EndingKind,
     Lexicon,
     WhKind,
-    _check_cond,
     default_lexicon,
     parse_lexicon,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workload_gen  # noqa: E402
 
 
 def test_josa_valid_batchim_conditions(lexicon):
@@ -85,6 +89,14 @@ def test_all_wh_primary_nouns_are_bare(lexicon):
 
 def test_ending_roles_disjoint_from_josa(lexicon):
     assert not set(lexicon.josa) & set(lexicon.endings)
+
+
+def test_no_danger_row_ends_in_an_interrogative_ending(lexicon):
+    # the cascade returns at a wh, alternative or polar step before the
+    # danger steps, so such a row could never fire
+    finals = [*lexicon.danger, *(last for _, last in lexicon.danger_pairs)]
+    endings = [lexicon.match_ending(s) for s in finals]
+    assert [s for s, e in zip(finals, endings) if e and e.kind is EndingKind.INTERROGATIVE] == []
 
 
 def test_match_ending_longest_and_conditions(lexicon):
@@ -196,8 +208,14 @@ def _default_rows() -> list[str]:
 
 
 # rows that overlap the default ones: nested cues, connectives, danger and
-# negator suffixes, and surfaces holding regex metacharacters
+# negator suffixes, surfaces holding regex metacharacters, and suffixes under
+# the conditions the default rows leave out
 EXTRA_ROWS = [
+    "josa\t께\tcond=batchim_not_rieul",
+    "josa\t마저\tcond=any",
+    "vocative\t여\tcond=open_or_rieul",
+    "ending\t까요\tkind=int;prev_coda=ㄹ",
+    "ending\t니다\tkind=int;prev_coda=ㅂ",
     "ending\t좀 궁금\tkind=cue",
     "ending\t너무 좀 궁금\tkind=cue",
     "ending\t궁\tkind=cue",
@@ -278,28 +296,68 @@ def test_set_tables_are_frozen(lexicon):
 # -- indexed lookups equal a brute-force scan of the tables --------------------
 
 
-def josa_scan(lex, token, droppable_only):
+def coda(ch):
+    """The name of the final consonant of syllable ``ch`` ('' when it is
+    open), read from its NFD jamo, not through ``saek.hangul``; None for
+    anything that is no syllable, as for the missing character before a
+    suffix that is the whole token."""
+    if len(ch) != 1 or not "가" <= ch <= "힣":
+        return None
+    jamo = unicodedata.normalize("NFD", ch)
+    return unicodedata.name(jamo[2]).removeprefix("HANGUL JONGSEONG ") if len(jamo) == 3 else ""
+
+
+# README's cond= names, by the coda of the character before the suffix; a
+# character that is no syllable reads as open
+COND = {
+    "any": lambda c: True,
+    "batchim": lambda c: c not in (None, ""),
+    "no_batchim": lambda c: c in (None, ""),
+    "open_or_rieul": lambda c: c in (None, "", "RIEUL"),
+    "batchim_not_rieul": lambda c: c not in (None, "", "RIEUL"),
+}
+
+
+def admits(condition, prev):
+    """Whether ``prev``, the character before a suffix ('' for none), meets
+    ``condition``: a row's (key, value) pair, or None for a row without one."""
+    if condition is None:
+        return True
+    key, value = condition
+    if key == "cond":
+        return COND[value](coda(prev))
+    # prev_coda=<final consonant>: only a syllable closed by it
+    return coda(prev) == unicodedata.name(value).removeprefix("HANGUL LETTER ")
+
+
+def row_conditions(rows):
+    """(role, surface) -> the condition its row spells, for the suffix rows."""
+    found = {}
+    for row in rows:
+        role, surface, attrs = (row.split("\t") + ["", ""])[:3]
+        attrs = dict(map(str.strip, c.split("=", 1)) for c in attrs.split(";") if "=" in c)
+        key = {"josa": "cond", "vocative": "cond", "ending": "prev_coda"}.get(role)
+        if key in attrs:
+            found[role, surface] = (key, attrs[key])
+    return found
+
+
+def josa_scan(lex, conds, token, droppable_only):
     fits = [
         s
         for s, entry in lex.josa.items()
         if (entry.droppable or not droppable_only)
         and token.endswith(s)
         and len(token) > len(s)
-        and _check_cond(entry.cond, token[-len(s) - 1])
+        and admits(conds.get(("josa", s)), token[-len(s) - 1])
     ]
     return max(fits, key=len, default=None)
 
 
-def ending_scan(lex, token):
+def ending_scan(lex, conds, token):
     def fits(e):
-        if not token.endswith(e.surface):
-            return False
-        if not e.prev_coda:
-            return True
-        if len(token) <= len(e.surface):
-            return False
-        prev = token[-len(e.surface) - 1]
-        return hangul.is_syllable(prev) and hangul.tail_jamo(prev) == e.prev_coda
+        before = token[: -len(e.surface)]
+        return token.endswith(e.surface) and admits(conds.get(("ending", e.surface)), before[-1:])
 
     return max((e for e in lex.endings.values() if fits(e)), key=lambda e: len(e.surface), default=None)
 
@@ -353,12 +411,14 @@ def preverbal_scan(lex, core):
     return core[len(max(fits, key=len)) :] if fits else core
 
 
-def trim_scan(lex, surfaces):
+def trim_scan(lex, conds, surfaces):
     def is_boundary(s):
         for conn in lex.connectives:
             if s.endswith(conn) and len(s) > len(conn):
-                prev = s[-len(conn) - 1]
-                if conn == "니까" and hangul.is_syllable(prev) and hangul.tail_jamo(prev) == "ㅂ":
+                # a connective that is a conditioned ending whose condition
+                # the token meets is that ending
+                ending = conds.get(("ending", conn))
+                if ending is not None and admits(ending, s[-len(conn) - 1]):
                     continue
                 return True
         return False
@@ -366,7 +426,9 @@ def trim_scan(lex, surfaces):
     return max((i + 1 for i, s in enumerate(surfaces) if is_boundary(s)), default=0)
 
 
-LEXICONS = {"default": parse_lexicon(_default_rows()), "extra": parse_lexicon(_default_rows() + EXTRA_ROWS)}
+ROWS = {"default": _default_rows(), "extra": _default_rows() + EXTRA_ROWS}
+LEXICONS = {name: parse_lexicon(rows) for name, rows in ROWS.items()}
+CONDITIONS = {name: row_conditions(rows) for name, rows in ROWS.items()}
 
 
 def _pieces(lex):
@@ -418,7 +480,7 @@ def ungated(lex):
 
 @pytest.mark.parametrize("name", sorted(LEXICONS))
 def test_indexed_lookups_equal_a_table_scan(name):
-    lex = LEXICONS[name]
+    lex, conds = LEXICONS[name], CONDITIONS[name]
     analyzer = Analyzer(lex)
     extractor = Extractor(lex)
     classifier, scan_classifier = Classifier(lex), Classifier(ungated(lex))
@@ -427,9 +489,9 @@ def test_indexed_lookups_equal_a_table_scan(name):
     @given(token_lists(lex))
     def check(tokens):
         for token in tokens:
-            assert lex.longest_josa(token) == josa_scan(lex, token, False)
-            assert lex.longest_josa(token, droppable_only=True) == josa_scan(lex, token, True)
-            assert lex.match_ending(token) == ending_scan(lex, token)
+            assert lex.longest_josa(token) == josa_scan(lex, conds, token, False)
+            assert lex.longest_josa(token, droppable_only=True) == josa_scan(lex, conds, token, True)
+            assert lex.match_ending(token) == ending_scan(lex, conds, token)
             match = lex.lookup_wh(token)
             assert (tuple(match) if match else None) == wh_scan(lex, token)
             assert analyzer._cues(token) == cues_scan(lex, token)
@@ -439,7 +501,7 @@ def test_indexed_lookups_equal_a_table_scan(name):
         assert lex.match_cue(tokens) == cue_scan(lex, tokens)
         assert lex.is_danger_predicate(tokens) == danger_scan(lex, tokens)
         items = [Eojeol(s, s) for s in tokens]
-        assert extractor._clause_start(items, len(items)) == trim_scan(lex, tokens)
+        assert extractor._clause_start(items, len(items)) == trim_scan(lex, conds, tokens)
         # the cue table's gate: the want-to-know decision and the dropped cue
         # are those of matching every window
         cue = cue_scan(lex, tokens)
@@ -465,7 +527,7 @@ def utterances(draw, lex):
     """Token lists as one text, with vocatives (민수야), conditionals (가면)
     and two-token wh forms (몇 시에) mixed in."""
     tokens = draw(token_lists(lex))
-    marker = st.sampled_from(["", "야", "아", "면", "으면"])
+    marker = st.sampled_from(["", "야", "아", "여", "면", "으면"])
     tokens = [t + draw(marker) if draw(st.booleans()) else t for t in tokens]
     if draw(st.booleans()):
         name = draw(st.text(alphabet="민수지영철", min_size=2, max_size=3))
@@ -477,16 +539,15 @@ def utterances(draw, lex):
     return " ".join(tokens)
 
 
-def vocative_scan(lex, surfaces, index):
+def vocative_scan(lex, conds, surfaces, index):
     """The vocative test with the final-position branch matching an ending
     on every earlier surface."""
     surface = surfaces[index]
     marker, stem = surface[-1], surface[:-1]
-    cond = lex.vocative.get(marker)
-    if len(surface) < 3 or cond is None or not all(hangul.is_syllable(c) for c in stem):
+    if len(surface) < 3 or marker not in lex.vocative or not all(hangul.is_syllable(c) for c in stem):
         return False
     ending = lex.match_ending(surface)
-    if not _check_cond(cond, stem[-1]) or (ending is not None and len(ending.surface) > 1):
+    if not admits(conds.get(("vocative", marker)), stem[-1]) or (ending is not None and len(ending.surface) > 1):
         return False
     return index < len(surfaces) - 1 or any(lex.match_ending(s) is not None for s in surfaces[:index])
 
@@ -518,7 +579,7 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
     one probe drops what the full question rule drops, and extract's
     content, which goes on from normalize's particle split, is what
     stripping the surface gives."""
-    lex = LEXICONS[name]
+    lex, conds = LEXICONS[name], CONDITIONS[name]
     analyzer = Analyzer(lex)
     extractor = Extractor(lex)
     # the shortcut _question_items takes on a plain token
@@ -537,7 +598,7 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
         assert u.wh_hits == wh_hits_scan(lex, u.tokens, u.offsets)
         surfaces = u.surfaces()
         for i in range(len(surfaces)):
-            assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, surfaces, i)
+            assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, conds, surfaces, i)
         for t in u.tokens:
             if t.particle is None and t.ending is None and t.negation is None:
                 assert (t.stem in plain) == extractor._droppable_in_question(t, t.stem)
@@ -756,3 +817,93 @@ def test_no_particle_probe_repeats_within_one_utterance(monkeypatch):
         assert [p for p, n in probes.items() if n > 1] == [], line
         checked += 1
     assert checked > 1000
+
+
+# -- the one condition on the character before a suffix ---------------------
+
+FINALS = [unicodedata.lookup("HANGUL LETTER " + coda(chr(0xAC00 + t))) for t in range(1, 28)]
+SPELLINGS = [("cond", name) for name in COND] + [("prev_coda", final) for final in FINALS]
+# a character that is no syllable (tail -1), then 가 with each tail 0..27
+BEFORE = ["x"] + [chr(0xAC00 + t) for t in range(28)]
+
+
+@pytest.mark.parametrize("key, value", SPELLINGS)
+def test_each_condition_compiles_to_the_tails_readme_gives(key, value):
+    if key == "cond":
+        lex = parse_lexicon(WH_NOUN_ROWS + [f"josa\t도\tcond={value}", f"vocative\t야\tcond={value}"])
+        compiled = [lex.josa["도"].prev_tails, lex.vocative["야"]]
+        analyzer = Analyzer(lex)
+        lookups = {
+            "josa": lambda ch: lex.longest_josa(ch + "도") == "도",
+            "vocative": lambda ch: analyzer._is_vocative(["철" + ch + "야", "가"], 0),
+        }
+    else:
+        lex = parse_lexicon(WH_NOUN_ROWS + [f"ending\t니까\tkind=int;prev_coda={value}", "ending\t줘\tkind=imp"])
+        compiled = [lex.endings["니까"].prev_tails]
+        lookups = {"ending": lambda ch: lex.match_ending(ch + "니까") is not None}
+        # the whole token: only an ending without a condition matches it
+        assert lex.match_ending("니까") is None and lex.match_ending("줘") == lex.endings["줘"]
+    for tail, ch in enumerate(BEFORE, -1):
+        assert hangul.tail(ch) == tail
+        want = admits((key, value), ch)
+        for tails in compiled:
+            assert (tails is None or tail in tails) == want, ch
+        for role, lookup in lookups.items():
+            if role != "vocative" or ch != "x":  # a vocative's name is all syllables
+                assert lookup(ch) == want, (role, ch)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "vocative\t야\tcond=nobatchim",
+        "josa\t도\tcond=Batchim",
+        "josa\t도\tcond=",
+        "josa\t도\tcond",
+        "ending\t니까\tkind=int;prev_coda=b",
+        "ending\t니까\tkind=int;prev_coda=ㅂㅂ",
+        "ending\t니까\tkind=int;prev_coda=ㅏ",
+        "ending\t니까\tkind=int;prev_coda=",
+    ],
+)
+def test_a_bad_condition_is_a_load_error_naming_its_line(row):
+    with pytest.raises(LexiconError, match=r"^added\.tsv:7: bad condition "):
+        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+
+
+# vocatives, particles and endings the added rows below may change
+ADDED_ROW_LINES = [
+    "철수야 뭐 먹을래",
+    "밥 먹었니 민수야",
+    "영숙아 어디 가",
+    "주님이여 어디 가",
+    "선생님께 뭐 드릴까",
+    "철수는 어디 갑니까",
+    "어디 가니까 좋아 민수야",
+    "뭐 먹을게요",
+    "x야 뭐 먹을래",
+]
+
+
+@pytest.mark.parametrize(
+    "value", [*COND, "nobatchim", "Batchim", "none", "ㅂ", "ㄴ", "b", "ㅂㅂ", "ㅏ", ""]
+)
+@pytest.mark.parametrize(
+    "role, surface",
+    [("josa", "는"), ("josa", "께"), ("vocative", "야"), ("vocative", "여"), ("ending", "니까"), ("ending", "게요")],
+)
+def test_a_lexicon_that_loads_never_makes_process_raise(role, surface, value):
+    """The bundled rows with one suffix row added, in place of the bundled
+    row of its surface if there is one: the lexicon either fails to load,
+    naming the row's line, or processes every line without raising."""
+    rows = [row for row in _default_rows() if not row.startswith(f"{role}\t{surface}\t")]
+    attrs = f"kind=int;prev_coda={value}" if role == "ending" else f"cond={value}"
+    rows.append(f"{role}\t{surface}\t{attrs}")
+    try:
+        lex = parse_lexicon(rows, source="added.tsv")
+    except LexiconError as exc:
+        assert str(exc).startswith(f"added.tsv:{len(rows)}: bad condition ")
+        return
+    engine = Engine(lex)
+    for line in workload_gen.reference_lines()[:600] + ADDED_ROW_LINES:
+        engine.process(line)

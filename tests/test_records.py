@@ -27,7 +27,7 @@ RECORDS = {
     ),
     "Argument": lambda: Argument("먹는 의미", ArgumentCategory.MEANING),
     "JamoTriple": lambda: JamoTriple(0, 0, 4),
-    "Josa": lambda: Josa("를", "no_batchim", True),
+    "Josa": lambda: Josa("를", frozenset({-1, 0}), True),
     "Ending": lambda: Ending("니", EndingKind.INTERROGATIVE),
     "WhMatch": lambda: WhMatch(WhKind.WHO, 0, 2),
 }
