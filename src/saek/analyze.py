@@ -57,6 +57,7 @@ class NormalizedUtterance(NamedTuple):
     wh_hits: tuple[WhHit, ...]
     cued: tuple[int, ...]  # indices, in order, of the tokens with a negation or conditional cue
     bearer: int  # the last non-vocative token, the one an ending sits on (-1: none)
+    kept: int  # the first token after the last 말고 before the bearer (0: none)
 
     def surfaces(self) -> list[str]:
         # ``text`` is the surfaces joined by single spaces, and none holds one
@@ -83,19 +84,21 @@ class Analyzer:
         if not surfaces:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
         text = " ".join(surfaces)
-        tokens, offsets, bearer, cued = self._analyze_tokens(surfaces)
+        tokens, offsets, bearer, cued, kept = self._analyze_tokens(surfaces)
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
-        wh_hits = self.find_wh(text, tokens, offsets) if self.lexicon.has_wh_anchor(text) else ()
+        anchors = self.lexicon.wh_anchors(text)
+        wh_hits = self.find_wh(anchors, tokens, offsets) if anchors else ()
         # positional, as each Eojeol below: test_records pins the field order
-        fields = (raw, text, tokens, offsets, wh_hits, cued, bearer)
+        fields = (raw, text, tokens, offsets, wh_hits, cued, bearer, kept)
         return tuple.__new__(NormalizedUtterance, fields)
 
     def _analyze_tokens(
         self, surfaces: list[str]
-    ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], int, tuple[int, ...]]:
-        """The analyzed tokens, their offsets, the bearer and the indices of
-        the tokens that carry a negation or conditional cue.
+    ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], int, tuple[int, ...], int]:
+        """The analyzed tokens, their offsets, the bearer, the indices of
+        the tokens that carry a negation or conditional cue and the first
+        token after the last 말고 before the bearer (0: none).
 
         The sentence-final ending sits on the bearer, the last non-vocative
         token (-1: every token is a vocative). Any other token takes only
@@ -116,7 +119,7 @@ class Analyzer:
         tokens: list[Eojeol] = []
         offsets: list[int] = []
         cued: list[int] = []
-        at = 0
+        kept = at = 0
         for i, surface in enumerate(surfaces):
             offsets.append(at)
             at += len(surface) + 1
@@ -131,6 +134,8 @@ class Analyzer:
                 negation, fused, cond = self._cues(surface)
                 if negation is not None or cond:
                     cued.append(i)
+                    if negation == "malgo" and i < bearer:
+                        kept = i + 1
             # every token after the bearer is a vocative
             voc = i > bearer or (
                 i < bearer and final in markers and self._is_vocative(surfaces, i)
@@ -145,7 +150,7 @@ class Analyzer:
                 stem, particle = self.strip_josa(surface)
             fields = (surface, stem, particle, ending, voc, negation, fused, cond)
             tokens.append(new(Eojeol, fields))
-        return tuple(tokens), tuple(offsets), bearer, tuple(cued)
+        return tuple(tokens), tuple(offsets), bearer, tuple(cued), kept
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields
@@ -206,18 +211,18 @@ class Analyzer:
     # -- utterance-level features ---------------------------------------
 
     def find_wh(
-        self, text: str, tokens: Sequence[Eojeol], offsets: Sequence[int]
+        self, anchors: Iterable[int], tokens: Sequence[Eojeol], offsets: Sequence[int]
     ) -> tuple[WhHit, ...]:
-        """The wh forms in the tokens of ``text``, left to right; a two-token
-        form is tried first at each token and takes its second token along.
+        """The wh forms in ``tokens``, left to right; a two-token form is
+        tried first at each token and takes its second token along.
 
         Every wh surface and first stem of a two-token form is a substring of
-        the token that holds it, so only the tokens an anchor match falls in
-        are looked up."""
+        the token that holds it, so only the tokens an anchor (``anchors``:
+        ``Lexicon.wh_anchors`` of the text) falls in are looked up."""
         lex = self.lexicon
         hits: list[WhHit] = []
         free = 0  # the first token no earlier hit took or looked at
-        for anchor in lex.wh_anchors(text):
+        for anchor in anchors:
             i = bisect_right(offsets, anchor) - 1
             if i < free:
                 continue

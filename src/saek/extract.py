@@ -50,19 +50,18 @@ class Extractor:
 
     def extract(self, u: NormalizedUtterance, c: Classification) -> Argument:
         """Run the routine of the cascade step that fired; the step decided
-        the rule, so no routine decides it again."""
-        tokens = u.tokens
+        the rule, so no routine decides it again. 말고 rejects what precedes
+        it, so every routine reads the tokens from ``u.kept`` on."""
+        tokens = u.tokens[u.kept :]
         match c.step:
             case "info-seeking" | "polar-ending" | "want-to-know":
                 return self.extract_yesno(tokens, c.info)
             case "parallel-clauses" | "disjunction":
                 return self.extract_alternative(tokens)
             case "wh-word" | "info-seeking+wh-word":
-                return self.extract_wh(tokens, c.wh, c.info, u.wh_hits)
+                return self.extract_wh(tokens, c.wh, c.info, u.wh_hits, u.kept)
             case "info-seeking+universal-quantifier":
                 return self._object_span(tokens, c.wh, c.info)
-            case "negation-coordination":
-                return self._sr_from_coordination(tokens)
             case "double-negation":
                 return self._sr_from_double_negation(tokens)
             case "negative-imperative":
@@ -76,7 +75,7 @@ class Extractor:
                 items, content = self._command_items(tokens)
                 idx, core = self._conditional_core(items)
                 return self._prohibition(items, content, idx, predicate.negation_host(core))
-            case "imperative-ending":
+            case "negation-coordination" | "imperative-ending":
                 return self._requirement(*self._command_items(tokens))
         raise ValueError(f"no extraction routine for cascade step {c.step!r}")
 
@@ -98,13 +97,12 @@ class Extractor:
         return self.lexicon.strip_josa_all(e.stem, droppable_only)
 
     def _question_items(self, tokens: Iterable[Eojeol]) -> tuple[list[Eojeol], list[str]]:
-        """The tokens a question argument keeps, from after the last 말고 on,
-        and the content of each at the same index, computed once; a routine
-        trims both lists from the end only."""
+        """The tokens a question argument keeps and the content of each at
+        the same index, computed once; a routine trims both lists from the
+        end only."""
         plain_droppable = self._plain_droppable
         items: list[Eojeol] = []
         content: list[str] = []
-        malgo: list[int] = []
         for t in tokens:
             if t.is_vocative:
                 continue
@@ -117,12 +115,9 @@ class Extractor:
                     stem = self._content(t)
                 if self._droppable_in_question(t, stem):
                     continue
-            if t.negation == "malgo":
-                malgo.append(len(items))
             items.append(t)
             content.append(stem)
-        start = _after_malgo(malgo, len(items))
-        return items[start:], content[start:]
+        return items, content
 
     def _droppable_in_question(self, e: Eojeol, stem: str) -> bool:
         lex = self.lexicon
@@ -193,8 +188,6 @@ class Extractor:
     def extract_alternative(self, tokens: Sequence[Eojeol]) -> Argument:
         lex = self.lexicon
         items = [t for t in tokens if not t.is_vocative]
-        malgo = [i for i, t in enumerate(items) if t.negation == "malgo"]
-        items = items[_after_malgo(malgo, len(items)) :]
         # each interrogative predicate with its ending: ``normalize`` matched
         # the bearer's (the last item), which parallel clauses repeat, and a
         # token that ends in no ending's last character matches none
@@ -231,8 +224,8 @@ class Extractor:
 
     def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
         """Option content of a clause, kept as a question argument keeps it;
-        the disjunction (아니면) is no option. ``extract_alternative`` has cut
-        the material before the last 말고, so ``_question_items`` cuts none."""
+        the disjunction (아니면) is no option. ``extract`` has cut the
+        material before the last 말고 from the clauses."""
         disjunction = self.lexicon.disjunction
         items, content = self._question_items(clause)
         return self._clean_parts(
@@ -242,14 +235,15 @@ class Extractor:
     # -- wh questions -----------------------------------------------------------
 
     def extract_wh(
-        self, tokens: Sequence[Eojeol], wh: WhKind, info: int, hits: Sequence[WhHit]
+        self, tokens: Sequence[Eojeol], wh: WhKind, info: int, hits: Sequence[WhHit], first: int
     ) -> Argument:
         """``info``: tokens of the info verb the utterance ends on, which the
-        classifier found (0: none); ``hits``: the wh forms, whose tokens go."""
+        classifier found (0: none); ``hits``: the wh forms, whose tokens go;
+        ``first``: the index ``hits`` count ``tokens[0]`` at."""
         lex = self.lexicon
         wh_tokens = {i for h in hits for i in range(h.token_start, h.token_end)}
         items, content = self._question_items(
-            t for i, t in enumerate(tokens) if i not in wh_tokens
+            t for i, t in enumerate(tokens, first) if i not in wh_tokens
         )
         if info:
             items = items[:-info]
@@ -332,24 +326,20 @@ class Extractor:
     # -- commands -------------------------------------------------------------
 
     def _command_items(self, tokens: Sequence[Eojeol]) -> tuple[list[Eojeol], list[str]]:
-        """The tokens a command argument keeps, from after the last 말고 on,
-        and the content of each at the same index, computed once."""
+        """The tokens a command argument keeps and the content of each at
+        the same index, computed once."""
         pronouns = self.lexicon.pronouns
         items: list[Eojeol] = []
         content: list[str] = []
-        malgo: list[int] = []
         for t in tokens:
             if t.is_vocative or t.surface in pronouns:
                 continue
             stem = t.stem if t.particle is None else self._content(t, droppable_only=True)
             if stem in pronouns:
                 continue
-            if t.negation == "malgo":
-                malgo.append(len(items))
             items.append(t)
             content.append(stem)
-        start = _after_malgo(malgo, len(items))
-        return items[start:], content[start:]
+        return items, content
 
     def _clause_start(self, items: list[Eojeol], end: int) -> int:
         """Where the clause that ends before ``items[end]`` starts: after the
@@ -398,13 +388,6 @@ class Extractor:
         parts = self._clean_parts([content[i] for i in keep[: len(span)]])
         return _new(Argument, (" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, ()))
 
-    def _sr_from_coordination(self, tokens: Sequence[Eojeol]) -> Argument:
-        items, content = self._command_items(tokens)
-        # a bearer with a pronoun stem (전해) is not in items, so 말고 can be last
-        if items and items[-1].negation == "malgo":
-            raise ExtractionFailed("no action after the coordination marker")
-        return self._requirement(items, content)
-
     def _requirement(self, items: list[Eojeol], content: list[str]) -> Argument:
         if not items:
             raise ExtractionFailed("empty required action")
@@ -438,13 +421,3 @@ class Extractor:
         if folded:
             preceding.pop()
         return nominal
-
-
-def _after_malgo(malgo: list[int], n: int) -> int:
-    """Where the kept clause of ``n`` items starts: 말고 marks rejected
-    material, so only the items after the last 말고 (``malgo``: the 말고
-    items' indices, in order) before the final item survive."""
-    for i in reversed(malgo):
-        if i < n - 1:
-            return i + 1
-    return 0

@@ -12,7 +12,7 @@ import io
 import os
 import re
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import hangul
 from .errors import LexiconError
@@ -91,6 +91,17 @@ _SET_ROLES = {
     "nostrip": "nostrip",
 }
 ROLES = {"josa", "vocative", "ending", "wh", "whnoun", "negation", "danger", "advdet", *_SET_ROLES}
+# the attribute keys each role reads; a role not listed reads none, and any
+# other key is a load error, not a condition dropped without a word
+_ROLE_KEYS = {
+    "josa": {"cond", "droppable", "object"},
+    "vocative": {"cond"},
+    "ending": {"kind", "copula", "prev_coda", "stem"},
+    "wh": {"category"},
+    "whnoun": {"category"},
+    "negation": {"kind"},
+    "advdet": {"det"},
+}
 
 NEGATION_KINDS = ("ma", "malgo", "anh", "preverbal")
 
@@ -260,15 +271,11 @@ class Lexicon:
             return None
         return WhMatch(self.wh_surfaces[m.group()], m.start(), m.end())
 
-    def has_wh_anchor(self, text: str) -> bool:
-        """True iff a wh surface or the first stem of a wh pair occurs in
-        ``text``; where none does, no token of it can hold a wh form."""
-        return self._wh_anchor_re.search(text) is not None
-
-    def wh_anchors(self, text: str) -> Iterator[int]:
+    def wh_anchors(self, text: str) -> list[int]:
         """Start offsets of the wh surfaces and first stems of wh pairs in
-        ``text``, left to right, matches not overlapping."""
-        return (m.start() for m in self._wh_anchor_re.finditer(text))
+        ``text``, left to right, matches not overlapping; where there is
+        none, no token of ``text`` can hold a wh form."""
+        return list(map(re.Match.start, self._wh_anchor_re.finditer(text)))
 
     def lookup_wh_pair(self, stem_a: str, stem_b: str) -> Optional[WhKind]:
         """Two-token wh form (counting interrogatives like 몇 시)."""
@@ -338,6 +345,9 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         attrs = _parse_attrs(parts[2] if len(parts) > 2 else "")
         if role not in ROLES:
             raise LexiconError(f"{source}:{lineno}: unknown role {role!r}")
+        for key in attrs:
+            if key not in _ROLE_KEYS.get(role, ()):
+                raise LexiconError(f"{source}:{lineno}: unknown attribute {key} for {role}")
         if not surface:
             raise LexiconError(f"{source}:{lineno}: empty surface")
         if (role, surface) in seen:

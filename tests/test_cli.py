@@ -297,6 +297,20 @@ def test_bad_condition_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_unknown_attribute_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsys, monkeypatch):
+    bundled = (Path(saek.__file__).parent / "data" / "default_lexicon.tsv").read_text("utf-8")
+    lines = bundled.splitlines()
+    line = lines.index("josa\t는\tcond=no_batchim;droppable") + 1
+    lines[line - 1] = "josa\t는\tkond=no_batchim;droppable"
+    path = tmp_path / "bad.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["--lexicon", str(path), "extract", "-"]
+    code, out, err = run_cli(argv, "나는 밥 먹었니\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"saek: {path}:{line}: unknown attribute kond for josa")
+    assert "Traceback" not in err
+
+
 def test_corpus_commands_never_read_the_lexicon(fixtures_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAEK_LEXICON", str(tmp_path / "missing.tsv"))
     code = cli.run(["corpus", "stats", str(fixtures_dir / "corpus60.tsv")])

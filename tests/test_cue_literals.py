@@ -150,6 +150,19 @@ def test_extract_makes_no_rule_decision():
     assert not found, "rule decisions belong in the classifier: " + ", ".join(found)
 
 
+def test_extract_makes_no_malgo_cut():
+    # normalize finds the 말고 cut once (NormalizedUtterance.kept), and extract
+    # hands every routine the tokens from it on: no routine cuts again
+    tree = ast.parse((SRC / "extract.py").read_text("utf-8"))
+    found = literals_in(SRC / "extract.py", {"malgo"})
+    found += [
+        f"extract.py:{node.lineno}: def {node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_after_malgo"
+    ]
+    assert not found, "the 말고 cut belongs in normalize: " + ", ".join(found)
+
+
 def test_only_predicate_forms_rebuild_syllables():
     # syllable arithmetic belongs to the predicate forms; any other module
     # reads a coda through hangul.tail

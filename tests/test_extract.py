@@ -198,6 +198,16 @@ def test_repeated_malgo_with_nothing_after_the_last_fails(engine):
     assert (record.label, record.argument, record.error) == (5, None, "extraction-failed")
 
 
+@pytest.mark.parametrize(
+    "text, label", [("커피 말고 뭐야", 2), ("커피 말고 너니", 0), ("커피 말고 전해", 4)]
+)
+def test_malgo_before_a_bearer_that_drops_out_leaves_nothing(engine, text, label):
+    # the wh word or pronoun stem bearer is no content, and 말고 rejects
+    # everything before it: 말고 never leaks into the argument
+    record = engine.process(text)
+    assert (record.label, record.argument, record.error) == (label, None, "extraction-failed")
+
+
 def test_contraction_fallback_flagged_in_notes(analyzer, classifier, extractor):
     # a nonsense coda-ㅆ syllable outside the contraction table: raw stem + 은
     got = run(analyzer, classifier, extractor, "누가 긨니")

@@ -871,6 +871,43 @@ def test_a_bad_condition_is_a_load_error_naming_its_line(row):
         parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
 
 
+@pytest.mark.parametrize(
+    "row, key, role",
+    [
+        # a condition under the other suffix role's key, and a misspelt one
+        ("josa\t도\tprev_coda=ㅂ", "prev_coda", "josa"),
+        ("ending\t니까\tkind=int;cond=batchim", "cond", "ending"),
+        ("josa\t는\tkond=batchim", "kond", "josa"),
+        ("pronoun\t너\tcond=any", "cond", "pronoun"),
+    ],
+)
+def test_an_unknown_attribute_is_a_load_error_naming_its_line(row, key, role):
+    with pytest.raises(LexiconError, match=rf"^added\.tsv:7: unknown attribute {key} for {role}$"):
+        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+
+
+# one utterance per row that no other test pins, with its gold output under
+# the bundled lexicon; deleting the row must change the output
+ROW_PINS = [
+    ("wh\t누가\tcategory=who", "누가 왔니", (2, "온 사람")),
+    ("josa\t는\tcond=no_batchim;droppable", "나는 밥 먹었니", (0, "밥 먹었는지 여부")),
+    ("josa\t를\tcond=no_batchim;droppable;object", "사과를 먹어라", (4, "사과 먹기")),
+    ("ending\t냐\tkind=int", "밥을 먹었냐", (0, "밥 먹었는지 여부")),
+    ("ending\t습니까\tkind=int", "밥을 먹었습니까", (0, "밥 먹었는지 여부")),
+    ("negation\t못\tkind=preverbal", "밥 못 먹었니", (0, "밥 먹었는지 여부")),
+]
+
+
+@pytest.mark.parametrize("row, text, gold", ROW_PINS)
+def test_each_pinned_row_decides_its_output(engine, row, text, gold):
+    record = engine.process(text)
+    assert (record.label, record.argument) == gold
+    rows = _default_rows()
+    rows.remove(row)  # the row is bundled as written
+    record = Engine(parse_lexicon(rows)).process(text)
+    assert (record.label, record.argument) != gold
+
+
 # vocatives, particles and endings the added rows below may change
 ADDED_ROW_LINES = [
     "철수야 뭐 먹을래",

@@ -75,6 +75,7 @@ def test_positional_builds_keep_their_field_order():
         "wh_hits",
         "cued",
         "bearer",
+        "kept",
     )
     assert Evidence._fields == ("rule", "span")
     assert Classification._fields == ("label", "step", "wh", "evidence", "info")
