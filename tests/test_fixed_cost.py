@@ -6,6 +6,7 @@ short fuzz lines, whose cost is mostly this fixed per-utterance part: the
 hand-off between the layers, the want-to-know cue test and the record.
 """
 
+import gc
 import sys
 from pathlib import Path
 
@@ -33,10 +34,15 @@ def test_short_utterances_stay_within_the_call_budget(engine):
         if event == "call":
             calls += 1
 
+    # a collection inside the window would count the Python-level gc
+    # callbacks other libraries register (hypothesis has one), not the engine
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         for line in lines:
             engine.process(line)
     finally:
         sys.setprofile(None)
+        gc.enable()
     assert calls / LINES <= BUDGET
