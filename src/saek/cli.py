@@ -11,6 +11,7 @@ expectation), 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -93,28 +94,53 @@ def _open(path: str, mode: str) -> TextIO:
         raise IoFailure(str(exc)) from exc
 
 
-def _emit(record: OutputRecord, fmt: str, out: TextIO) -> None:
-    # one write per record: on an unbuffered stdout each write is a system call
+# records per write for a file input after its first: about 7 KB, and an
+# unbuffered stdout makes one system call per block
+_BLOCK = 32
+
+
+def _emit(record: OutputRecord, fmt: str, block: list[str]) -> None:
+    # the record's line joins the block that _run_stream writes out
     if fmt == "tsv":
         line = record_tsv_row(record)
     else:
-        line = json.dumps(record.to_dict(), ensure_ascii=False)
-    out.write(line + "\n")
+        # a record of strings, ints, lists and dicts holds no cycle to look for
+        line = json.dumps(record.to_dict(), ensure_ascii=False, check_circular=False)
+    block.append(line + "\n")
 
 
 def _run_stream(engine: Engine, args: argparse.Namespace, extract: bool) -> int:
     failed = False
     stream = _open_input(args.input)
+    # stdin may be a live feed (tail -f log | saek extract): each of its
+    # records is written and flushed at once, buffered stdout or not.  A
+    # file's first record also goes out alone, as soon as it exists, and the
+    # rest in blocks
+    live = stream is sys.stdin
+    per_write = 1
+    out = sys.stdout
+    pending: list[str] = []
     try:
         for line in stream:
             if not line.strip():
                 continue
             record = engine.process(line, extract=extract)
-            _emit(record, args.format, sys.stdout)
+            _emit(record, args.format, pending)
             failed = failed or record.error is not None
+            if len(pending) >= per_write:
+                text = "".join(pending)
+                pending.clear()
+                out.write(text)
+                if live:
+                    out.flush()
+                else:
+                    per_write = _BLOCK
     finally:
-        if stream is not sys.stdin:
+        if not live:
             stream.close()
+        # the records already made still go out if the input fails mid-way
+        if pending:
+            out.write("".join(pending))
     return 1 if (failed and args.strict) else 0
 
 
@@ -232,6 +258,9 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
+    # the imported modules live until exit: frozen, the collector neither
+    # walks them during the run nor tears them down at exit
+    gc.freeze()
     try:
         code = run()
         sys.stdout.flush()

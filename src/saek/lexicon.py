@@ -19,6 +19,10 @@ from .errors import LexiconError
 
 
 class WhKind(Enum):
+    # members are singletons that compare by identity, so the identity hash
+    # serves the dict lookups keyed by kind without Enum's Python-level hash
+    __hash__ = object.__hash__
+
     WHO = "who"
     WHAT = "what"
     WHERE = "where"
@@ -102,6 +106,11 @@ _ROLE_KEYS = {
     "negation": {"kind"},
     "advdet": {"det"},
 }
+# the keys that are bare flags: one given a value is a load error, since
+# droppable=false would read as droppable
+_FLAGS = {"droppable", "object", "copula"}
+# a row's attributes: key -> value, None for a key written bare
+_Attrs = dict[str, Optional[str]]
 
 NEGATION_KINDS = ("ma", "malgo", "anh", "preverbal")
 
@@ -345,9 +354,11 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         attrs = _parse_attrs(parts[2] if len(parts) > 2 else "")
         if role not in ROLES:
             raise LexiconError(f"{source}:{lineno}: unknown role {role!r}")
-        for key in attrs:
+        for key, value in attrs.items():
             if key not in _ROLE_KEYS.get(role, ()):
                 raise LexiconError(f"{source}:{lineno}: unknown attribute {key} for {role}")
+            if key in _FLAGS and value is not None:
+                raise LexiconError(f"{source}:{lineno}: flag {key} takes no value: {key}={value}")
         if not surface:
             raise LexiconError(f"{source}:{lineno}: empty surface")
         if (role, surface) in seen:
@@ -357,8 +368,8 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
     return Lexicon(**tables)
 
 
-def _parse_attrs(text: str) -> dict[str, str]:
-    attrs: dict[str, str] = {}
+def _parse_attrs(text: str) -> _Attrs:
+    attrs: _Attrs = {}
     for chunk in text.strip().split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -367,11 +378,11 @@ def _parse_attrs(text: str) -> dict[str, str]:
             key, value = chunk.split("=", 1)
             attrs[key.strip()] = value.strip()
         else:
-            attrs[chunk] = "true"
+            attrs[chunk] = None
     return attrs
 
 
-def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: str) -> None:
+def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> None:
     if role in _SET_ROLES:
         t[_SET_ROLES[role]].add(surface)
     elif role == "josa":
@@ -383,6 +394,9 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
         kind = _ENDING_KINDS.get(attrs.get("kind", ""))
         if kind is None:
             raise LexiconError(f"{where}: ending needs kind=int|imp|cue")
+        stem = attrs.get("stem", "")
+        if stem is None:
+            raise LexiconError(f"{where}: ending needs stem=<stem>, not a bare stem")
         if kind is EndingKind.DECLARATIVE_CUE:
             t["cues"].add(tuple(surface.split(" ")))
         else:
@@ -391,7 +405,7 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
                 kind,
                 copula="copula" in attrs,
                 prev_tails=_prev_tails(attrs, "prev_coda", where),
-                stem=attrs.get("stem", ""),
+                stem=stem,
             )
     elif role in ("wh", "whnoun"):
         try:
@@ -421,11 +435,13 @@ def _add_entry(t: dict, role: str, surface: str, attrs: dict[str, str], where: s
         t["advdet"][surface] = det
 
 
-def _prev_tails(attrs: dict[str, str], key: str, where: str) -> Optional[frozenset[int]]:
-    value, spellings = attrs.get(key), _CONDITIONS[key]
-    if value is not None and value not in spellings:
+def _prev_tails(attrs: _Attrs, key: str, where: str) -> Optional[frozenset[int]]:
+    if key not in attrs:
+        return None
+    value, spellings = attrs[key], _CONDITIONS[key]
+    if value not in spellings:
         raise LexiconError(f"{where}: bad condition {key}={value!r}")
-    return spellings.get(value)
+    return spellings[value]
 
 
 def load_lexicon(path: str | os.PathLike[str]) -> Lexicon:

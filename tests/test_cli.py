@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -14,6 +15,11 @@ from hypothesis import given, settings, strategies as st
 import saek
 from saek import cli
 from saek.corpus import TABLE2_COUNTS
+from saek.engine import record_tsv_row
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workload_gen  # noqa: E402
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
@@ -125,6 +131,112 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path, unbuffered):
     assert json.loads(first)["argument"] == "오늘 온 사람"
     assert err == b""
 
+
+def _child_env(unbuffered="1"):
+    src = Path(saek.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONIOENCODING"] = "utf-8"
+    env.pop("SAEK_LEXICON", None)
+    return env
+
+
+def _readline_within(stream, seconds):
+    ready, _, _ = select.select([stream], [], [], seconds)
+    assert ready, f"no record within {seconds} s"
+    return stream.readline()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdin_input_streams_each_record_before_the_next_line(engine, unbuffered):
+    # a live feed (tail -f log | saek extract): each record comes back while
+    # stdin is still open, whether or not stdout is buffered
+    lines = ["오늘은 누구 왔니", "창문 열어줘"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "saek.cli", "extract"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(unbuffered),
+    )
+    try:
+        for line in lines:
+            proc.stdin.write(line.encode() + b"\n")
+            proc.stdin.flush()
+            got = json.loads(_readline_within(proc.stdout, 60))
+            assert got == engine.process(line).to_dict()
+        proc.stdin.close()
+        assert proc.stdout.read() == b""
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+# three full blocks and a part of a fourth
+N_BLOCKED = 3 * cli._BLOCK + 5
+
+
+def _blocked_lines():
+    lines = [line for line in workload_gen.reference_lines() if line.strip()]
+    return lines[:N_BLOCKED]
+
+
+def _want_text(engine, lines, fmt):
+    records = [engine.process(line) for line in lines]
+    if fmt == "tsv":
+        return "".join(record_tsv_row(r) + "\n" for r in records)
+    return "".join(json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_file_input_is_written_in_blocks(engine, tmp_path, monkeypatch, fmt):
+    lines = _blocked_lines()
+    path = tmp_path / "in.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.run(["extract", "--format", fmt, str(path)]) == 0
+    assert len(out.writes) <= -(-len(lines) // cli._BLOCK) + 1
+    assert out.writes[0].count("\n") == 1  # the first record waits for no block
+    assert out.getvalue() == _want_text(engine, lines, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_stdin_input_is_written_one_record_at_a_time(engine, monkeypatch, fmt):
+    lines = _blocked_lines()
+    out = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(line + "\n" for line in lines)))
+    assert cli.run(["extract", "--format", fmt]) == 0
+    assert len(out.writes) == len(lines)
+    assert out.getvalue() == _want_text(engine, lines, fmt)
+
+
+def test_a_file_over_several_blocks_matches_the_in_process_records(engine, tmp_path):
+    # through main(), the process entry point, which freezes the start-up heap
+    lines = _blocked_lines()
+    path = tmp_path / "in.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "saek.cli", "extract", str(path)],
+        capture_output=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == _want_text(engine, lines, "json").encode("utf-8")
 
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:

@@ -886,6 +886,26 @@ def test_an_unknown_attribute_is_a_load_error_naming_its_line(row, key, role):
         parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
 
 
+@pytest.mark.parametrize(
+    "row, key, value",
+    [
+        # each would load as the flag it denies if a flag read its presence
+        ("josa\t를\tcond=no_batchim;droppable=false;object=no", "droppable", "false"),
+        ("ending\t니\tkind=int;copula=no", "copula", "no"),
+        ("josa\t를\tobject=true", "object", "true"),
+    ],
+)
+def test_a_flag_given_a_value_is_a_load_error_naming_its_line(row, key, value):
+    with pytest.raises(
+        LexiconError, match=rf"^added\.tsv:7: flag {key} takes no value: {key}={value}$"
+    ):
+        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+
+
+def test_a_bare_stem_is_a_load_error_naming_its_line():
+    with pytest.raises(LexiconError, match=r"^added\.tsv:7: ending needs stem=<stem>"):
+        parse_lexicon(WH_NOUN_ROWS + ["ending\t줘\tkind=imp;stem"], source="added.tsv")
+
 # one utterance per row that no other test pins, with its gold output under
 # the bundled lexicon; deleting the row must change the output
 ROW_PINS = [
