@@ -14,6 +14,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 from typing import Optional, TextIO
 
@@ -94,7 +95,7 @@ def _open(path: str, mode: str) -> TextIO:
         raise IoFailure(str(exc)) from exc
 
 
-# records per write for a file input after its first: about 7 KB, and an
+# records per write from a regular file after its first: about 7 KB, and an
 # unbuffered stdout makes one system call per block
 _BLOCK = 32
 
@@ -109,14 +110,22 @@ def _emit(record: OutputRecord, fmt: str, block: list[str]) -> None:
     block.append(line + "\n")
 
 
+def _is_regular_file(stream: TextIO) -> bool:
+    try:
+        return stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+    except (OSError, ValueError):  # no descriptor: an in-memory stream
+        return False
+
+
 def _run_stream(engine: Engine, args: argparse.Namespace, extract: bool) -> int:
     failed = False
     stream = _open_input(args.input)
-    # stdin may be a live feed (tail -f log | saek extract): each of its
-    # records is written and flushed at once, buffered stdout or not.  A
-    # file's first record also goes out alone, as soon as it exists, and the
-    # rest in blocks
-    live = stream is sys.stdin
+    # a regular file, by path or by < redirect, holds every line already: its
+    # first record goes out as soon as it exists and the rest in blocks.  Any
+    # other input (a pipe, a terminal, a FIFO) may bring its lines over time,
+    # so each of its records is written and flushed as it is made, buffered
+    # stdout or not
+    in_blocks = _is_regular_file(stream)
     per_write = 1
     out = sys.stdout
     pending: list[str] = []
@@ -131,12 +140,12 @@ def _run_stream(engine: Engine, args: argparse.Namespace, extract: bool) -> int:
                 text = "".join(pending)
                 pending.clear()
                 out.write(text)
-                if live:
-                    out.flush()
-                else:
+                if in_blocks:
                     per_write = _BLOCK
+                else:
+                    out.flush()
     finally:
-        if not live:
+        if stream is not sys.stdin:
             stream.close()
         # the records already made still go out if the input fails mid-way
         if pending:

@@ -396,7 +396,7 @@ def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> N
             raise LexiconError(f"{where}: ending needs kind=int|imp|cue")
         stem = attrs.get("stem", "")
         if stem is None:
-            raise LexiconError(f"{where}: ending needs stem=<stem>, not a bare stem")
+            raise LexiconError(f"{where}: stem needs a value: stem=<stem>")
         if kind is EndingKind.DECLARATIVE_CUE:
             t["cues"].add(tuple(surface.split(" ")))
         else:
@@ -439,6 +439,8 @@ def _prev_tails(attrs: _Attrs, key: str, where: str) -> Optional[frozenset[int]]
     if key not in attrs:
         return None
     value, spellings = attrs[key], _CONDITIONS[key]
+    if value is None:
+        raise LexiconError(f"{where}: bad condition {key}, which needs a value: {key}=<spelling>")
     if value not in spellings:
         raise LexiconError(f"{where}: bad condition {key}={value!r}")
     return spellings[value]

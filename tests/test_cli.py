@@ -6,6 +6,7 @@ import select
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -200,26 +201,64 @@ def _want_text(engine, lines, fmt):
     return "".join(json.dumps(r.to_dict(), ensure_ascii=False) + "\n" for r in records)
 
 
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
-def test_file_input_is_written_in_blocks(engine, tmp_path, monkeypatch, fmt):
+@pytest.mark.parametrize("given", ["path", "redirect"])
+def test_a_regular_file_is_written_in_blocks(engine, tmp_path, monkeypatch, given, fmt):
+    # by path or as stdin (saek extract < FILE): the input is a regular file
     lines = _blocked_lines()
     path = tmp_path / "in.txt"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _write_lines(path, lines)
     out = CountingStdout()
     monkeypatch.setattr(sys, "stdout", out)
-    assert cli.run(["extract", "--format", fmt, str(path)]) == 0
+    argv = ["extract", "--format", fmt]
+    if given == "path":
+        argv.append(str(path))
+        assert cli.run(argv) == 0
+    else:
+        with open(path, encoding="utf-8") as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert cli.run(argv) == 0
     assert len(out.writes) <= -(-len(lines) // cli._BLOCK) + 1
     assert out.writes[0].count("\n") == 1  # the first record waits for no block
     assert out.getvalue() == _want_text(engine, lines, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
-def test_stdin_input_is_written_one_record_at_a_time(engine, monkeypatch, fmt):
+@pytest.mark.parametrize("given", ["pipe", "fifo", "in-memory"])
+def test_any_other_input_is_written_one_record_at_a_time(
+    engine, tmp_path, monkeypatch, given, fmt
+):
+    # a pipe on stdin, a FIFO given as a path, or a stream with no descriptor
     lines = _blocked_lines()
+    text = "".join(line + "\n" for line in lines)
     out = CountingStdout()
     monkeypatch.setattr(sys, "stdout", out)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(line + "\n" for line in lines)))
-    assert cli.run(["extract", "--format", fmt]) == 0
+    argv = ["extract", "--format", fmt]
+    if given == "fifo":
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=_write_lines, args=(fifo, lines))
+        writer.start()
+        try:
+            assert cli.run(argv + [str(fifo)]) == 0
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+    else:
+        if given == "pipe":
+            read_fd, write_fd = os.pipe()
+            with os.fdopen(write_fd, "w", encoding="utf-8") as w:
+                w.write(text)  # a few KB: the pipe's buffer holds it all
+            stdin = os.fdopen(read_fd, encoding="utf-8")
+        else:
+            stdin = io.StringIO(text)
+        with stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert cli.run(argv) == 0
     assert len(out.writes) == len(lines)
     assert out.getvalue() == _want_text(engine, lines, fmt)
 
@@ -228,7 +267,7 @@ def test_a_file_over_several_blocks_matches_the_in_process_records(engine, tmp_p
     # through main(), the process entry point, which freezes the start-up heap
     lines = _blocked_lines()
     path = tmp_path / "in.txt"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _write_lines(path, lines)
     proc = subprocess.run(
         [sys.executable, "-m", "saek.cli", "extract", str(path)],
         capture_output=True,

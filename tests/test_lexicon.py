@@ -902,9 +902,18 @@ def test_a_flag_given_a_value_is_a_load_error_naming_its_line(row, key, value):
         parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
 
 
-def test_a_bare_stem_is_a_load_error_naming_its_line():
-    with pytest.raises(LexiconError, match=r"^added\.tsv:7: ending needs stem=<stem>"):
-        parse_lexicon(WH_NOUN_ROWS + ["ending\t줘\tkind=imp;stem"], source="added.tsv")
+@pytest.mark.parametrize(
+    "row, key",
+    [
+        ("josa\t도\tcond", "cond"),
+        ("ending\t니까\tkind=int;prev_coda", "prev_coda"),
+        ("ending\t줘\tkind=imp;stem", "stem"),
+    ],
+)
+def test_a_bare_key_that_needs_a_value_is_a_load_error_naming_its_line(row, key):
+    with pytest.raises(LexiconError, match=rf"^added\.tsv:7: .*\b{key}\b.* needs a value: {key}=<"):
+        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+
 
 # one utterance per row that no other test pins, with its gold output under
 # the bundled lexicon; deleting the row must change the output
