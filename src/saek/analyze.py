@@ -59,10 +59,6 @@ class NormalizedUtterance(NamedTuple):
     bearer: int  # the last non-vocative token, the one an ending sits on (-1: none)
     kept: int  # the first token after the last 말고 before the bearer (0: none)
 
-    def surfaces(self) -> list[str]:
-        # ``text`` is the surfaces joined by single spaces, and none holds one
-        return self.text.split(" ")
-
 
 class Analyzer:
     """Turns raw text into the feature substrate the classifier reads."""

@@ -30,7 +30,7 @@ class IntentLabel(IntEnum):
 
 class Evidence(NamedTuple):
     rule: str
-    span: tuple[int, int]  # char span within NormalizedUtterance.text
+    span: Optional[tuple[int, int]]  # char span in NormalizedUtterance.text; None: a note
 
 
 class Classification(NamedTuple):
@@ -86,7 +86,9 @@ class Classifier:
     def classify(self, u: NormalizedUtterance) -> Classification:
         lex = self.lexicon
         tokens = u.tokens
-        surfaces = u.surfaces()
+        offsets = u.offsets
+        # ``text`` is the surfaces joined by single spaces, and none holds one
+        surfaces = u.text.split(" ")
         wh_hits = u.wh_hits
         last = len(surfaces) - 1
         bearer = u.bearer
@@ -109,18 +111,14 @@ class Classifier:
             words.reverse()
             cue = lex.match_cue(words)
 
-        def token_span(i: int) -> tuple[int, int]:
-            start = u.offsets[i]
-            return (start, start + len(surfaces[i]))
-
-        def ending_span(i: int) -> tuple[int, int]:
-            start = u.offsets[i]
-            return (start + len(tokens[i].stem), start + len(surfaces[i]))
+        # the bearer's char span; every other span is spelled where its step fires
+        start = offsets[bearer]
+        end = start + len(surfaces[bearer])
 
         # (1) information-seeking imperatives are treated as questions
         info_idx = self._info_verb_index(u)
         if info_idx is not None:
-            verb = token_span(info_idx)
+            verb = (offsets[info_idx], offsets[info_idx] + len(surfaces[info_idx]))
             n_info = bearer - info_idx + 1
             if wh_hits:
                 hit = wh_hits[0]
@@ -128,7 +126,7 @@ class Classifier:
                 return _fired("info-seeking+wh-word", verb, span, wh=hit.kind, info=n_info)
             quant = self._universal_quantifier_index(u, exclude=info_idx)
             if quant is not None:
-                span = token_span(quant)
+                span = (offsets[quant], offsets[quant] + len(surfaces[quant]))
                 return _fired(
                     "info-seeking+universal-quantifier", verb, span, wh=WhKind.WHAT, info=n_info
                 )
@@ -144,16 +142,17 @@ class Classifier:
             # the first token with the bearer's surface: the bearer itself when none repeats it
             repeat = surfaces.index(surfaces[bearer])
             if repeat < bearer:
-                return _fired("parallel-clauses", token_span(repeat), token_span(bearer))
+                span = (offsets[repeat], offsets[repeat] + len(surfaces[repeat]))
+                return _fired("parallel-clauses", span, (start, end))
             if not lex.disjunction.isdisjoint(surfaces):
                 i = next(i for i, s in enumerate(surfaces) if s in lex.disjunction)
-                return _fired("disjunction", token_span(i))
+                return _fired("disjunction", (offsets[i], offsets[i] + len(surfaces[i])))
 
             # (4) plain polar question
-            return _fired("polar-ending", ending_span(bearer))
+            return _fired("polar-ending", (start + len(tokens[bearer].stem), end))
         # (4) so is a want-to-know cue without an interrogative ending
         if cue is not None:
-            return _fired("want-to-know", token_span(bearer))
+            return _fired("want-to-know", (start, end))
 
         # steps (5)-(7) read the negation and conditional tags of the cued tokens only
         malgo = myen = None  # first 말고 and first -면 token, never the last token
@@ -178,7 +177,8 @@ class Classifier:
         # (5) negated clause coordinated onto a positive imperative (놀지 말고)
         if malgo is not None and imperative and bearer > malgo:
             if negative_imperative(tokens, (malgo,)) is not None:
-                return _fired("negation-coordination", token_span(malgo))
+                span = (offsets[malgo], offsets[malgo] + len(surfaces[malgo]))
+                return _fired("negation-coordination", span)
 
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is
@@ -189,17 +189,17 @@ class Classifier:
             core = predicate.conditional_core(surfaces[myen])
             preverbal = lex.strip_preverbal(core) != core
         if danger and preverbal:
-            return _fired("double-negation", token_span(bearer))
+            return _fired("double-negation", (start, end))
 
         # (7) negative imperative, or conditional with a danger consequence
         if ma and negative_imperative(tokens, ma) is not None:
-            return _fired("negative-imperative", token_span(bearer))
+            return _fired("negative-imperative", (start, end))
         if danger:
-            return _fired("danger-conditional", token_span(bearer))
+            return _fired("danger-conditional", (start, end))
 
         # (8) plain imperative / request / wish
         if imperative:
-            return _fired("imperative-ending", ending_span(bearer))
+            return _fired("imperative-ending", (start + len(tokens[bearer].stem), end))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 

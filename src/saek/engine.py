@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .analyze import UNDECODED_RE, Analyzer
-from .classify import Classifier, IntentLabel
+from .classify import Classifier, Evidence, IntentLabel
 from .errors import EmptyUtterance, ExtractionFailed, OptionsNotFound, Unclassifiable
 from .extract import Extractor
 from .lexicon import Lexicon, default_lexicon, load_lexicon
@@ -28,14 +28,18 @@ class OutputRecord:
     negativeness: Optional[str] = None
     argument: Optional[str] = None
     category: Optional[str] = None
-    evidence: tuple[dict, ...] = ()
+    evidence: tuple[Evidence, ...] = ()
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        """The fields in order, less those that do not apply: None, or no evidence."""
+        """The fields in order, less those that do not apply (None, or no evidence);
+        an evidence item is {"rule", "span": [start, end]}, or {"rule"} for a note."""
         out = {k: v for k, v in self.__dict__.items() if v is not None}
         if self.evidence:
-            out["evidence"] = list(self.evidence)
+            out["evidence"] = [
+                {"rule": rule} if span is None else {"rule": rule, "span": list(span)}
+                for rule, span in self.evidence
+            ]
         else:
             del out["evidence"]
         return out
@@ -52,7 +56,7 @@ def _record(
     negativeness: Optional[str] = None,
     argument: Optional[str] = None,
     category: Optional[str] = None,
-    evidence: tuple[dict, ...] = (),
+    evidence: tuple[Evidence, ...] = (),
     error: Optional[str] = None,
 ) -> OutputRecord:
     """The record ``OutputRecord(...)`` builds, without the frozen
@@ -77,8 +81,7 @@ def _record(
 def _tsv_cell(name: str, value) -> str:
     if name == "evidence":
         return ";".join(
-            f"{e['rule']}@{e['span'][0]}-{e['span'][1]}" if "span" in e else e["rule"]
-            for e in value
+            rule if span is None else f"{rule}@{span[0]}-{span[1]}" for rule, span in value
         )
     return "" if value is None else str(value)
 
@@ -131,8 +134,7 @@ class Engine:
         except Unclassifiable:
             return _record(u.text, error="unclassifiable")
 
-        evidence = [{"rule": rule, "span": [start, end]} for rule, (start, end) in c.evidence]
-
+        evidence = c.evidence
         argument = category = error = None
         if extract:
             try:
@@ -145,6 +147,6 @@ class Engine:
                 # the member's value without the Enum.value property's call
                 category = category._value_
                 if notes:
-                    evidence += [{"rule": note} for note in notes]
+                    evidence += tuple(Evidence(note, None) for note in notes)
 
-        return _record(u.text, *_LABEL_FIELDS[c.label], argument, category, tuple(evidence), error)
+        return _record(u.text, *_LABEL_FIELDS[c.label], argument, category, evidence, error)

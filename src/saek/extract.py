@@ -85,11 +85,9 @@ class Extractor:
         """Particle-stripped content form: every particle goes for question
         arguments, only case particles (``droppable_only``) for commands.
 
-        Stripping goes on from the split ``normalize`` made: a token it
-        split no particle from has none, and a case particle it split is the
-        first one a command drops too."""
-        if e.ending is not None or e.particle is None:
-            return e.stem
+        ``e`` carries a particle split (a caller takes the stem of a token
+        without one), and stripping goes on from that split: a case particle
+        it split is the first one a command drops too."""
         if e.is_vocative or (droppable_only and not self.lexicon.josa[e.particle].droppable):
             # the vocative marker is no particle split, and a command may
             # drop a shorter case particle than the one split: start over
@@ -284,7 +282,7 @@ class Extractor:
         if append_noun:
             stems.append(append_noun)
 
-        noun = lex.wh_nouns[wh][0]
+        noun = lex.wh_nouns[wh]
         if wh is WhKind.WHY:
             # reason arguments keep only the predicate; context tokens are noise
             if not adnominal:

@@ -147,7 +147,7 @@ TABLES = {
     "cues": set[tuple[str, ...]],  # want-to-know prefixes
     "wh_surfaces": dict[str, WhKind],
     "wh_pairs": dict[tuple[str, str], WhKind],
-    "wh_nouns": dict[WhKind, tuple[str, ...]],
+    "wh_nouns": dict[WhKind, str],  # the one replacement noun of each category
     "negation": dict[str, str],  # surface -> kind
     "disjunction": set[str],  # A 아니면 B: not a -면 conditional
     "danger": set[str],
@@ -237,10 +237,9 @@ class Lexicon:
         missing = [k.value for k in WhKind if not self.wh_nouns.get(k)]
         if missing:
             raise LexiconError(f"wh categories without replacement nouns: {missing}")
-        for kind, nouns in self.wh_nouns.items():
-            for noun in nouns:
-                if " " in noun or not noun:
-                    raise LexiconError(f"wh noun must be a bare noun: {kind.value}: {noun!r}")
+        for kind, noun in self.wh_nouns.items():
+            if " " in noun:
+                raise LexiconError(f"wh noun must be a bare noun: {kind.value}: {noun!r}")
 
     # -- queries -------------------------------------------------------
 
@@ -413,7 +412,9 @@ def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> N
         except ValueError:
             raise LexiconError(f"{where}: bad wh category {attrs.get('category')!r}") from None
         if role == "whnoun":
-            t["wh_nouns"][kind] = t["wh_nouns"].get(kind, ()) + (surface,)
+            if kind in t["wh_nouns"]:
+                raise LexiconError(f"{where}: a second replacement noun for {kind.value}: {surface}")
+            t["wh_nouns"][kind] = surface
         elif " " in surface:
             t["wh_pairs"][tuple(surface.split(" ", 1))] = kind
         else:

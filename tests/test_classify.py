@@ -230,5 +230,5 @@ def test_a_polar_question_makes_no_cue_lookup(monkeypatch, lexicon, engine):
     assert calls == []
     # the counter is live: a want-to-know cue is matched by both
     record = engine.process(STEP_INPUTS["want-to-know"])
-    assert [e["rule"] for e in record.evidence] == ["want-to-know"]
+    assert [e.rule for e in record.evidence] == ["want-to-know"]
     assert calls == [["되는지", "궁금해"]] * 2

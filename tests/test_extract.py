@@ -1,6 +1,7 @@
 import pytest
 
 from golden_cases import GOLDEN
+from saek.classify import Evidence
 from saek.errors import ExtractionFailed, OptionsNotFound
 from saek.lexicon import ArgumentCategory
 
@@ -157,7 +158,7 @@ def test_repeated_cue_outputs(engine, text, label, argument):
 
 def test_repeated_malgo_evidence_is_first_malgo(engine):
     record = engine.process("욕심부리지 말고 놀지 말고 지금 팔아")
-    assert record.evidence == ({"rule": "negation-coordination", "span": [6, 8]},)
+    assert record.evidence == (Evidence("negation-coordination", (6, 8)),)
 
 
 def test_repeated_malgo_without_negated_clause_is_unclassifiable(engine):

@@ -8,20 +8,46 @@ hand-off between the layers, the want-to-know cue test and the record.
 
 import gc
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workload_gen  # noqa: E402
 
 LINES = 600
-# the mean "call" events per utterance on CPython 3.11 is 17552/600, about
-# 29.25 (it was 40.58 before the cue table's gate and the direct record
+# the mean "call" events per utterance on CPython 3.11 is 15722/600, about
+# 26.20 (it was 40.58 before the cue table's gate and the direct record
 # build, 31.92 before the suffix conditions were compiled at load, 31.71
-# before the 말고 cut and the wh-anchor scan were made once in normalize, and
-# 29.625 before WhKind hashed by identity); interpreters that inline
-# comprehensions (3.12+) count fewer
-BUDGET = 17552 / 600
+# before the 말고 cut and the wh-anchor scan were made once in normalize,
+# 29.625 before WhKind hashed by identity, and 29.25 before the record kept
+# the cascade's Evidence tuples and classify built no closures or surface
+# list); interpreters that inline comprehensions (3.12+) count fewer
+BUDGET = 15722 / 600
+
+
+def _profile_calls(engine, lines, on_call) -> None:
+    """Process ``lines`` with ``on_call(code)`` on each Python-level call.
+
+    A collection inside the window would count the Python-level gc
+    callbacks other libraries register (hypothesis has one), not the
+    engine, so the collector is off while it runs."""
+
+    def profile(frame, event, arg):
+        if event == "call":
+            on_call(frame.f_code)
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        for line in lines:
+            engine.process(line)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
 
 
 def test_short_utterances_stay_within_the_call_budget(engine):
@@ -30,20 +56,21 @@ def test_short_utterances_stay_within_the_call_budget(engine):
         engine.process(line)  # anything built on first use is built now
     calls = 0
 
-    def count(frame, event, arg):
+    def count(code):
         nonlocal calls
-        if event == "call":
-            calls += 1
+        calls += 1
 
-    # a collection inside the window would count the Python-level gc
-    # callbacks other libraries register (hypothesis has one), not the engine
-    gc.collect()
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        for line in lines:
-            engine.process(line)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    assert calls / LINES <= BUDGET
+    _profile_calls(engine, lines, count)
+    if calls / LINES > BUDGET:
+        # a second pass, on failure only, names the ten most called functions
+        codes = []
+        _profile_calls(engine, lines, codes.append)
+        top = Counter(codes).most_common(10)
+        pytest.fail(
+            f"{calls}/{LINES} = {calls / LINES:.4f} calls per utterance, over {BUDGET:.4f};"
+            " most calls per utterance:\n"
+            + "\n".join(
+                f"{n / LINES:8.2f}  {Path(c.co_filename).name}:{c.co_firstlineno} {c.co_name}"
+                for c, n in top
+            )
+        )

@@ -64,9 +64,8 @@ def test_lookup_wh_pair(lexicon):
     assert lexicon.lookup_wh_pair("아무", "시") is None
 
 
-def test_wh_nouns_primary_order(lexicon):
-    primaries = {k.value: v[0] for k, v in lexicon.wh_nouns.items()}
-    assert primaries == {
+def test_wh_nouns_one_per_category(lexicon):
+    assert {k.value: v for k, v in lexicon.wh_nouns.items()} == {
         "who": "사람",
         "what": "의미",
         "where": "위치",
@@ -74,17 +73,11 @@ def test_wh_nouns_primary_order(lexicon):
         "why": "이유",
         "how": "방법",
     }
-    # secondary correspondings stay available behind the default
-    assert "정체" in lexicon.wh_nouns[WhKind.WHO]
-    assert "장소" in lexicon.wh_nouns[WhKind.WHERE]
-    assert set(lexicon.wh_nouns[WhKind.WHEN]) >= {"기간", "시각"}
-    assert "대책" in lexicon.wh_nouns[WhKind.HOW]
 
 
 def test_all_wh_primary_nouns_are_bare(lexicon):
-    for nouns in lexicon.wh_nouns.values():
-        for noun in nouns:
-            assert " " not in noun and noun
+    for noun in lexicon.wh_nouns.values():
+        assert " " not in noun and noun
 
 
 def test_ending_roles_disjoint_from_josa(lexicon):
@@ -129,6 +122,12 @@ def test_duplicate_entry_is_load_error():
                 "josa\t은\tcond=batchim",
             ]
         )
+
+
+def test_a_second_wh_noun_for_a_category_is_load_error():
+    rows = [*WH_NOUN_ROWS, "whnoun\t장소\tcategory=where"]
+    with pytest.raises(LexiconError, match=rf"^<lexicon>:{len(rows)}: a second .* where: 장소"):
+        parse_lexicon(rows)
 
 
 def test_missing_wh_nouns_is_load_error():
@@ -596,17 +595,22 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
         except EmptyUtterance:
             return
         assert u.wh_hits == wh_hits_scan(lex, u.tokens, u.offsets)
-        surfaces = u.surfaces()
+        surfaces = u.text.split(" ")
         for i in range(len(surfaces)):
             assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, conds, surfaces, i)
         for t in u.tokens:
             if t.particle is None and t.ending is None and t.negation is None:
                 assert (t.stem in plain) == extractor._droppable_in_question(t, t.stem)
             if t.ending is None:
-                assert extractor._content(t) == lex.strip_josa_all(t.surface)
-                assert extractor._content(t, droppable_only=True) == lex.strip_josa_all(
-                    t.surface, droppable_only=True
-                )
+                # the extraction routines take the stem of a token without a
+                # particle, and ``_content`` of one with a particle
+                if t.particle is None:
+                    content = dropped = t.stem
+                else:
+                    content = extractor._content(t)
+                    dropped = extractor._content(t, droppable_only=True)
+                assert content == lex.strip_josa_all(t.surface)
+                assert dropped == lex.strip_josa_all(t.surface, droppable_only=True)
 
     for s in sorted(lex.pronouns | lex.lightverb_stems | lex.depnouns | {"사과", "하기"}):
         assert (s in plain) == extractor._droppable_in_question(Eojeol(s, s), s)
@@ -806,7 +810,7 @@ def test_no_particle_probe_repeats_within_one_utterance(monkeypatch):
     monkeypatch.setattr(Lexicon, "longest_josa", counted)
     checked = 0
     for line in _probe_lines():
-        surfaces = engine.analyzer.normalize(line).surfaces()
+        surfaces = engine.analyzer.normalize(line).text.split(" ")
         # every probed string is a prefix of its own token of two or more
         # characters; tokens that start alike may share a stem, and probing
         # it once for each of them is not repeated work

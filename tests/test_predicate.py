@@ -100,7 +100,7 @@ def test_predicate_forms_through_the_engine(engine, text, label, argument, notes
     r = engine.process(text)
     assert r.label == label
     assert (r.error or r.argument) == argument
-    assert tuple(e["rule"] for e in r.evidence if "span" not in e) == notes
+    assert tuple(e.rule for e in r.evidence if e.span is None) == notes
 
 
 # stems of precomposed syllables, compatibility jamo and printable ASCII

@@ -6,7 +6,7 @@ import pytest
 
 from saek.analyze import Eojeol, NormalizedUtterance, WhHit
 from saek.classify import Classification, Evidence, IntentLabel
-from saek.engine import TSV_COLUMNS, OutputRecord
+from saek.engine import TSV_COLUMNS, OutputRecord, record_tsv_row
 from saek.extract import Argument
 from saek.hangul import JamoTriple
 from saek.lexicon import (
@@ -30,6 +30,15 @@ RECORDS = {
     "Josa": lambda: Josa("를", frozenset({-1, 0}), True),
     "Ending": lambda: Ending("니", EndingKind.INTERROGATIVE),
     "WhMatch": lambda: WhMatch(WhKind.WHO, 0, 2),
+    "OutputRecord": lambda: OutputRecord(
+        "뭐 셌니",
+        2,
+        "wh",
+        "wh",
+        argument="셌은 의미",
+        category="의미",
+        evidence=(Evidence("wh-word", (0, 1)), Evidence("contraction-fallback", None)),
+    ),
 }
 
 
@@ -107,7 +116,7 @@ def test_engine_records_equal_the_keyword_constructor(engine):
             built = OutputRecord(**record.__dict__)
             assert record == built and tuple(built.__dict__) == TSV_COLUMNS
             errors.add(record.error)
-            notes += any("span" not in e for e in record.evidence)
+            notes += any(e.span is None for e in record.evidence)
     assert errors == {
         None,
         "invalid-utf8",
@@ -125,10 +134,43 @@ def test_output_record_is_frozen_and_compares_by_value(engine):
         record.argument = "문 열기"
     assert record == engine.process("창문 열어줘") and record is not engine.process("창문 열어줘")
     assert record != engine.process("창문 닫아줘")
-    # evidence holds dicts, so only a record without evidence hashes
     error = engine.process("비가 온다")
     assert error.evidence == () and hash(error) == hash(engine.process("비가 온다"))
     assert error == OutputRecord("비가 온다", error="unclassifiable")
+
+
+def test_engine_records_hash_and_their_evidence_cannot_be_edited(engine):
+    for text in SHAPES:
+        for extract in (True, False):
+            record = engine.process(text, extract=extract)
+            again = engine.process(text, extract=extract)
+            assert record == again and hash(record) == hash(again)
+            assert type(record.evidence) is tuple
+            for e in record.evidence:
+                assert type(e) is Evidence
+                with pytest.raises(TypeError):
+                    e[0] = "x"
+            if record.evidence:
+                with pytest.raises(TypeError):
+                    record.evidence[0] = Evidence("x", None)
+
+
+def test_evidence_json_and_tsv_shapes_are_pinned(engine):
+    """Two spans and a note: to_dict spells each item as a dict with a list
+    span, or with no span for a note; the TSV cell as rule@start-end;note."""
+    record = engine.process("사과 셌니 배 셌니")
+    assert record.evidence == (
+        Evidence("parallel-clauses", (3, 5)),
+        Evidence("parallel-clauses", (8, 10)),
+        Evidence("contraction-fallback", None),
+    )
+    assert record.to_dict()["evidence"] == [
+        {"rule": "parallel-clauses", "span": [3, 5]},
+        {"rule": "parallel-clauses", "span": [8, 10]},
+        {"rule": "contraction-fallback"},
+    ]
+    cell = record_tsv_row(record).split("\t")[TSV_COLUMNS.index("evidence")]
+    assert cell == "parallel-clauses@3-5;parallel-clauses@8-10;contraction-fallback"
 
 
 def test_output_record_replace_keeps_the_other_fields(engine):
