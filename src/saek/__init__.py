@@ -26,7 +26,6 @@ _EXPORTS = {
     "Lexicon": "lexicon",
     "NormalizedUtterance": "analyze",
     "OutputRecord": "engine",
-    "WhKind": "lexicon",
     "default_lexicon": "lexicon",
     "evaluate": "corpus",
     "fleiss_kappa": "corpus",

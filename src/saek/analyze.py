@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
 from .errors import EmptyUtterance
-from .lexicon import Ending, Lexicon, WhKind, default_lexicon
+from .lexicon import ArgumentCategory, Ending, Lexicon, default_lexicon
 from .predicate import CONDITIONAL, NEGATION_HOST, is_negation_host
 
 # sentence punctuation dropped up front (ASR-style input carries none)
@@ -40,7 +40,7 @@ class Eojeol(NamedTuple):
 class WhHit(NamedTuple):
     """A wh surface form located in the token sequence."""
 
-    kind: WhKind
+    kind: ArgumentCategory
     token_start: int
     token_end: int  # exclusive
     char_start: int
@@ -50,7 +50,6 @@ class WhHit(NamedTuple):
 class NormalizedUtterance(NamedTuple):
     """Normalized text, its tokens and every utterance-level feature."""
 
-    raw: str
     text: str
     tokens: tuple[Eojeol, ...]
     offsets: tuple[int, ...]  # char offset of each token within ``text``
@@ -86,7 +85,7 @@ class Analyzer:
         anchors = self.lexicon.wh_anchors(text)
         wh_hits = self.find_wh(anchors, tokens, offsets) if anchors else ()
         # positional, as each Eojeol below: test_records pins the field order
-        fields = (raw, text, tokens, offsets, wh_hits, cued, bearer, kept)
+        fields = (text, tokens, offsets, wh_hits, cued, bearer, kept)
         return tuple.__new__(NormalizedUtterance, fields)
 
     def _analyze_tokens(

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 from . import predicate
 from .analyze import NormalizedUtterance, negative_imperative
 from .errors import Unclassifiable
-from .lexicon import EndingKind, Lexicon, WhKind, default_lexicon
+from .lexicon import ArgumentCategory, EndingKind, Lexicon, default_lexicon
 
 
 class IntentLabel(IntEnum):
@@ -36,7 +36,7 @@ class Evidence(NamedTuple):
 class Classification(NamedTuple):
     label: IntentLabel
     step: str  # the cascade step that fired; it picks the extraction routine
-    wh: Optional[WhKind] = None  # present exactly when label == WH
+    wh: Optional[ArgumentCategory] = None  # present exactly when label == WH
     evidence: tuple[Evidence, ...] = ()
     # tokens of the info verb the argument loses, on the info-seeking
     # steps: 1, or 2 for a spaced benefactive (말해 줘)
@@ -69,7 +69,7 @@ _new = tuple.__new__
 
 
 def _fired(
-    step: str, *spans: tuple[int, int], wh: Optional[WhKind] = None, info: int = 0
+    step: str, *spans: tuple[int, int], wh: Optional[ArgumentCategory] = None, info: int = 0
 ) -> Classification:
     """The step that fired, with its label and one evidence span per rule."""
     label, rules = STEPS[step]
@@ -128,7 +128,11 @@ class Classifier:
             if quant is not None:
                 span = (offsets[quant], offsets[quant] + len(surfaces[quant]))
                 return _fired(
-                    "info-seeking+universal-quantifier", verb, span, wh=WhKind.WHAT, info=n_info
+                    "info-seeking+universal-quantifier",
+                    verb,
+                    span,
+                    wh=ArgumentCategory.MEANING,
+                    info=n_info,
                 )
             return _fired("info-seeking", verb, info=n_info)
 

@@ -26,6 +26,8 @@ N_LABELS = 6
 TABLE2_COUNTS = (5718, 227, 11924, 477, 12369, 122)
 TABLE2_GROUP_PERCENTS = (31.99, 1.27, 66.73, 3.67, 95.38, 0.94)
 TABLE2_TOTAL = 30837
+# percentage points by which a within-group percentage may differ from Table 2's
+TOLERANCE_PP = 0.01
 
 _CATEGORY_WORDS = {c.value for c in ArgumentCategory}
 _TAG_RE = re.compile(r"\s*\(([^()]+)\)\s*$")
@@ -148,12 +150,11 @@ def diff_expected(
     observed: CorpusStats,
     counts: Sequence[int] = TABLE2_COUNTS,
     group_percents: Optional[Sequence[float]] = TABLE2_GROUP_PERCENTS,
-    tolerance_pp: float = 0.01,
 ) -> list[str]:
     """Differences between observed stats and an expected distribution.
 
     Counts must match exactly; within-group percentages must agree to
-    ``tolerance_pp`` percentage points.  Empty result means full agreement.
+    ``TOLERANCE_PP`` percentage points.  Empty result means full agreement.
     """
     diffs = []
     for i, (got, want) in enumerate(zip(observed.counts, counts)):
@@ -163,7 +164,7 @@ def diff_expected(
         diffs.append(f"total {observed.total} != expected {sum(counts)}")
     if group_percents is not None:
         for i, (got, want) in enumerate(zip(observed.group_portions, group_percents)):
-            if abs(got * 100.0 - want) > tolerance_pp:
+            if abs(got * 100.0 - want) > TOLERANCE_PP:
                 diffs.append(
                     f"label {i}: portion {got * 100.0:.4f}% off expected {want}%"
                 )

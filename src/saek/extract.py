@@ -13,14 +13,7 @@ from . import hangul, predicate
 from .analyze import Eojeol, NormalizedUtterance, WhHit, negative_imperative
 from .classify import Classification
 from .errors import ExtractionFailed, OptionsNotFound
-from .lexicon import (
-    ArgumentCategory,
-    EndingKind,
-    Lexicon,
-    WH_TO_CATEGORY,
-    WhKind,
-    default_lexicon,
-)
+from .lexicon import ArgumentCategory, EndingKind, Lexicon, default_lexicon
 
 
 class Argument(NamedTuple):
@@ -86,11 +79,11 @@ class Extractor:
         arguments, only case particles (``droppable_only``) for commands.
 
         ``e`` carries a particle split (a caller takes the stem of a token
-        without one), and stripping goes on from that split: a case particle
-        it split is the first one a command drops too."""
-        if e.is_vocative or (droppable_only and not self.lexicon.josa[e.particle].droppable):
-            # the vocative marker is no particle split, and a command may
-            # drop a shorter case particle than the one split: start over
+        without one, and skips a vocative), and stripping goes on from that
+        split: a case particle it split is the first one a command drops too."""
+        if droppable_only and not self.lexicon.josa[e.particle].droppable:
+            # a command may drop a shorter case particle than the one split:
+            # start over
             return self.lexicon.strip_josa_all(e.surface, droppable_only)
         return self.lexicon.strip_josa_all(e.stem, droppable_only)
 
@@ -233,7 +226,12 @@ class Extractor:
     # -- wh questions -----------------------------------------------------------
 
     def extract_wh(
-        self, tokens: Sequence[Eojeol], wh: WhKind, info: int, hits: Sequence[WhHit], first: int
+        self,
+        tokens: Sequence[Eojeol],
+        wh: ArgumentCategory,
+        info: int,
+        hits: Sequence[WhHit],
+        first: int,
     ) -> Argument:
         """``info``: tokens of the info verb the utterance ends on, which the
         classifier found (0: none); ``hits``: the wh forms, whose tokens go;
@@ -256,8 +254,15 @@ class Extractor:
             verb = items.pop()
             stem, copula = verb.stem, verb.ending.copula
         elif info and items:
-            # embedded question form inside an info-seeking frame
-            stem = predicate.embedded_question_stem(items[-1].surface)
+            # inside an info-seeking frame, an embedded question form
+            # (먹었는지), or a finite question (먹었니), whose ending normalize
+            # did not match: it matched the bearer's, on the info verb
+            last = items[-1].surface
+            stem = predicate.embedded_question_stem(last)
+            if stem is None and last[-1] in lex.ending_ends:
+                m = lex.match_ending(last)
+                if m is not None and m.kind is EndingKind.INTERROGATIVE:
+                    stem, copula = last[: len(last) - len(m.surface)], m.copula
             if stem is not None:
                 items.pop()
 
@@ -282,8 +287,9 @@ class Extractor:
         if append_noun:
             stems.append(append_noun)
 
-        noun = lex.wh_nouns[wh]
-        if wh is WhKind.WHY:
+        # the category's word is the replacement noun (_value_: no Enum.value call)
+        noun = wh._value_
+        if wh is ArgumentCategory.REASON:
             # reason arguments keep only the predicate; context tokens are noise
             if not adnominal:
                 raise ExtractionFailed("reason question without a predicate")
@@ -292,9 +298,9 @@ class Extractor:
             parts = stems + ([adnominal] if adnominal else []) + [noun]
             if len(parts) == 1:
                 raise ExtractionFailed("no content around the wh word")
-        return _new(Argument, (" ".join(parts), WH_TO_CATEGORY[wh], tuple(notes)))
+        return _new(Argument, (" ".join(parts), wh, tuple(notes)))
 
-    def _object_span(self, tokens: Sequence[Eojeol], wh: WhKind, info: int) -> Argument:
+    def _object_span(self, tokens: Sequence[Eojeol], wh: ArgumentCategory, info: int) -> Argument:
         """Information-seeking imperatives with a universal quantifier keep
         their object span verbatim, the quantifier adverb turned determiner;
         the last ``info`` items are the info verb and go."""
@@ -319,7 +325,7 @@ class Extractor:
         if quant is not None:
             at = object_pos if object_pos is not None else len(stems) - 1
             stems.insert(at, quant)
-        return _new(Argument, (" ".join(stems), WH_TO_CATEGORY[wh], ()))
+        return _new(Argument, (" ".join(stems), wh, ()))
 
     # -- commands -------------------------------------------------------------
 

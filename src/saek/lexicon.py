@@ -18,19 +18,6 @@ from . import hangul
 from .errors import LexiconError
 
 
-class WhKind(Enum):
-    # members are singletons that compare by identity, so the identity hash
-    # serves the dict lookups keyed by kind without Enum's Python-level hash
-    __hash__ = object.__hash__
-
-    WHO = "who"
-    WHAT = "what"
-    WHERE = "where"
-    WHEN = "when"
-    WHY = "why"
-    HOW = "how"
-
-
 class EndingKind(Enum):
     INTERROGATIVE = "interrogative"
     IMPERATIVE = "imperative"
@@ -38,7 +25,11 @@ class EndingKind(Enum):
 
 
 class ArgumentCategory(Enum):
-    """Category tag attached to an extracted argument phrase."""
+    """Category tag attached to an extracted argument phrase.
+
+    The six wh members are also the wh forms' categories (``wh_surfaces``,
+    ``wh_pairs``), and a wh argument ends in its category's word: that word
+    is the replacement noun (누가 왔니 -> 온 사람)."""
 
     WHETHER = "여부"
     CHOICE = "선택"
@@ -52,13 +43,14 @@ class ArgumentCategory(Enum):
     REQUIREMENT = "요구"
 
 
-WH_TO_CATEGORY = {
-    WhKind.WHO: ArgumentCategory.PERSON,
-    WhKind.WHAT: ArgumentCategory.MEANING,
-    WhKind.WHERE: ArgumentCategory.LOCATION,
-    WhKind.WHEN: ArgumentCategory.TIME,
-    WhKind.WHY: ArgumentCategory.REASON,
-    WhKind.HOW: ArgumentCategory.METHOD,
+# a wh row's category= spelling -> the category of its wh form
+_WH_CATEGORIES = {
+    "who": ArgumentCategory.PERSON,
+    "what": ArgumentCategory.MEANING,
+    "where": ArgumentCategory.LOCATION,
+    "when": ArgumentCategory.TIME,
+    "why": ArgumentCategory.REASON,
+    "how": ArgumentCategory.METHOD,
 }
 
 
@@ -78,7 +70,7 @@ class Ending(NamedTuple):
 
 
 class WhMatch(NamedTuple):
-    kind: WhKind
+    kind: ArgumentCategory
     start: int
     end: int
 
@@ -94,7 +86,7 @@ _SET_ROLES = {
     "connective": "connectives",
     "nostrip": "nostrip",
 }
-ROLES = {"josa", "vocative", "ending", "wh", "whnoun", "negation", "danger", "advdet", *_SET_ROLES}
+ROLES = {"josa", "vocative", "ending", "wh", "negation", "danger", "advdet", *_SET_ROLES}
 # the attribute keys each role reads; a role not listed reads none, and any
 # other key is a load error, not a condition dropped without a word
 _ROLE_KEYS = {
@@ -102,7 +94,6 @@ _ROLE_KEYS = {
     "vocative": {"cond"},
     "ending": {"kind", "copula", "prev_coda", "stem"},
     "wh": {"category"},
-    "whnoun": {"category"},
     "negation": {"kind"},
     "advdet": {"det"},
 }
@@ -145,9 +136,8 @@ TABLES = {
     "vocative": dict[str, Optional[frozenset[int]]],  # surface -> prev_tails
     "endings": dict[str, Ending],
     "cues": set[tuple[str, ...]],  # want-to-know prefixes
-    "wh_surfaces": dict[str, WhKind],
-    "wh_pairs": dict[tuple[str, str], WhKind],
-    "wh_nouns": dict[WhKind, str],  # the one replacement noun of each category
+    "wh_surfaces": dict[str, ArgumentCategory],
+    "wh_pairs": dict[tuple[str, str], ArgumentCategory],
     "negation": dict[str, str],  # surface -> kind
     "disjunction": set[str],  # A 아니면 B: not a -면 conditional
     "danger": set[str],
@@ -215,7 +205,7 @@ class Lexicon:
         anchors = sorted({*self.wh_surfaces, *(a for a, _ in self.wh_pairs)})
         self._wh_anchor_re = re.compile("|".join(map(re.escape, anchors)) or "(?!)")
         # first stem -> (second stem, kind), longest second stem first
-        pairs: dict[str, list[tuple[str, WhKind]]] = {}
+        pairs: dict[str, list[tuple[str, ArgumentCategory]]] = {}
         for (a, b), kind in sorted(self.wh_pairs.items(), key=lambda kv: -len(kv[0][1])):
             pairs.setdefault(a, []).append((b, kind))
         self._wh_pairs_by_first = {a: tuple(bs) for a, bs in pairs.items()}
@@ -234,12 +224,6 @@ class Lexicon:
         overlap = set(self.josa) & set(self.endings)
         if overlap:
             raise LexiconError(f"surfaces in both josa and ending roles: {sorted(overlap)}")
-        missing = [k.value for k in WhKind if not self.wh_nouns.get(k)]
-        if missing:
-            raise LexiconError(f"wh categories without replacement nouns: {missing}")
-        for kind, noun in self.wh_nouns.items():
-            if " " in noun:
-                raise LexiconError(f"wh noun must be a bare noun: {kind.value}: {noun!r}")
 
     # -- queries -------------------------------------------------------
 
@@ -285,7 +269,7 @@ class Lexicon:
         none, no token of ``text`` can hold a wh form."""
         return list(map(re.Match.start, self._wh_anchor_re.finditer(text)))
 
-    def lookup_wh_pair(self, stem_a: str, stem_b: str) -> Optional[WhKind]:
+    def lookup_wh_pair(self, stem_a: str, stem_b: str) -> Optional[ArgumentCategory]:
         """Two-token wh form (counting interrogatives like 몇 시)."""
         for b, kind in self._wh_pairs_by_first.get(stem_a, ()):
             if stem_b.startswith(b):
@@ -406,19 +390,14 @@ def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> N
                 prev_tails=_prev_tails(attrs, "prev_coda", where),
                 stem=stem,
             )
-    elif role in ("wh", "whnoun"):
-        try:
-            kind = WhKind(attrs.get("category", ""))
-        except ValueError:
-            raise LexiconError(f"{where}: bad wh category {attrs.get('category')!r}") from None
-        if role == "whnoun":
-            if kind in t["wh_nouns"]:
-                raise LexiconError(f"{where}: a second replacement noun for {kind.value}: {surface}")
-            t["wh_nouns"][kind] = surface
-        elif " " in surface:
-            t["wh_pairs"][tuple(surface.split(" ", 1))] = kind
+    elif role == "wh":
+        category = _WH_CATEGORIES.get(attrs.get("category", ""))
+        if category is None:
+            raise LexiconError(f"{where}: bad wh category {attrs.get('category')!r}")
+        if " " in surface:
+            t["wh_pairs"][tuple(surface.split(" ", 1))] = category
         else:
-            t["wh_surfaces"][surface] = kind
+            t["wh_surfaces"][surface] = category
     elif role == "negation":
         kind = attrs.get("kind", "")
         if kind not in NEGATION_KINDS:

@@ -86,8 +86,8 @@ def check_contract(record, lexicon) -> list[str]:
         if "중" not in tokens or not text.endswith("것"):
             problems.append(f"choice shape broken: {text!r}")
     else:
-        wh_nouns = set(lexicon.wh_nouns.values())
+        # the category's word is the replacement noun the argument ends in
         info = any(e.rule == "info-seeking" for e in record.evidence)
-        if not info and tokens[-1] not in wh_nouns:
-            problems.append(f"wh argument does not end in a table noun: {text!r}")
+        if not info and tokens[-1] != category:
+            problems.append(f"wh argument does not end in its category {category}: {text!r}")
     return problems

@@ -11,7 +11,6 @@ def test_normalize_golden_question(analyzer):
     u = analyzer.normalize("너 의료 봉사 신청 했어?")
     assert u.text == "너 의료 봉사 신청 했어"
     assert len(u.tokens) == 5
-    assert u.raw == "너 의료 봉사 신청 했어?"
 
 
 def test_eojeol_fields_are_the_order_normalize_builds():

@@ -6,7 +6,7 @@ import pytest
 from golden_cases import GOLDEN
 from saek.classify import STEPS, IntentLabel
 from saek.errors import Unclassifiable
-from saek.lexicon import Lexicon, WhKind
+from saek.lexicon import ArgumentCategory, Lexicon
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -75,7 +75,7 @@ def test_polar_info_seeking_counts_the_info_verb_tokens(analyzer, classifier, te
 def test_info_seeking_with_wh_word(analyzer, classifier):
     got = classifier.classify(analyzer.normalize("지갑 어디 있는지 말해줘"))
     assert got.label is IntentLabel.WH
-    assert got.wh is WhKind.WHERE
+    assert got.wh is ArgumentCategory.LOCATION
 
 
 def test_alternative_requires_parallel_or_disjunction(analyzer, classifier):

@@ -373,13 +373,7 @@ def test_lexicon_override_flag(tmp_path, capsys):
     # a tiny lexicon that only knows the imperative ending 어라
     tiny = tmp_path / "tiny.tsv"
     tiny.write_text(
-        "ending\t어라\tkind=imp\n"
-        "whnoun\t사람\tcategory=who\n"
-        "whnoun\t의미\tcategory=what\n"
-        "whnoun\t위치\tcategory=where\n"
-        "whnoun\t시간\tcategory=when\n"
-        "whnoun\t이유\tcategory=why\n"
-        "whnoun\t방법\tcategory=how\n",
+        "ending\t어라\tkind=imp\n",
         encoding="utf-8",
     )
     source = tmp_path / "in.txt"
@@ -459,6 +453,17 @@ def test_unknown_attribute_in_lexicon_reports_its_line_and_exits_one(tmp_path, c
     code, out, err = run_cli(argv, "나는 밥 먹었니\n", monkeypatch, capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"saek: {path}:{line}: unknown attribute kond for josa")
+    assert "Traceback" not in err
+
+
+def test_a_whnoun_row_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsys, monkeypatch):
+    # a wh argument ends in its category's word: no row sets a replacement noun
+    path = tmp_path / "old.tsv"
+    path.write_text("whnoun\t사람\tcategory=who\n", encoding="utf-8")
+    argv = ["--lexicon", str(path), "extract", "-"]
+    code, out, err = run_cli(argv, "누가 왔니\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"saek: {path}:1: unknown role 'whnoun'")
     assert "Traceback" not in err
 
 

@@ -50,6 +50,17 @@ def test_no_object_particle_or_connective_literals_in_source():
     assert not found, "particle and connective surfaces belong in the lexicon: " + ", ".join(found)
 
 
+def test_wh_category_words_are_defined_once():
+    # a wh argument ends in its category's word, which ArgumentCategory
+    # defines: no other module spells one out
+    wh = set(default_lexicon().wh_surfaces.values())
+    forbidden = {category.value for category in wh}
+    assert forbidden == {"사람", "의미", "위치", "시간", "이유", "방법"}
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "lexicon.py"]
+    found = [hit for path in paths for hit in literals_in(path, forbidden)]
+    assert not found, "category words belong in ArgumentCategory: " + ", ".join(found)
+
+
 # precomposed syllables, conjoining jamo and compatibility jamo
 HANGUL = re.compile("[\uac00-\ud7a3\u1100-\u11ff\u3130-\u318f]")
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)

@@ -23,7 +23,6 @@ from saek.lexicon import (
     ArgumentCategory,
     EndingKind,
     Lexicon,
-    WhKind,
     default_lexicon,
     parse_lexicon,
 )
@@ -50,34 +49,18 @@ def test_josa_valid_batchim_conditions(lexicon):
 
 def test_lookup_wh(lexicon):
     hit = lexicon.lookup_wh("누구")
-    assert hit is not None and hit.kind is WhKind.WHO
+    assert hit is not None and hit.kind is ArgumentCategory.PERSON
     assert hit.start == 0 and hit.end == 2
     assert lexicon.lookup_wh("사과") is None
     contained = lexicon.lookup_wh("어디야")
-    assert contained is not None and contained.kind is WhKind.WHERE
+    assert contained is not None and contained.kind is ArgumentCategory.LOCATION
 
 
 def test_lookup_wh_pair(lexicon):
-    assert lexicon.lookup_wh_pair("몇", "시") is WhKind.WHEN
-    assert lexicon.lookup_wh_pair("몇", "시간") is WhKind.WHEN
+    assert lexicon.lookup_wh_pair("몇", "시") is ArgumentCategory.TIME
+    assert lexicon.lookup_wh_pair("몇", "시간") is ArgumentCategory.TIME
     assert lexicon.lookup_wh_pair("몇", "사과") is None
     assert lexicon.lookup_wh_pair("아무", "시") is None
-
-
-def test_wh_nouns_one_per_category(lexicon):
-    assert {k.value: v for k, v in lexicon.wh_nouns.items()} == {
-        "who": "사람",
-        "what": "의미",
-        "where": "위치",
-        "when": "시간",
-        "why": "이유",
-        "how": "방법",
-    }
-
-
-def test_all_wh_primary_nouns_are_bare(lexicon):
-    for noun in lexicon.wh_nouns.values():
-        assert " " not in noun and noun
 
 
 def test_ending_roles_disjoint_from_josa(lexicon):
@@ -124,27 +107,22 @@ def test_duplicate_entry_is_load_error():
         )
 
 
-def test_a_second_wh_noun_for_a_category_is_load_error():
-    rows = [*WH_NOUN_ROWS, "whnoun\t장소\tcategory=where"]
-    with pytest.raises(LexiconError, match=rf"^<lexicon>:{len(rows)}: a second .* where: 장소"):
-        parse_lexicon(rows)
+def test_a_whnoun_row_is_an_unknown_role():
+    # a wh argument ends in its category's word, which no row sets
+    with pytest.raises(LexiconError, match=r"^<lexicon>:1: unknown role 'whnoun'$"):
+        parse_lexicon(["whnoun\t사람\tcategory=who"])
 
 
-def test_missing_wh_nouns_is_load_error():
-    with pytest.raises(LexiconError, match="without replacement nouns"):
-        parse_lexicon(["wh\t누구\tcategory=who"])
+def test_a_lexicon_without_rows_loads_and_processes_every_line():
+    engine = Engine(parse_lexicon([]))
+    records = [engine.process(line) for line in workload_gen.reference_lines()]
+    assert {r.error for r in records} == {"unclassifiable"}
 
 
 def test_overlapping_josa_and_ending_is_load_error():
     lines = [
         "josa\t어\t",
         "ending\t어\tkind=int",
-        "whnoun\t사람\tcategory=who",
-        "whnoun\t의미\tcategory=what",
-        "whnoun\t위치\tcategory=where",
-        "whnoun\t시간\tcategory=when",
-        "whnoun\t이유\tcategory=why",
-        "whnoun\t방법\tcategory=how",
     ]
     with pytest.raises(LexiconError, match="both josa and ending"):
         parse_lexicon(lines)
@@ -189,19 +167,6 @@ def test_disjunction_row_drives_behaviour():
     assert Engine(parse_lexicon(without)).process("버스 타 아니면 택시 탈래").label == 0
 
 
-WH_NOUN_ROWS = [
-    f"whnoun\t{noun}\tcategory={kind}"
-    for noun, kind in [
-        ("사람", "who"),
-        ("의미", "what"),
-        ("위치", "where"),
-        ("시간", "when"),
-        ("이유", "why"),
-        ("방법", "how"),
-    ]
-]
-
-
 def _default_rows() -> list[str]:
     return resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8").splitlines()
 
@@ -232,17 +197,17 @@ EXTRA_ROWS = [
 
 
 def test_no_single_token_wh_rows_gives_no_hit():
-    lex = parse_lexicon(WH_NOUN_ROWS + ["wh\t몇 시\tcategory=when"])
+    lex = parse_lexicon(["wh\t몇 시\tcategory=when"])
     for token in ["", "누구", "몇", "a.b", "뭐야"]:
         assert lex.lookup_wh(token) is None
-    assert lex.lookup_wh_pair("몇", "시에") is WhKind.WHEN
+    assert lex.lookup_wh_pair("몇", "시에") is ArgumentCategory.TIME
 
 
 def test_metacharacter_surfaces_match_literally():
-    lex = parse_lexicon(WH_NOUN_ROWS + ["wh\ta.b\tcategory=what", "wh\t(뭐|왜)\tcategory=why", "josa\t.*\t"])
-    assert lex.lookup_wh("xa.by") == (WhKind.WHAT, 1, 4)
+    lex = parse_lexicon(["wh\ta.b\tcategory=what", "wh\t(뭐|왜)\tcategory=why", "josa\t.*\t"])
+    assert lex.lookup_wh("xa.by") == (ArgumentCategory.MEANING, 1, 4)
     assert lex.lookup_wh("axb") is None
-    assert lex.lookup_wh("(뭐|왜)야") == (WhKind.WHY, 0, 5)
+    assert lex.lookup_wh("(뭐|왜)야") == (ArgumentCategory.REASON, 0, 5)
     assert lex.lookup_wh("뭐") is None and lex.lookup_wh("왜") is None
     assert lex.longest_josa("사과.*") == ".*"
     assert lex.longest_josa("사과요") is None
@@ -601,9 +566,9 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
         for t in u.tokens:
             if t.particle is None and t.ending is None and t.negation is None:
                 assert (t.stem in plain) == extractor._droppable_in_question(t, t.stem)
-            if t.ending is None:
-                # the extraction routines take the stem of a token without a
-                # particle, and ``_content`` of one with a particle
+            if t.ending is None and not t.is_vocative:
+                # the extraction routines skip a vocative, and take the stem
+                # of a token without a particle, and ``_content`` of one with
                 if t.particle is None:
                     content = dropped = t.stem
                 else:
@@ -834,7 +799,7 @@ BEFORE = ["x"] + [chr(0xAC00 + t) for t in range(28)]
 @pytest.mark.parametrize("key, value", SPELLINGS)
 def test_each_condition_compiles_to_the_tails_readme_gives(key, value):
     if key == "cond":
-        lex = parse_lexicon(WH_NOUN_ROWS + [f"josa\t도\tcond={value}", f"vocative\t야\tcond={value}"])
+        lex = parse_lexicon([f"josa\t도\tcond={value}", f"vocative\t야\tcond={value}"])
         compiled = [lex.josa["도"].prev_tails, lex.vocative["야"]]
         analyzer = Analyzer(lex)
         lookups = {
@@ -842,7 +807,7 @@ def test_each_condition_compiles_to_the_tails_readme_gives(key, value):
             "vocative": lambda ch: analyzer._is_vocative(["철" + ch + "야", "가"], 0),
         }
     else:
-        lex = parse_lexicon(WH_NOUN_ROWS + [f"ending\t니까\tkind=int;prev_coda={value}", "ending\t줘\tkind=imp"])
+        lex = parse_lexicon([f"ending\t니까\tkind=int;prev_coda={value}", "ending\t줘\tkind=imp"])
         compiled = [lex.endings["니까"].prev_tails]
         lookups = {"ending": lambda ch: lex.match_ending(ch + "니까") is not None}
         # the whole token: only an ending without a condition matches it
@@ -871,8 +836,8 @@ def test_each_condition_compiles_to_the_tails_readme_gives(key, value):
     ],
 )
 def test_a_bad_condition_is_a_load_error_naming_its_line(row):
-    with pytest.raises(LexiconError, match=r"^added\.tsv:7: bad condition "):
-        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+    with pytest.raises(LexiconError, match=r"^added\.tsv:1: bad condition "):
+        parse_lexicon([row], source="added.tsv")
 
 
 @pytest.mark.parametrize(
@@ -886,8 +851,8 @@ def test_a_bad_condition_is_a_load_error_naming_its_line(row):
     ],
 )
 def test_an_unknown_attribute_is_a_load_error_naming_its_line(row, key, role):
-    with pytest.raises(LexiconError, match=rf"^added\.tsv:7: unknown attribute {key} for {role}$"):
-        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+    with pytest.raises(LexiconError, match=rf"^added\.tsv:1: unknown attribute {key} for {role}$"):
+        parse_lexicon([row], source="added.tsv")
 
 
 @pytest.mark.parametrize(
@@ -901,9 +866,9 @@ def test_an_unknown_attribute_is_a_load_error_naming_its_line(row, key, role):
 )
 def test_a_flag_given_a_value_is_a_load_error_naming_its_line(row, key, value):
     with pytest.raises(
-        LexiconError, match=rf"^added\.tsv:7: flag {key} takes no value: {key}={value}$"
+        LexiconError, match=rf"^added\.tsv:1: flag {key} takes no value: {key}={value}$"
     ):
-        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+        parse_lexicon([row], source="added.tsv")
 
 
 @pytest.mark.parametrize(
@@ -915,8 +880,8 @@ def test_a_flag_given_a_value_is_a_load_error_naming_its_line(row, key, value):
     ],
 )
 def test_a_bare_key_that_needs_a_value_is_a_load_error_naming_its_line(row, key):
-    with pytest.raises(LexiconError, match=rf"^added\.tsv:7: .*\b{key}\b.* needs a value: {key}=<"):
-        parse_lexicon(WH_NOUN_ROWS + [row], source="added.tsv")
+    with pytest.raises(LexiconError, match=rf"^added\.tsv:1: .*\b{key}\b.* needs a value: {key}=<"):
+        parse_lexicon([row], source="added.tsv")
 
 
 # one utterance per row that no other test pins, with its gold output under

@@ -14,22 +14,21 @@ from saek.lexicon import (
     Ending,
     EndingKind,
     Josa,
-    WhKind,
     WhMatch,
 )
 
 RECORDS = {
     "Eojeol": lambda: Eojeol("사과를", "사과", "를"),
-    "WhHit": lambda: WhHit(WhKind.WHO, 0, 1, 0, 2),
+    "WhHit": lambda: WhHit(ArgumentCategory.PERSON, 0, 1, 0, 2),
     "Evidence": lambda: Evidence("wh-word", (0, 1)),
     "Classification": lambda: Classification(
-        IntentLabel.WH, "wh-word", WhKind.WHAT, (Evidence("wh-word", (0, 1)),)
+        IntentLabel.WH, "wh-word", ArgumentCategory.MEANING, (Evidence("wh-word", (0, 1)),)
     ),
     "Argument": lambda: Argument("먹는 의미", ArgumentCategory.MEANING),
     "JamoTriple": lambda: JamoTriple(0, 0, 4),
     "Josa": lambda: Josa("를", frozenset({-1, 0}), True),
     "Ending": lambda: Ending("니", EndingKind.INTERROGATIVE),
-    "WhMatch": lambda: WhMatch(WhKind.WHO, 0, 2),
+    "WhMatch": lambda: WhMatch(ArgumentCategory.PERSON, 0, 2),
     "OutputRecord": lambda: OutputRecord(
         "뭐 셌니",
         2,
@@ -77,7 +76,6 @@ def test_positional_builds_keep_their_field_order():
     number nor their order: a field added or moved must be added or moved
     there too."""
     assert NormalizedUtterance._fields == (
-        "raw",
         "text",
         "tokens",
         "offsets",
