@@ -12,14 +12,12 @@ from .extract import Extractor
 from .lexicon import Lexicon, default_lexicon, load_lexicon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutputRecord:
     """Flat record for one input line; optional fields follow the super-type.
 
-    The fields are the record's one definition: ``to_dict``'s keys and the TSV
-    columns follow them, in order (``__init__`` and ``_record`` set them in
-    order, so ``__dict__`` holds them in order).
-    """
+    The fields are the record's one definition and ``__init__`` its one build,
+    which sets them in order: ``to_dict``'s keys and the TSV columns follow it."""
 
     text: str
     label: Optional[int] = None
@@ -30,6 +28,31 @@ class OutputRecord:
     category: Optional[str] = None
     evidence: tuple[Evidence, ...] = ()
     error: Optional[str] = None
+
+    def __init__(
+        self,
+        text: str,
+        label: Optional[int] = None,
+        label_name: Optional[str] = None,
+        question_type: Optional[str] = None,
+        negativeness: Optional[str] = None,
+        argument: Optional[str] = None,
+        category: Optional[str] = None,
+        evidence: tuple[Evidence, ...] = (),
+        error: Optional[str] = None,
+    ) -> None:
+        # straight into __dict__, without the generated frozen __init__'s
+        # object.__setattr__ call per field; every record's dict shares its keys
+        attrs = self.__dict__
+        attrs["text"] = text
+        attrs["label"] = label
+        attrs["label_name"] = label_name
+        attrs["question_type"] = question_type
+        attrs["negativeness"] = negativeness
+        attrs["argument"] = argument
+        attrs["category"] = category
+        attrs["evidence"] = evidence
+        attrs["error"] = error
 
     def to_dict(self) -> dict:
         """The fields in order, less those that do not apply (None, or no evidence);
@@ -46,36 +69,6 @@ class OutputRecord:
 
 
 TSV_COLUMNS = tuple(f.name for f in fields(OutputRecord))
-
-
-def _record(
-    text: str,
-    label: Optional[int] = None,
-    label_name: Optional[str] = None,
-    question_type: Optional[str] = None,
-    negativeness: Optional[str] = None,
-    argument: Optional[str] = None,
-    category: Optional[str] = None,
-    evidence: tuple[Evidence, ...] = (),
-    error: Optional[str] = None,
-) -> OutputRecord:
-    """The record ``OutputRecord(...)`` builds, without the frozen
-    ``__init__``'s one ``object.__setattr__`` call per field: the fields go
-    into the instance's ``__dict__`` one by one, in TSV_COLUMNS order
-    (tests/test_records.py checks it), so the dict keeps sharing its keys
-    with every other record's, as the constructor's does."""
-    record = object.__new__(OutputRecord)
-    attrs = record.__dict__
-    attrs["text"] = text
-    attrs["label"] = label
-    attrs["label_name"] = label_name
-    attrs["question_type"] = question_type
-    attrs["negativeness"] = negativeness
-    attrs["argument"] = argument
-    attrs["category"] = category
-    attrs["evidence"] = evidence
-    attrs["error"] = error
-    return record
 
 
 def _tsv_cell(name: str, value) -> str:
@@ -124,15 +117,15 @@ class Engine:
         """
         if UNDECODED_RE.search(text):
             text = " ".join(UNDECODED_RE.sub("\ufffd", text).split())
-            return _record(text, error="invalid-utf8")
+            return OutputRecord(text, error="invalid-utf8")
         try:
             u = self.analyzer.normalize(text)
         except EmptyUtterance:
-            return _record(" ".join(text.split()), error="empty-utterance")
+            return OutputRecord(" ".join(text.split()), error="empty-utterance")
         try:
             c = self.classifier.classify(u)
         except Unclassifiable:
-            return _record(u.text, error="unclassifiable")
+            return OutputRecord(u.text, error="unclassifiable")
 
         evidence = c.evidence
         argument = category = error = None
@@ -149,4 +142,4 @@ class Engine:
                 if notes:
                     evidence += tuple(Evidence(note, None) for note in notes)
 
-        return _record(u.text, *_LABEL_FIELDS[c.label], argument, category, evidence, error)
+        return OutputRecord(u.text, *_LABEL_FIELDS[c.label], argument, category, evidence, error)

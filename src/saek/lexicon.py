@@ -21,7 +21,6 @@ from .errors import LexiconError
 class EndingKind(Enum):
     INTERROGATIVE = "interrogative"
     IMPERATIVE = "imperative"
-    DECLARATIVE_CUE = "declarative-cue"
 
 
 class ArgumentCategory(Enum):
@@ -86,7 +85,7 @@ _SET_ROLES = {
     "connective": "connectives",
     "nostrip": "nostrip",
 }
-ROLES = {"josa", "vocative", "ending", "wh", "negation", "danger", "advdet", *_SET_ROLES}
+ROLES = {"josa", "vocative", "ending", "cue", "wh", "negation", "danger", "advdet", *_SET_ROLES}
 # the attribute keys each role reads; a role not listed reads none, and any
 # other key is a load error, not a condition dropped without a word
 _ROLE_KEYS = {
@@ -105,11 +104,7 @@ _Attrs = dict[str, Optional[str]]
 
 NEGATION_KINDS = ("ma", "malgo", "anh", "preverbal")
 
-_ENDING_KINDS = {
-    "int": EndingKind.INTERROGATIVE,
-    "imp": EndingKind.IMPERATIVE,
-    "cue": EndingKind.DECLARATIVE_CUE,
-}
+_ENDING_KINDS = {"int": EndingKind.INTERROGATIVE, "imp": EndingKind.IMPERATIVE}
 
 # the condition a suffix row puts on the character before it, compiled at
 # load into the hangul.tail values that character may have (None: any). A
@@ -334,35 +329,45 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         if len(parts) < 2:
             raise LexiconError(f"{source}:{lineno}: expected role<TAB>surface")
         role, surface = parts[0].strip(), parts[1].strip()
-        attrs = _parse_attrs(parts[2] if len(parts) > 2 else "")
+        where = f"{source}:{lineno}"
+        attrs = _parse_attrs(parts[2] if len(parts) > 2 else "", where)
         if role not in ROLES:
-            raise LexiconError(f"{source}:{lineno}: unknown role {role!r}")
+            raise LexiconError(f"{where}: unknown role {role!r}")
         for key, value in attrs.items():
             if key not in _ROLE_KEYS.get(role, ()):
-                raise LexiconError(f"{source}:{lineno}: unknown attribute {key} for {role}")
+                raise LexiconError(f"{where}: unknown attribute {key} for {role}")
             if key in _FLAGS and value is not None:
-                raise LexiconError(f"{source}:{lineno}: flag {key} takes no value: {key}={value}")
+                raise LexiconError(f"{where}: flag {key} takes no value: {key}={value}")
         if not surface:
-            raise LexiconError(f"{source}:{lineno}: empty surface")
+            raise LexiconError(f"{where}: empty surface")
         if (role, surface) in seen:
-            raise LexiconError(f"{source}:{lineno}: duplicate entry {role} {surface!r}")
+            raise LexiconError(f"{where}: duplicate entry {role} {surface!r}")
         seen.add((role, surface))
-        _add_entry(tables, role, surface, attrs, f"{source}:{lineno}")
+        _add_entry(tables, role, surface, attrs, where)
     return Lexicon(**tables)
 
 
-def _parse_attrs(text: str) -> _Attrs:
+def _parse_attrs(text: str, where: str) -> _Attrs:
     attrs: _Attrs = {}
     for chunk in text.strip().split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "=" in chunk:
-            key, value = chunk.split("=", 1)
-            attrs[key.strip()] = value.strip()
-        else:
-            attrs[chunk] = None
+        key, eq, value = map(str.strip, chunk.partition("="))
+        if key in attrs:
+            raise LexiconError(f"{where}: attribute {key} given twice")
+        attrs[key] = value if eq else None
     return attrs
+
+
+def _words(surface: str, where: str, pair: bool = False) -> tuple[str, ...]:
+    """The tokens a cue or a wh or danger pair spans: a token holds no
+    whitespace, so only words split by single spaces can match."""
+    words = tuple(surface.split())
+    if " ".join(words) != surface or pair and len(words) > 2:
+        shape = "one or two words" if pair else "words"
+        raise LexiconError(f"{where}: {surface!r} is not {shape} split by single spaces")
+    return words
 
 
 def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> None:
@@ -376,26 +381,26 @@ def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> N
     elif role == "ending":
         kind = _ENDING_KINDS.get(attrs.get("kind", ""))
         if kind is None:
-            raise LexiconError(f"{where}: ending needs kind=int|imp|cue")
+            raise LexiconError(f"{where}: ending needs kind=int|imp")
         stem = attrs.get("stem", "")
         if stem is None:
             raise LexiconError(f"{where}: stem needs a value: stem=<stem>")
-        if kind is EndingKind.DECLARATIVE_CUE:
-            t["cues"].add(tuple(surface.split(" ")))
-        else:
-            t["endings"][surface] = Ending(
-                surface,
-                kind,
-                copula="copula" in attrs,
-                prev_tails=_prev_tails(attrs, "prev_coda", where),
-                stem=stem,
-            )
+        t["endings"][surface] = Ending(
+            surface,
+            kind,
+            copula="copula" in attrs,
+            prev_tails=_prev_tails(attrs, "prev_coda", where),
+            stem=stem,
+        )
+    elif role == "cue":
+        t["cues"].add(_words(surface, where))
     elif role == "wh":
         category = _WH_CATEGORIES.get(attrs.get("category", ""))
         if category is None:
             raise LexiconError(f"{where}: bad wh category {attrs.get('category')!r}")
-        if " " in surface:
-            t["wh_pairs"][tuple(surface.split(" ", 1))] = category
+        words = _words(surface, where, pair=True)
+        if len(words) == 2:
+            t["wh_pairs"][words] = category
         else:
             t["wh_surfaces"][surface] = category
     elif role == "negation":
@@ -404,8 +409,9 @@ def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> N
             raise LexiconError(f"{where}: negation needs kind=ma|malgo|anh|preverbal")
         t["negation"][surface] = kind
     elif role == "danger":
-        if " " in surface:
-            t["danger_pairs"].add(tuple(surface.split(" ", 1)))
+        words = _words(surface, where, pair=True)
+        if len(words) == 2:
+            t["danger_pairs"].add(words)
         else:
             t["danger"].add(surface)
     elif role == "advdet":

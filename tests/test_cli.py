@@ -467,6 +467,19 @@ def test_a_whnoun_row_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_an_ending_row_of_kind_cue_in_lexicon_reports_its_line_and_exits_one(
+    tmp_path, capsys, monkeypatch
+):
+    # a want-to-know cue is a cue row; the old ending spelling has no reading
+    path = tmp_path / "old.tsv"
+    path.write_text("ending\t궁금\tkind=cue\n", encoding="utf-8")
+    argv = ["--lexicon", str(path), "extract", "-"]
+    code, out, err = run_cli(argv, "어디 갔는지 궁금해\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"saek: {path}:1: ending needs kind=int|imp")
+    assert "Traceback" not in err
+
+
 def test_corpus_commands_never_read_the_lexicon(fixtures_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAEK_LEXICON", str(tmp_path / "missing.tsv"))
     code = cli.run(["corpus", "stats", str(fixtures_dir / "corpus60.tsv")])

@@ -16,7 +16,7 @@ from golden_cases import GOLDEN
 SRC = Path(saek.__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 # two want-to-know cues that overlap the bundled 궁금 one
-OVERLAPPING_CUES = ["ending\t좀 궁금\tkind=cue", "ending\t너무 좀 궁금\tkind=cue"]
+OVERLAPPING_CUES = ["cue\t좀 궁금", "cue\t너무 좀 궁금"]
 
 
 def _utterances() -> list[str]:

@@ -17,8 +17,10 @@ import saek
 from golden_cases import GOLDEN
 from saek import Analyzer, Classifier, Engine, Extractor, hangul
 from saek.analyze import Eojeol, WhHit, negative_imperative
+from saek.classify import Evidence
 from saek.errors import EmptyUtterance, LexiconError, Unclassifiable
 from saek.lexicon import (
+    ROLES,
     TABLES,
     ArgumentCategory,
     EndingKind,
@@ -61,6 +63,21 @@ def test_lookup_wh_pair(lexicon):
     assert lexicon.lookup_wh_pair("몇", "시간") is ArgumentCategory.TIME
     assert lexicon.lookup_wh_pair("몇", "사과") is None
     assert lexicon.lookup_wh_pair("아무", "시") is None
+
+
+def test_a_wh_pair_hit_ends_at_the_second_tokens_stem(engine):
+    # 몇 시 covers 몇 시간 by prefix, and the hit ends where the stem 시간 does
+    assert ("몇", "시간") not in engine.lexicon.wh_pairs
+    record = engine.process("몇 시간 공부했니")
+    assert (record.label, record.argument) == (2, "공부한 시간")
+    assert record.evidence == (Evidence("wh-word", (0, 4)),)
+
+
+def test_every_role_and_ending_kind_has_a_bundled_row(lexicon):
+    # a pseudo-kind no Ending carries, or a role no row uses, cannot come back
+    assert {e.kind for e in lexicon.endings.values()} == set(EndingKind)
+    roles = {row.split("\t")[0] for row in _default_rows() if row and not row.startswith("#")}
+    assert roles == ROLES
 
 
 def test_ending_roles_disjoint_from_josa(lexicon):
@@ -180,10 +197,10 @@ EXTRA_ROWS = [
     "vocative\t여\tcond=open_or_rieul",
     "ending\t까요\tkind=int;prev_coda=ㄹ",
     "ending\t니다\tkind=int;prev_coda=ㅂ",
-    "ending\t좀 궁금\tkind=cue",
-    "ending\t너무 좀 궁금\tkind=cue",
-    "ending\t궁\tkind=cue",
-    "ending\t너무 궁\tkind=cue",
+    "cue\t좀 궁금",
+    "cue\t너무 좀 궁금",
+    "cue\t궁",
+    "cue\t너무 궁",
     "wh\t뭐.\tcategory=what",
     "wh\t(누구|뭐)\tcategory=who",
     "wh\t몇 시간이\tcategory=when",
@@ -848,6 +865,10 @@ def test_a_bad_condition_is_a_load_error_naming_its_line(row):
         ("ending\t니까\tkind=int;cond=batchim", "cond", "ending"),
         ("josa\t는\tkond=batchim", "kond", "josa"),
         ("pronoun\t너\tcond=any", "cond", "pronoun"),
+        # a cue row takes no attribute, not even an ending's
+        ("cue\t궁금\tprev_coda=ㅂ", "prev_coda", "cue"),
+        ("cue\t궁금\tcopula", "copula", "cue"),
+        ("cue\t궁금\tstem=하", "stem", "cue"),
     ],
 )
 def test_an_unknown_attribute_is_a_load_error_naming_its_line(row, key, role):
@@ -882,6 +903,29 @@ def test_a_flag_given_a_value_is_a_load_error_naming_its_line(row, key, value):
 def test_a_bare_key_that_needs_a_value_is_a_load_error_naming_its_line(row, key):
     with pytest.raises(LexiconError, match=rf"^added\.tsv:1: .*\b{key}\b.* needs a value: {key}=<"):
         parse_lexicon([row], source="added.tsv")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        # the last value used to win: 니 loaded imperative, 야 unconditioned
+        ("ending\t니\tkind=int;kind=imp", "attribute kind given twice"),
+        ("vocative\t야\tcond=batchim;cond=any", "attribute cond given twice"),
+        ("josa\t를\tdroppable;object;droppable", "attribute droppable given twice"),
+        # a token holds no whitespace, so each of these loaded and never matched
+        ("cue\t알고  싶", "'알고  싶' is not words split by single spaces"),
+        ("cue\t알고\u3000싶", "'알고\\u3000싶' is not words split by single spaces"),
+        ("wh\t몇  시\tcategory=when", "'몇  시' is not one or two words split by single spaces"),
+        ("wh\t몇 시 쯤\tcategory=when", "'몇 시 쯤' is not one or two words split by single spaces"),
+        ("danger\t안  돼", "'안  돼' is not one or two words split by single spaces"),
+        # want-to-know cues are cue rows; an ending is interrogative or imperative
+        ("ending\t궁금\tkind=cue", "ending needs kind=int|imp"),
+    ],
+)
+def test_a_malformed_row_is_a_load_error_naming_its_line(row, message):
+    with pytest.raises(LexiconError) as exc:
+        parse_lexicon([row], source="added.tsv")
+    assert str(exc.value) == f"added.tsv:1: {message}"
 
 
 # one utterance per row that no other test pins, with its gold output under

@@ -1,6 +1,7 @@
 """The engine's record types compare by value and cannot be assigned to."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -178,3 +179,12 @@ def test_output_record_replace_keeps_the_other_fields(engine):
     assert [v for k, v in moved.__dict__.items() if k != "text"] == [
         v for k, v in record.__dict__.items() if k != "text"
     ]
+
+
+def test_output_record_signature_spells_its_fields():
+    # __init__ is written out beside the fields: the two lists must not drift
+    params = inspect.signature(OutputRecord).parameters.values()
+    fields = dataclasses.fields(OutputRecord)
+    assert [p.name for p in params] == [f.name for f in fields] == list(TSV_COLUMNS)
+    missing = {dataclasses.MISSING: inspect.Parameter.empty}
+    assert [p.default for p in params] == [missing.get(f.default, f.default) for f in fields]
