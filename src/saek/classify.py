@@ -38,9 +38,10 @@ class Classification(NamedTuple):
     step: str  # the cascade step that fired; it picks the extraction routine
     wh: Optional[ArgumentCategory] = None  # present exactly when label == WH
     evidence: tuple[Evidence, ...] = ()
-    # tokens of the info verb the argument loses, on the info-seeking
-    # steps: 1, or 2 for a spaced benefactive (말해 줘)
-    info: int = 0
+    # index into NormalizedUtterance.tokens of the token the step was decided
+    # on, which the argument's material ends before: the info verb, the -지
+    # host of a negative imperative or the -(으)면 clause (None: no such token)
+    end: Optional[int] = None
 
 
 # the cascade's steps, in the order they are tried: step -> (label, the
@@ -69,12 +70,16 @@ _new = tuple.__new__
 
 
 def _fired(
-    step: str, *spans: tuple[int, int], wh: Optional[ArgumentCategory] = None, info: int = 0
+    step: str,
+    *spans: tuple[int, int],
+    wh: Optional[ArgumentCategory] = None,
+    end: Optional[int] = None,
 ) -> Classification:
-    """The step that fired, with its label and one evidence span per rule."""
+    """The step that fired, with its label, one evidence span per rule and
+    the token it was decided on."""
     label, rules = STEPS[step]
     evidence = tuple([_new(Evidence, pair) for pair in zip(rules, spans, strict=True)])
-    return _new(Classification, (label, step, wh, evidence, info))
+    return _new(Classification, (label, step, wh, evidence, end))
 
 
 class Classifier:
@@ -113,17 +118,16 @@ class Classifier:
 
         # the bearer's char span; every other span is spelled where its step fires
         start = offsets[bearer]
-        end = start + len(surfaces[bearer])
+        stop = start + len(surfaces[bearer])
 
         # (1) information-seeking imperatives are treated as questions
         info_idx = self._info_verb_index(u)
         if info_idx is not None:
             verb = (offsets[info_idx], offsets[info_idx] + len(surfaces[info_idx]))
-            n_info = bearer - info_idx + 1
             if wh_hits:
                 hit = wh_hits[0]
                 span = (hit.char_start, hit.char_end)
-                return _fired("info-seeking+wh-word", verb, span, wh=hit.kind, info=n_info)
+                return _fired("info-seeking+wh-word", verb, span, wh=hit.kind, end=info_idx)
             quant = self._universal_quantifier_index(u, exclude=info_idx)
             if quant is not None:
                 span = (offsets[quant], offsets[quant] + len(surfaces[quant]))
@@ -132,9 +136,9 @@ class Classifier:
                     verb,
                     span,
                     wh=ArgumentCategory.MEANING,
-                    info=n_info,
+                    end=info_idx,
                 )
-            return _fired("info-seeking", verb, info=n_info)
+            return _fired("info-seeking", verb, end=info_idx)
 
         # (2) wh word with an interrogative or want-to-know reading
         if wh_hits and (interrogative or cue is not None):
@@ -147,16 +151,16 @@ class Classifier:
             repeat = surfaces.index(surfaces[bearer])
             if repeat < bearer:
                 span = (offsets[repeat], offsets[repeat] + len(surfaces[repeat]))
-                return _fired("parallel-clauses", span, (start, end))
+                return _fired("parallel-clauses", span, (start, stop))
             if not lex.disjunction.isdisjoint(surfaces):
                 i = next(i for i, s in enumerate(surfaces) if s in lex.disjunction)
                 return _fired("disjunction", (offsets[i], offsets[i] + len(surfaces[i])))
 
             # (4) plain polar question
-            return _fired("polar-ending", (start + len(tokens[bearer].stem), end))
+            return _fired("polar-ending", (start + len(tokens[bearer].stem), stop))
         # (4) so is a want-to-know cue without an interrogative ending
         if cue is not None:
-            return _fired("want-to-know", (start, end))
+            return _fired("want-to-know", (start, stop))
 
         # steps (5)-(7) read the negation and conditional tags of the cued tokens only
         malgo = myen = None  # first 말고 and first -면 token, never the last token
@@ -193,17 +197,18 @@ class Classifier:
             core = predicate.conditional_core(surfaces[myen])
             preverbal = lex.strip_preverbal(core) != core
         if danger and preverbal:
-            return _fired("double-negation", (start, end))
+            return _fired("double-negation", (start, stop), end=myen)
 
         # (7) negative imperative, or conditional with a danger consequence
-        if ma and negative_imperative(tokens, ma) is not None:
-            return _fired("negative-imperative", (start, end))
+        host = negative_imperative(tokens, ma) if ma else None
+        if host is not None:
+            return _fired("negative-imperative", (start, stop), end=host[0])
         if danger:
-            return _fired("danger-conditional", (start, end))
+            return _fired("danger-conditional", (start, stop), end=myen)
 
         # (8) plain imperative / request / wish
         if imperative:
-            return _fired("imperative-ending", (start + len(tokens[bearer].stem), end))
+            return _fired("imperative-ending", (start + len(tokens[bearer].stem), stop))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 

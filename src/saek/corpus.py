@@ -146,28 +146,21 @@ def stats(entries: Sequence[CorpusEntry]) -> CorpusStats:
     return CorpusStats(tallies, portions, group_portions, total)
 
 
-def diff_expected(
-    observed: CorpusStats,
-    counts: Sequence[int] = TABLE2_COUNTS,
-    group_percents: Optional[Sequence[float]] = TABLE2_GROUP_PERCENTS,
-) -> list[str]:
-    """Differences between observed stats and an expected distribution.
+def diff_expected(observed: CorpusStats) -> list[str]:
+    """Differences between observed stats and the paper's Table 2.
 
     Counts must match exactly; within-group percentages must agree to
     ``TOLERANCE_PP`` percentage points.  Empty result means full agreement.
     """
     diffs = []
-    for i, (got, want) in enumerate(zip(observed.counts, counts)):
+    for i, (got, want) in enumerate(zip(observed.counts, TABLE2_COUNTS)):
         if got != want:
             diffs.append(f"label {i}: count {got} != expected {want}")
-    if observed.total != sum(counts):
-        diffs.append(f"total {observed.total} != expected {sum(counts)}")
-    if group_percents is not None:
-        for i, (got, want) in enumerate(zip(observed.group_portions, group_percents)):
-            if abs(got * 100.0 - want) > TOLERANCE_PP:
-                diffs.append(
-                    f"label {i}: portion {got * 100.0:.4f}% off expected {want}%"
-                )
+    if observed.total != TABLE2_TOTAL:
+        diffs.append(f"total {observed.total} != expected {TABLE2_TOTAL}")
+    for i, (got, want) in enumerate(zip(observed.group_portions, TABLE2_GROUP_PERCENTS)):
+        if abs(got * 100.0 - want) > TOLERANCE_PP:
+            diffs.append(f"label {i}: portion {got * 100.0:.4f}% off expected {want}%")
     return diffs
 
 

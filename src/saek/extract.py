@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul, predicate
-from .analyze import Eojeol, NormalizedUtterance, WhHit, negative_imperative
+from .analyze import Eojeol, NormalizedUtterance, WhHit, host_form
 from .classify import Classification
 from .errors import ExtractionFailed, OptionsNotFound
 from .lexicon import ArgumentCategory, EndingKind, Lexicon, default_lexicon
@@ -43,31 +43,31 @@ class Extractor:
 
     def extract(self, u: NormalizedUtterance, c: Classification) -> Argument:
         """Run the routine of the cascade step that fired; the step decided
-        the rule, so no routine decides it again. 말고 rejects what precedes
-        it, so every routine reads the tokens from ``u.kept`` on."""
-        tokens = u.tokens[u.kept :]
+        the rule and the token the argument's material ends before (``c.end``),
+        so no routine decides or searches again. 말고 rejects what precedes
+        it, so every routine reads ``u.tokens[u.kept : c.end]``, and a token
+        before the last 말고 leaves none."""
+        end = c.end
+        if end is not None and end < u.kept:
+            raise ExtractionFailed("the step's token precedes the last 말고")
+        tokens = u.tokens[u.kept : end]
         match c.step:
             case "info-seeking" | "polar-ending" | "want-to-know":
-                return self.extract_yesno(tokens, c.info)
+                return self.extract_yesno(tokens)
             case "parallel-clauses" | "disjunction":
                 return self.extract_alternative(tokens)
             case "wh-word" | "info-seeking+wh-word":
-                return self.extract_wh(tokens, c.wh, c.info, u.wh_hits, u.kept)
+                return self.extract_wh(tokens, c.wh, c.step != "wh-word", u.wh_hits, u.kept)
             case "info-seeking+universal-quantifier":
-                return self._object_span(tokens, c.wh, c.info)
+                return self._object_span(tokens, c.wh)
             case "double-negation":
-                return self._sr_from_double_negation(tokens)
+                core = predicate.conditional_core(u.tokens[end].surface)
+                return self._sr_from_double_negation(tokens, core)
             case "negative-imperative":
-                items, content = self._command_items(tokens)
-                ma = [i for i, t in enumerate(items) if t.negation == "ma"]
-                found = negative_imperative(items, ma)
-                if found is None:
-                    raise ExtractionFailed("negative imperative without a -지 predicate")
-                return self._prohibition(items, content, *found)
+                return self._prohibition(tokens, host_form(u.tokens[end]))
             case "danger-conditional":
-                items, content = self._command_items(tokens)
-                idx, core = self._conditional_core(items)
-                return self._prohibition(items, content, idx, predicate.negation_host(core))
+                core = predicate.conditional_core(u.tokens[end].surface)
+                return self._prohibition(tokens, predicate.negation_host(core))
             case "negation-coordination" | "imperative-ending":
                 return self._requirement(*self._command_items(tokens))
         raise ValueError(f"no extraction routine for cascade step {c.step!r}")
@@ -135,13 +135,9 @@ class Extractor:
 
     # -- yes/no questions ---------------------------------------------------
 
-    def extract_yesno(self, tokens: Sequence[Eojeol], info: int = 0) -> Argument:
-        """``info``: tokens of the info verb the utterance ends on, which the
-        classifier found (0: none)."""
+    def extract_yesno(self, tokens: Sequence[Eojeol]) -> Argument:
         lex = self.lexicon
         items, content = self._question_items(tokens)
-        if info:
-            items = items[:-info]
         items = self._drop_want_cue(items)
 
         head = ""
@@ -229,20 +225,18 @@ class Extractor:
         self,
         tokens: Sequence[Eojeol],
         wh: ArgumentCategory,
-        info: int,
+        info: bool,
         hits: Sequence[WhHit],
         first: int,
     ) -> Argument:
-        """``info``: tokens of the info verb the utterance ends on, which the
-        classifier found (0: none); ``hits``: the wh forms, whose tokens go;
-        ``first``: the index ``hits`` count ``tokens[0]`` at."""
+        """``info``: ``tokens`` end before an info verb (an info-seeking
+        frame); ``hits``: the wh forms, whose tokens go; ``first``: the index
+        ``hits`` count ``tokens[0]`` at."""
         lex = self.lexicon
         wh_tokens = {i for h in hits for i in range(h.token_start, h.token_end)}
         items, content = self._question_items(
             t for i, t in enumerate(tokens, first) if i not in wh_tokens
         )
-        if info:
-            items = items[:-info]
 
         notes: list[str] = []
         items = self._drop_want_cue(items)
@@ -300,16 +294,15 @@ class Extractor:
                 raise ExtractionFailed("no content around the wh word")
         return _new(Argument, (" ".join(parts), wh, tuple(notes)))
 
-    def _object_span(self, tokens: Sequence[Eojeol], wh: ArgumentCategory, info: int) -> Argument:
+    def _object_span(self, tokens: Sequence[Eojeol], wh: ArgumentCategory) -> Argument:
         """Information-seeking imperatives with a universal quantifier keep
-        their object span verbatim, the quantifier adverb turned determiner;
-        the last ``info`` items are the info verb and go."""
+        their object span verbatim, the quantifier adverb turned determiner."""
         lex = self.lexicon
         items, content = self._question_items(tokens)  # no wh word: that step fires first
         stems: list[str] = []
         quant: Optional[str] = None
         object_pos: Optional[int] = None
-        for t, stem in zip(items[:-info], content):
+        for t, stem in zip(items, content):
             if not stem:
                 continue
             if stem in lex.advdet and quant is None:
@@ -366,27 +359,21 @@ class Extractor:
                 return i + 1
         return 0
 
-    def _prohibition(
-        self, items: list[Eojeol], content: list[str], idx: int, form: str
-    ) -> Argument:
-        """The prohibited action: the clause before the -지 ``form`` at
-        ``idx``, then the form and 않기."""
-        parts = self._clean_parts(content[self._clause_start(items, idx) : idx])
+    def _prohibition(self, tokens: Sequence[Eojeol], form: str) -> Argument:
+        """The prohibited action: the last clause of ``tokens``, which end
+        before the -지 host, then the host's -지 ``form`` and 않기."""
+        items, content = self._command_items(tokens)
+        parts = self._clean_parts(content[self._clause_start(items, len(items)) :])
         text = predicate.prohibition(parts, form)
         return _new(Argument, (text, ArgumentCategory.PROHIBITION, ()))
 
-    def _conditional_core(self, items: list[Eojeol]) -> tuple[int, str]:
-        for i, t in enumerate(items[:-1]):
-            if t.conditional:
-                return i, predicate.conditional_core(t.surface)
-        raise ExtractionFailed("no conditional clause found")
-
-    def _sr_from_double_negation(self, tokens: Sequence[Eojeol]) -> Argument:
+    def _sr_from_double_negation(self, tokens: Sequence[Eojeol], core: str) -> Argument:
+        """The required action: the last clause of ``tokens``, which end
+        before the -(으)면 clause of ``core``, its negators dropped."""
         items, content = self._command_items(tokens)
-        idx, core = self._conditional_core(items)
         core = self.lexicon.strip_preverbal(core)
-        start = self._clause_start(items, idx)
-        keep = [i for i in range(start, idx) if items[i].negation != "preverbal"]
+        start = self._clause_start(items, len(items))
+        keep = [i for i in range(start, len(items)) if items[i].negation != "preverbal"]
         span = [items[i] for i in keep]
         nominal = self._nominalize_stem(core, span)  # may pop from span
         parts = self._clean_parts([content[i] for i in keep[: len(span)]])

@@ -340,6 +340,8 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
                 raise LexiconError(f"{where}: flag {key} takes no value: {key}={value}")
         if not surface:
             raise LexiconError(f"{where}: empty surface")
+        if role not in ("cue", "wh", "danger"):
+            _words(surface, where, most=1)  # the other roles match one token
         if (role, surface) in seen:
             raise LexiconError(f"{where}: duplicate entry {role} {surface!r}")
         seen.add((role, surface))
@@ -360,13 +362,16 @@ def _parse_attrs(text: str, where: str) -> _Attrs:
     return attrs
 
 
-def _words(surface: str, where: str, pair: bool = False) -> tuple[str, ...]:
-    """The tokens a cue or a wh or danger pair spans: a token holds no
-    whitespace, so only words split by single spaces can match."""
+_SHAPES = ("words split by single spaces", "one word", "one or two words split by single spaces")
+
+
+def _words(surface: str, where: str, most: int = 0) -> tuple[str, ...]:
+    """The tokens a row's surface spans, at most ``most`` of them (0: any
+    number): a token holds no whitespace, so only words split by single
+    spaces can match."""
     words = tuple(surface.split())
-    if " ".join(words) != surface or pair and len(words) > 2:
-        shape = "one or two words" if pair else "words"
-        raise LexiconError(f"{where}: {surface!r} is not {shape} split by single spaces")
+    if " ".join(words) != surface or 0 < most < len(words):
+        raise LexiconError(f"{where}: {surface!r} is not {_SHAPES[most]}")
     return words
 
 
@@ -398,7 +403,7 @@ def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> N
         category = _WH_CATEGORIES.get(attrs.get("category", ""))
         if category is None:
             raise LexiconError(f"{where}: bad wh category {attrs.get('category')!r}")
-        words = _words(surface, where, pair=True)
+        words = _words(surface, where, most=2)
         if len(words) == 2:
             t["wh_pairs"][words] = category
         else:
@@ -409,7 +414,7 @@ def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> N
             raise LexiconError(f"{where}: negation needs kind=ma|malgo|anh|preverbal")
         t["negation"][surface] = kind
     elif role == "danger":
-        words = _words(surface, where, pair=True)
+        words = _words(surface, where, most=2)
         if len(words) == 2:
             t["danger_pairs"].add(words)
         else:

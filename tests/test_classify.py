@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import saek.classify
+import saek.extract
 from golden_cases import GOLDEN
 from saek.classify import STEPS, IntentLabel
 from saek.errors import Unclassifiable
@@ -68,8 +70,10 @@ def test_info_seeking_without_wh_or_quantifier_is_polar(analyzer, classifier):
 
 @pytest.mark.parametrize("text, info", [("어제 소식 말해줘", 1), ("내일 비 오는지 말해 줘", 2)])
 def test_polar_info_seeking_counts_the_info_verb_tokens(analyzer, classifier, text, info):
-    got = classifier.classify(analyzer.normalize(text))
-    assert (got.step, got.info) == ("info-seeking", info)
+    # the step hands over the info verb's first token: the last ``info`` tokens
+    u = analyzer.normalize(text)
+    got = classifier.classify(u)
+    assert (got.step, got.end) == ("info-seeking", len(u.tokens) - info)
 
 
 def test_info_seeking_with_wh_word(analyzer, classifier):
@@ -232,3 +236,44 @@ def test_a_polar_question_makes_no_cue_lookup(monkeypatch, lexicon, engine):
     record = engine.process(STEP_INPUTS["want-to-know"])
     assert [e.rule for e in record.evidence] == ["want-to-know"]
     assert calls == [["되는지", "궁금해"]] * 2
+
+
+# the token each step was decided on, which it hands extraction (any step
+# not listed hands none): the info verb, the -지 host or the -(으)면 clause
+STEP_ENDS = {
+    "info-seeking+wh-word": 3,  # 말해줘
+    "info-seeking+universal-quantifier": 4,  # 말해
+    "info-seeking": 2,  # 말해줘
+    "double-negation": 1,  # 안매면
+    "negative-imperative": 3,  # 나가지 (마)
+    "danger-conditional": 1,  # 나가면
+}
+
+
+@pytest.mark.parametrize(
+    "step, text, end",
+    [(step, STEP_INPUTS[step], STEP_ENDS.get(step)) for step in STEPS]
+    + [("negative-imperative", "밖에 나가지마", 1)],  # a fused host is the negator's token
+)
+def test_each_step_hands_extraction_the_token_it_was_decided_on(
+    analyzer, classifier, step, text, end
+):
+    got = classifier.classify(analyzer.normalize(text))
+    assert (got.step, got.end) == (step, end)
+
+
+def test_a_negative_imperative_finds_its_host_once(monkeypatch, engine):
+    # the cascade finds the -지 host and hands it over; extraction never
+    # searches for it again
+    calls = []
+    negative_imperative = saek.classify.negative_imperative
+
+    def counted(tokens, negators):
+        calls.append(list(negators))
+        return negative_imperative(tokens, negators)
+
+    monkeypatch.setattr(saek.classify, "negative_imperative", counted)
+    monkeypatch.setattr(saek.extract, "negative_imperative", counted, raising=False)
+    record = engine.process(STEP_INPUTS["negative-imperative"])
+    assert (record.label, record.argument) == (3, "밖에 나가지 않기")
+    assert calls == [[4]]

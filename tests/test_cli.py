@@ -480,6 +480,19 @@ def test_an_ending_row_of_kind_cue_in_lexicon_reports_its_line_and_exits_one(
     assert "Traceback" not in err
 
 
+def test_a_spaced_josa_row_in_lexicon_reports_its_line_and_exits_one(
+    tmp_path, capsys, monkeypatch
+):
+    # a particle is split off one token, so a surface with a space never matched
+    path = tmp_path / "spaced.tsv"
+    path.write_text("josa\t에 서\n", encoding="utf-8")
+    argv = ["--lexicon", str(path), "extract", "-"]
+    code, out, err = run_cli(argv, "학교에서 뭐 했니\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"saek: {path}:1: '에 서' is not one word")
+    assert "Traceback" not in err
+
+
 def test_corpus_commands_never_read_the_lexicon(fixtures_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SAEK_LEXICON", str(tmp_path / "missing.tsv"))
     code = cli.run(["corpus", "stats", str(fixtures_dir / "corpus60.tsv")])

@@ -88,7 +88,8 @@ def test_spaced_benefactive_info_verb_is_cut(analyzer, classifier, extractor, te
     # 말해 줘 is one info verb of two tokens, and the argument loses both
     u = analyzer.normalize(text)
     c = classifier.classify(u)
-    assert (c.step, c.info) == (step, 2)
+    assert c.step == step
+    assert [t.surface for t in u.tokens[c.end : u.bearer + 1]] == ["말해", "줘"]
     assert extractor.extract(u, c).text == arg
 
 

@@ -918,6 +918,12 @@ def test_a_bare_key_that_needs_a_value_is_a_load_error_naming_its_line(row, key)
         ("wh\t몇  시\tcategory=when", "'몇  시' is not one or two words split by single spaces"),
         ("wh\t몇 시 쯤\tcategory=when", "'몇 시 쯤' is not one or two words split by single spaces"),
         ("danger\t안  돼", "'안  돼' is not one or two words split by single spaces"),
+        # every other role matches one token, so its surface is one word
+        ("ending\t었 니\tkind=int", "'었 니' is not one word"),
+        ("josa\t에 서", "'에 서' is not one word"),
+        ("negation\t안\u3000해\tkind=preverbal", "'안\\u3000해' is not one word"),
+        ("infoverb\t말해  줘", "'말해  줘' is not one word"),
+        ("advdet\t모 두\tdet=모든", "'모 두' is not one word"),
         # want-to-know cues are cue rows; an ending is interrogative or imperative
         ("ending\t궁금\tkind=cue", "ending needs kind=int|imp"),
     ],

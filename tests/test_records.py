@@ -86,7 +86,7 @@ def test_positional_builds_keep_their_field_order():
         "kept",
     )
     assert Evidence._fields == ("rule", "span")
-    assert Classification._fields == ("label", "step", "wh", "evidence", "info")
+    assert Classification._fields == ("label", "step", "wh", "evidence", "end")
     assert Argument._fields == ("text", "category", "notes")
 
 
