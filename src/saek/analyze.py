@@ -25,13 +25,12 @@ UNDECODED_RE = re.compile("[\ud800-\udfff]")
 
 
 class Eojeol(NamedTuple):
-    """One whitespace-delimited token with its morpheme split."""
+    """One whitespace-delimited token with its morpheme split; never a vocative."""
 
     surface: str
     stem: str
     particle: Optional[str] = None
     ending: Optional[Ending] = None
-    is_vocative: bool = False
     negation: Optional[str] = None  # negation kind the token is, or carries fused onto -지
     fused: Optional[str] = None  # that fused ma/malgo negator (나가지마 -> 마)
     conditional: bool = False  # a -(으)면 conditional clause token
@@ -48,15 +47,16 @@ class WhHit(NamedTuple):
 
 
 class NormalizedUtterance(NamedTuple):
-    """Normalized text, its tokens and every utterance-level feature."""
+    """Normalized text, its tokens and every utterance-level feature; a
+    vocative (민수야) is in ``text`` only, and no token index counts it."""
 
     text: str
     tokens: tuple[Eojeol, ...]
+    surfaces: tuple[str, ...]  # the surface of each token
     offsets: tuple[int, ...]  # char offset of each token within ``text``
     wh_hits: tuple[WhHit, ...]
     cued: tuple[int, ...]  # indices, in order, of the tokens with a negation or conditional cue
-    bearer: int  # the last non-vocative token, the one an ending sits on (-1: none)
-    kept: int  # the first token after the last 말고 before the bearer (0: none)
+    kept: int  # the first token after the last 말고 before the last token (0: none)
 
 
 class Analyzer:
@@ -79,73 +79,71 @@ class Analyzer:
         if not surfaces:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
         text = " ".join(surfaces)
-        tokens, offsets, bearer, cued, kept = self._analyze_tokens(surfaces)
+        tokens, token_surfaces, offsets, cued, kept = self._analyze_tokens(surfaces)
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
         anchors = self.lexicon.wh_anchors(text)
         wh_hits = self.find_wh(anchors, tokens, offsets) if anchors else ()
         # positional, as each Eojeol below: test_records pins the field order
-        fields = (text, tokens, offsets, wh_hits, cued, bearer, kept)
+        fields = (text, tokens, token_surfaces, offsets, wh_hits, cued, kept)
         return tuple.__new__(NormalizedUtterance, fields)
 
     def _analyze_tokens(
         self, surfaces: list[str]
-    ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], int, tuple[int, ...], int]:
-        """The analyzed tokens, their offsets, the bearer, the indices of
+    ) -> tuple[tuple[Eojeol, ...], tuple[str, ...], tuple[int, ...], tuple[int, ...], int]:
+        """The analyzed tokens, their surfaces and offsets, the indices of
         the tokens that carry a negation or conditional cue and the first
-        token after the last 말고 before the bearer (0: none).
+        token after the last 말고 before the last token (0: none).
 
-        The sentence-final ending sits on the bearer, the last non-vocative
-        token (-1: every token is a vocative). Any other token takes only
-        the lookups its last character can match: the cues, the vocative
-        test and the particle split each have their own gate, and a token
-        outside all three is plain, its stem its surface."""
+        Every vocative is left out, and the sentence-final ending sits on
+        the last token kept. Any other token takes only the lookups its last
+        character can match: the cues, the vocative test and the particle
+        split each have their own gate, and a token outside all three is
+        plain, its stem its surface."""
         lex = self.lexicon
         suffix_finals, cue_finals = self._suffix_finals, self._cue_finals
         josa_ends, markers = lex.josa_ends, lex.vocative
-        bearer = len(surfaces) - 1
-        while bearer >= 0 and surfaces[bearer][-1] in markers and self._is_vocative(surfaces, bearer):
-            bearer -= 1
+        last = len(surfaces) - 1
+        while last >= 0 and surfaces[last][-1] in markers and self._is_vocative(surfaces, last):
+            last -= 1
 
         # tuple.__new__ skips the NamedTuple's keyword-handling constructor
         # and its field count: test_eojeol_fields_are_the_order_normalize_builds
-        # pins the order the two calls below write
+        # pins the order the two builds below write
         new = tuple.__new__
         tokens: list[Eojeol] = []
+        token_surfaces: list[str] = []
         offsets: list[int] = []
         cued: list[int] = []
         kept = at = 0
-        for i, surface in enumerate(surfaces):
-            offsets.append(at)
+        for i, surface in enumerate(surfaces[: last + 1]):
+            start = at
             at += len(surface) + 1
             final = surface[-1]
-            if i != bearer and final not in suffix_finals:
-                plain = (surface, surface, None, None, False, None, None, False)
-                tokens.append(new(Eojeol, plain))
+            if i < last and final not in suffix_finals:
+                fields = (surface, surface, None, None, None, None, False)
+            elif i < last and final in markers and self._is_vocative(surfaces, i):
                 continue
-            negation = fused = None
-            cond = False
-            if final in cue_finals:
-                negation, fused, cond = self._cues(surface)
-                if negation is not None or cond:
-                    cued.append(i)
-                    if negation == "malgo" and i < bearer:
-                        kept = i + 1
-            # every token after the bearer is a vocative
-            voc = i > bearer or (
-                i < bearer and final in markers and self._is_vocative(surfaces, i)
-            )
-            ending = lex.match_ending(surface) if i == bearer else None
-            stem, particle = surface, None
-            if voc:
-                stem, particle = surface[:-1], final
-            elif ending is not None:
-                stem = surface[: len(surface) - len(ending.surface)]
-            elif final in josa_ends:
-                stem, particle = self.strip_josa(surface)
-            fields = (surface, stem, particle, ending, voc, negation, fused, cond)
+            else:
+                negation = fused = None
+                cond = False
+                if final in cue_finals:
+                    negation, fused, cond = self._cues(surface)
+                    if negation is not None or cond:
+                        cued.append(len(tokens))
+                        if negation == "malgo" and i < last:
+                            kept = len(tokens) + 1
+                ending = lex.match_ending(surface) if i == last else None
+                stem, particle = surface, None
+                if ending is not None:
+                    stem = surface[: len(surface) - len(ending.surface)]
+                elif final in josa_ends:
+                    stem, particle = self.strip_josa(surface)
+                fields = (surface, stem, particle, ending, negation, fused, cond)
             tokens.append(new(Eojeol, fields))
-        return tuple(tokens), tuple(offsets), bearer, tuple(cued), kept
+            token_surfaces.append(surface)
+            offsets.append(start)
+        return tuple(tokens), tuple(token_surfaces), tuple(offsets), tuple(cued), kept
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields
@@ -179,28 +177,37 @@ class Analyzer:
             return surface, None
         return surface[: -len(suffix)], suffix
 
-    def _is_vocative(self, surfaces: list[str], index: int) -> bool:
-        """Noun + 야/아 not in predicate position (e.g. trailing name calls)."""
+    def _is_vocative(self, surfaces: Sequence[str], index: int) -> bool:
+        """A name call (민수야): a name of >=2 syllables plus 야/아, with no
+        negator or wh form in it; a final one only after a predicate."""
+        lex = self.lexicon
         surface = surfaces[index]
         if len(surface) < 3:  # name of >=2 syllables plus the marker
             return False
         marker, stem = surface[-1], surface[:-1]
-        if marker not in self.lexicon.vocative or not all(hangul.is_syllable(c) for c in stem):
+        if marker not in lex.vocative or not all(hangul.is_syllable(c) for c in stem):
             return False
-        tails = self.lexicon.vocative[marker]
+        tails = lex.vocative[marker]
         if tails is not None and hangul.tail(stem[-1]) not in tails:
             return False
         # a longer ending match (거야, 이야...) wins over the vocative reading
-        ending = self.lexicon.match_ending(surface)
+        ending = lex.match_ending(surface)
         if ending is not None and len(ending.surface) > 1:
             return False
+        if marker in self._cue_finals and self._cues(surface)[0] is not None:
+            return False  # 나가지말아
+        if lex.lookup_wh(stem) is not None:
+            return False  # 어디야
         if index < len(surfaces) - 1:
             return True
-        # final position: vocative only when the predicate came earlier; a
-        # surface that ends in no ending's last character matches none
-        ends = self.lexicon.ending_ends
+        # final position: vocative only after an earlier token that matches
+        # an ending or carries a negation or conditional cue; a surface that
+        # ends in none of their last characters does neither
+        ends = lex.ending_ends
         return any(
-            s[-1] in ends and self.lexicon.match_ending(s) is not None for s in surfaces[:index]
+            (s[-1] in ends and lex.match_ending(s) is not None)
+            or (s[-1] in self._cue_finals and self._cues(s) != (None, None, False))
+            for s in surfaces[:index]
         )
 
     # -- utterance-level features ---------------------------------------

@@ -91,34 +91,26 @@ class Classifier:
     def classify(self, u: NormalizedUtterance) -> Classification:
         lex = self.lexicon
         tokens = u.tokens
+        if not tokens:  # every token was a name call
+            raise Unclassifiable(f"no rule fires for: {u.text!r}")
         offsets = u.offsets
-        # ``text`` is the surfaces joined by single spaces, and none holds one
-        surfaces = u.text.split(" ")
+        surfaces = u.surfaces
         wh_hits = u.wh_hits
-        last = len(surfaces) - 1
-        bearer = u.bearer
+        last = len(tokens) - 1
 
-        ending = tokens[bearer].ending if bearer >= 0 else None
+        ending = tokens[last].ending
         kind = ending.kind if ending is not None else None
         interrogative = kind is EndingKind.INTERROGATIVE
         imperative = kind is EndingKind.IMPERATIVE
-        # a cue ends on the bearer, so only a bearer that starts with a key of
-        # the cue table's gate can carry one; the last cue_length
-        # non-vocatives, which end on the bearer, decide it
+        # a cue ends on the last token, so only one that starts with a key of
+        # the cue table's gate can carry one; the last cue_length tokens decide it
         cue = None
-        if bearer >= 0 and surfaces[bearer][0] in lex.cue_starts:
-            words: list[str] = []
-            for i in range(bearer, -1, -1):
-                if len(words) == lex.cue_length:
-                    break
-                if not tokens[i].is_vocative:
-                    words.append(surfaces[i])
-            words.reverse()
-            cue = lex.match_cue(words)
+        if surfaces[last][0] in lex.cue_starts:
+            cue = lex.match_cue(surfaces[-lex.cue_length :])
 
-        # the bearer's char span; every other span is spelled where its step fires
-        start = offsets[bearer]
-        stop = start + len(surfaces[bearer])
+        # the last token's char span; every other span is spelled where its step fires
+        start = offsets[last]
+        stop = start + len(surfaces[last])
 
         # (1) information-seeking imperatives are treated as questions
         info_idx = self._info_verb_index(u)
@@ -147,9 +139,9 @@ class Classifier:
 
         # (3) parallel clauses with a repeated predicate, or explicit disjunction
         if interrogative:
-            # the first token with the bearer's surface: the bearer itself when none repeats it
-            repeat = surfaces.index(surfaces[bearer])
-            if repeat < bearer:
+            # the first token with the last token's surface: itself when none repeats it
+            repeat = surfaces.index(surfaces[last])
+            if repeat < last:
                 span = (offsets[repeat], offsets[repeat] + len(surfaces[repeat]))
                 return _fired("parallel-clauses", span, (start, stop))
             if not lex.disjunction.isdisjoint(surfaces):
@@ -157,7 +149,7 @@ class Classifier:
                 return _fired("disjunction", (offsets[i], offsets[i] + len(surfaces[i])))
 
             # (4) plain polar question
-            return _fired("polar-ending", (start + len(tokens[bearer].stem), stop))
+            return _fired("polar-ending", (start + len(tokens[last].stem), stop))
         # (4) so is a want-to-know cue without an interrogative ending
         if cue is not None:
             return _fired("want-to-know", (start, stop))
@@ -183,15 +175,15 @@ class Classifier:
                     preverbal = True
 
         # (5) negated clause coordinated onto a positive imperative (놀지 말고)
-        if malgo is not None and imperative and bearer > malgo:
+        if malgo is not None and imperative:
             if negative_imperative(tokens, (malgo,)) is not None:
                 span = (offsets[malgo], offsets[malgo] + len(surfaces[malgo]))
                 return _fired("negation-coordination", span)
 
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is
-        # the predicate that ends at the bearer, before any trailing name call.
-        consequence = surfaces[max(bearer - 1, 0) : bearer + 1]
+        # the predicate that ends at the last token.
+        consequence = surfaces[-2:]
         danger = myen is not None and lex.is_danger_predicate(consequence)
         if danger and not preverbal:
             core = predicate.conditional_core(surfaces[myen])
@@ -208,18 +200,16 @@ class Classifier:
 
         # (8) plain imperative / request / wish
         if imperative:
-            return _fired("imperative-ending", (start + len(tokens[bearer].stem), stop))
+            return _fired("imperative-ending", (start + len(tokens[last].stem), stop))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 
     # -- helpers ---------------------------------------------------------
 
     def _info_verb_index(self, u: NormalizedUtterance) -> Optional[int]:
-        """Index of an information-seeking verb ending on the bearer, if any."""
+        """Index of an information-seeking verb ending on the last token, if any."""
         lex = self.lexicon
-        final = u.bearer
-        if final < 0:
-            return None
+        final = len(u.tokens) - 1
         t = u.tokens[final]
         if t.surface in lex.infoverbs:
             return final
@@ -241,7 +231,7 @@ class Classifier:
         quant = None
         has_noun = False
         for i, t in enumerate(u.tokens):
-            if i == exclude or t.is_vocative:
+            if i == exclude:
                 continue
             if t.stem in lex.advdet:
                 quant = i

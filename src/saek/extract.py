@@ -34,9 +34,9 @@ class Extractor:
 
     def __init__(self, lexicon: Optional[Lexicon] = None):
         lex = self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        # a plain token (no particle, ending, negation or vocative marker) is
-        # its own content, and _droppable_in_question's rule for it reduces
-        # to one probe of the union of the tables it reads
+        # a plain token (no particle, ending or negation) is its own content,
+        # and _droppable_in_question's rule for it reduces to one probe of the
+        # union of the tables it reads
         self._plain_droppable = lex.pronouns | lex.lightverb_stems | lex.depnouns
 
     # -- dispatch --------------------------------------------------------
@@ -79,8 +79,8 @@ class Extractor:
         arguments, only case particles (``droppable_only``) for commands.
 
         ``e`` carries a particle split (a caller takes the stem of a token
-        without one, and skips a vocative), and stripping goes on from that
-        split: a case particle it split is the first one a command drops too."""
+        without one), and stripping goes on from that split: a case particle
+        it split is the first one a command drops too."""
         if droppable_only and not self.lexicon.josa[e.particle].droppable:
             # a command may drop a shorter case particle than the one split:
             # start over
@@ -95,8 +95,6 @@ class Extractor:
         items: list[Eojeol] = []
         content: list[str] = []
         for t in tokens:
-            if t.is_vocative:
-                continue
             stem = t.stem
             if t.particle is None and t.ending is None and t.negation is None:
                 if stem in plain_droppable:  # a plain token: see ``_plain_droppable``
@@ -174,15 +172,14 @@ class Extractor:
 
     def extract_alternative(self, tokens: Sequence[Eojeol]) -> Argument:
         lex = self.lexicon
-        items = [t for t in tokens if not t.is_vocative]
         # each interrogative predicate with its ending: ``normalize`` matched
-        # the bearer's (the last item), which parallel clauses repeat, and a
-        # token that ends in no ending's last character matches none
-        bearer = items[-1] if items else None
+        # the last token's, which parallel clauses repeat, and a token that
+        # ends in no ending's last character matches none
+        final = tokens[-1]
         preds = []
-        for i, t in enumerate(items):
-            if t.surface == bearer.surface:
-                m = bearer.ending
+        for i, t in enumerate(tokens):
+            if t.surface == final.surface:
+                m = final.ending
             elif t.surface[-1] in lex.ending_ends:
                 m = lex.match_ending(t.surface)
             else:
@@ -194,22 +191,22 @@ class Extractor:
         if len(preds) >= 2:
             start = 0
             for i, _ in preds:
-                options.extend(self._option_phrases(items[start:i]))
+                options.extend(self._option_phrases(tokens[start:i]))
                 start = i + 1
-        elif preds and any(t.surface in lex.disjunction for t in items):
-            pred = items[preds[-1][0]]
-            options = self._option_phrases([t for t in items if t is not pred])
+        elif preds and any(t.surface in lex.disjunction for t in tokens):
+            pred = tokens[preds[-1][0]]
+            options = self._option_phrases([t for t in tokens if t is not pred])
         else:
             raise OptionsNotFound("no parallel clauses or disjunction marker")
         if len(options) < 2:
             raise OptionsNotFound("fewer than two option phrases")
 
         i, ending = preds[-1]
-        stem = items[i].surface[: len(items[i].surface) - len(ending.surface)]
+        stem = tokens[i].surface[: len(tokens[i].surface) - len(ending.surface)]
         text = " ".join(options + [predicate.choice(stem, notes)])
         return _new(Argument, (text, ArgumentCategory.CHOICE, tuple(notes)))
 
-    def _option_phrases(self, clause: list[Eojeol]) -> list[str]:
+    def _option_phrases(self, clause: Sequence[Eojeol]) -> list[str]:
         """Option content of a clause, kept as a question argument keeps it;
         the disjunction (아니면) is no option. ``extract`` has cut the
         material before the last 말고 from the clauses."""
@@ -250,7 +247,7 @@ class Extractor:
         elif info and items:
             # inside an info-seeking frame, an embedded question form
             # (먹었는지), or a finite question (먹었니), whose ending normalize
-            # did not match: it matched the bearer's, on the info verb
+            # did not match: it matched the last token's, on the info verb
             last = items[-1].surface
             stem = predicate.embedded_question_stem(last)
             if stem is None and last[-1] in lex.ending_ends:
@@ -329,7 +326,7 @@ class Extractor:
         items: list[Eojeol] = []
         content: list[str] = []
         for t in tokens:
-            if t.is_vocative or t.surface in pronouns:
+            if t.surface in pronouns:
                 continue
             stem = t.stem if t.particle is None else self._content(t, droppable_only=True)
             if stem in pronouns:

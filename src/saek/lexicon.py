@@ -12,7 +12,7 @@ import io
 import os
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
 from .errors import LexiconError
@@ -271,7 +271,7 @@ class Lexicon:
                 return kind
         return None
 
-    def match_cue(self, tokens: list[str]) -> Optional[tuple[str, ...]]:
+    def match_cue(self, tokens: Sequence[str]) -> Optional[tuple[str, ...]]:
         """Want-to-know cue at the end of the token sequence.
 
         All parts but the last match tokens exactly; the last part is a

@@ -15,14 +15,13 @@ def test_normalize_golden_question(analyzer):
 
 def test_eojeol_fields_are_the_order_normalize_builds():
     """``Analyzer._analyze_tokens`` builds each token with ``tuple.__new__`` from
-    eight positional values, which checks neither their number nor their
+    seven positional values, which checks neither their number nor their
     order: a field added or moved must be added or moved there too."""
     assert Eojeol._fields == (
         "surface",
         "stem",
         "particle",
         "ending",
-        "is_vocative",
         "negation",
         "fused",
         "conditional",
@@ -89,26 +88,47 @@ def test_strip_josa_fuzz_never_aborts_and_reconstructs(analyzer):
 
 def test_ending_assigned_to_last_non_vocative(analyzer):
     u = analyzer.normalize("어디 있니 로비야")
-    assert u.tokens[2].is_vocative
-    assert u.tokens[1].ending is not None
-    assert u.tokens[1].ending.surface == "니"
+    assert u.text == "어디 있니 로비야"
+    assert u.surfaces == tuple(t.surface for t in u.tokens) == ("어디", "있니")
+    assert u.tokens[-1].ending is not None
+    assert u.tokens[-1].ending.surface == "니"
 
 
 def test_bearer_is_last_non_vocative(analyzer):
-    assert analyzer.normalize("밥 먹었니 민수야").bearer == 1
-    assert analyzer.normalize("민수야 밥 먹었니").bearer == 2
-    assert analyzer.normalize("민수야 철수야").bearer == -1
+    # the bearer, the token the ending sits on, is the last token kept: every
+    # vocative is left out, and offsets still index the text
+    u = analyzer.normalize("밥 먹었니 민수야")
+    assert u.surfaces == ("밥", "먹었니") and u.tokens[-1].ending.surface == "니"
+    u = analyzer.normalize("민수야 밥 먹었니")
+    assert u.surfaces == ("밥", "먹었니") and u.tokens[-1].ending.surface == "니"
+    assert u.offsets == (4, 6)
+    u = analyzer.normalize("민수야 철수야")
+    assert u.text == "민수야 철수야" and u.tokens == u.surfaces == u.offsets == ()
+
+
+def test_a_negator_or_a_wh_form_is_no_vocative(analyzer):
+    # either makes the token content, so normalize keeps it
+    assert analyzer.normalize("밖에 나가지말아 제발").surfaces == ("밖에", "나가지말아", "제발")
+    assert analyzer.normalize("거기 어디야 알려줘").surfaces == ("거기", "어디야", "알려줘")
+
+
+def test_a_final_name_call_follows_an_ending_a_negator_or_a_condition(analyzer):
+    for text in ("밥 먹었니 민수야", "밖에 나가지마 민수야", "밖에 나가면 큰일나 민수야"):
+        assert analyzer.normalize(text).surfaces == tuple(text.split()[:-1])
+    # with none before it, the token is the predicate
+    assert analyzer.normalize("사과 민수야").surfaces == ("사과", "민수야")
 
 
 def test_vocative_not_confused_with_periphrastic_ending(analyzer):
     u = analyzer.normalize("버스로 올거야 택시로 올거야")
-    assert not any(t.is_vocative for t in u.tokens)
+    assert u.surfaces == tuple(u.text.split(" "))
 
 
 def test_leading_vocative_flagged(analyzer):
     u = analyzer.normalize("로비야 어디 있니")
-    assert u.tokens[0].is_vocative
-    assert u.tokens[2].ending is not None
+    assert "로비야" not in u.surfaces and len(u.tokens) == 2
+    assert u.tokens[-1].ending is not None
+    assert u.text[u.offsets[0] :] == "어디 있니"
 
 
 def test_reconstruction_invariant(analyzer):

@@ -214,7 +214,7 @@ def test_a_question_makes_no_danger_lookup(monkeypatch, analyzer, classifier):
     assert calls == []
     # the counter is live: a -면 command reads the table once
     assert classifier.classify(analyzer.normalize("먹으면 혼나")).step == "danger-conditional"
-    assert calls == [["먹으면", "혼나"]]
+    assert calls == [("먹으면", "혼나")]  # the last two of NormalizedUtterance.surfaces
 
 
 def test_a_polar_question_makes_no_cue_lookup(monkeypatch, lexicon, engine):
@@ -232,10 +232,11 @@ def test_a_polar_question_makes_no_cue_lookup(monkeypatch, lexicon, engine):
     assert text.split()[-1][0] not in lexicon.cue_starts
     assert engine.process(text).label == IntentLabel.YES_NO
     assert calls == []
-    # the counter is live: a want-to-know cue is matched by both
+    # the counter is live: a want-to-know cue is matched by both, on the
+    # classifier's slice of the surfaces and the extractor's list
     record = engine.process(STEP_INPUTS["want-to-know"])
     assert [e.rule for e in record.evidence] == ["want-to-know"]
-    assert calls == [["되는지", "궁금해"]] * 2
+    assert calls == [("되는지", "궁금해"), ["되는지", "궁금해"]]
 
 
 # the token each step was decided on, which it hands extraction (any step

@@ -2,7 +2,8 @@
 lexicon, and every suffix and argument frame from ``saek.predicate``: no
 other source file spells one out.  Only the classifier reads the cued
 tokens and the danger table to pick a rule, and its ``STEPS`` table is the
-one definition of each cascade step."""
+one definition of each cascade step.  Only ``normalize`` knows what a
+vocative is."""
 
 import ast
 import re
@@ -159,6 +160,17 @@ def test_extract_makes_no_rule_decision():
         if path.name not in ("lexicon.py", "classify.py", "extract.py"):
             found += names_in(path, rule)
     assert not found, "rule decisions belong in the classifier: " + ", ".join(found)
+
+
+def test_only_normalize_knows_what_a_vocative_is():
+    # normalize leaves every name call out of the tokens, so no later layer
+    # reads a vocative flag or table to skip one
+    attrs = {"vocative", "is_vocative", "_is_vocative"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("analyze.py", "lexicon.py"):
+            found += names_in(path, attrs, attrs)
+    assert not found, "the vocative test belongs in normalize: " + ", ".join(found)
 
 
 def test_extract_makes_no_malgo_cut():

@@ -18,17 +18,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workload_gen  # noqa: E402
 
 LINES = 600
-# the mean "call" events per utterance on CPython 3.11 is 15512/600, about
-# 25.85 (it was 40.58 before the cue table's gate and the direct record
+# the mean "call" events per utterance on CPython 3.11 is 15412/600, about
+# 25.69 (it was 40.58 before the cue table's gate and the direct record
 # build, 31.92 before the suffix conditions were compiled at load, 31.71
 # before the 말고 cut and the wh-anchor scan were made once in normalize,
 # 29.625 before WhKind hashed by identity, 29.25 before the record kept
 # the cascade's Evidence tuples and classify built no closures or surface
 # list, and 26.20 before each cascade step handed extraction the token it
 # was decided on, so extraction no longer searched again for the -지 host
-# or the -면 clause); interpreters that inline comprehensions (3.12+) count
-# fewer
-BUDGET = 15512 / 600
+# or the -면 clause, and 25.85 before normalize left the vocatives out of the
+# tokens, so the alternative routine no longer filters them out); interpreters
+# that inline comprehensions (3.12+) count fewer
+BUDGET = 15412 / 600
 
 
 def _profile_calls(engine, lines, on_call) -> None:

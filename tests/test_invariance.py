@@ -4,12 +4,8 @@ Each relation rewrites an input into a variant a speaker or an ASR front end
 may produce, and ``(label, argument, error)`` must not change (CheckList's
 INV tests, Ribeiro et al., ACL 2020; metamorphic testing, Chen et al.,
 1998).  The fusing relations cover the -지 host and the -(으)면 conditional
-that ``saek.predicate`` decides on.
-
-A trailing vocative (``… 철수야``) is left out: it still changes the output,
-because ``Analyzer._is_vocative`` takes a final name call for a vocative
-only after an earlier *ending*, and a danger predicate (큰일나, 혼나, 돼) is
-no ending (``마 가면 안 돼 철수야`` gives ``0 … 철수인지 여부``).
+that ``saek.predicate`` decides on, and the vocative relations a name call
+anywhere, which ``normalize`` leaves out of the tokens.
 """
 
 import re
@@ -28,6 +24,9 @@ RELATIONS = {
     "NFD": lambda s: unicodedata.normalize("NFD", s),
     "doubled spaces": lambda s: s.replace(" ", "  "),
     "leading vocative": lambda s: "철수야 " + s,
+    "vocative after the first token": lambda s: s.replace(" ", " 철수야 ", 1),
+    "vocative before the last token": lambda s: " 철수야 ".join(s.rsplit(" ", 1)),
+    "trailing vocative": lambda s: s + " 철수야",
     "fused -지 마 / -지 말고": lambda s: _FUSED_NEGATOR.sub("지", s),
     "fused 안 X면 / 안 돼": lambda s: _FUSED_PREVERBAL.sub("안", s),
     "fused 하는 거야": lambda s: s.replace("하는 거야", "하는거야"),

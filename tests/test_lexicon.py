@@ -521,8 +521,9 @@ def utterances(draw, lex):
 
 
 def vocative_scan(lex, conds, surfaces, index):
-    """The vocative test with the final-position branch matching an ending
-    on every earlier surface."""
+    """The vocative test with the negator test of ``cues_scan``, and the
+    final-position branch matching an ending and ``cues_scan`` on every
+    earlier surface."""
     surface = surfaces[index]
     marker, stem = surface[-1], surface[:-1]
     if len(surface) < 3 or marker not in lex.vocative or not all(hangul.is_syllable(c) for c in stem):
@@ -530,7 +531,11 @@ def vocative_scan(lex, conds, surfaces, index):
     ending = lex.match_ending(surface)
     if not admits(conds.get(("vocative", marker)), stem[-1]) or (ending is not None and len(ending.surface) > 1):
         return False
-    return index < len(surfaces) - 1 or any(lex.match_ending(s) is not None for s in surfaces[:index])
+    if cues_scan(lex, surface)[0] is not None or lex.lookup_wh(stem) is not None:
+        return False
+    return index < len(surfaces) - 1 or any(
+        lex.match_ending(s) is not None or cues_scan(lex, s) != (None, None, False) for s in surfaces[:index]
+    )
 
 
 def wh_hits_scan(lex, tokens, offsets):
@@ -570,6 +575,8 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
     @given(utterances(lex))
     @example("몇 시누가 왔니")  # a two-token form takes a token that holds a wh form
     @example("먹었니 사과 민수야")  # a final name call after an earlier predicate
+    @example("가면 민수야")  # a final name call after a -(으)면 clause
+    @example("나가지말아 거기 어디야 민수야")  # a negator and a wh form are no name calls
     @example("뭐 하니")  # a light-verb stem under an ending is no plain token
     def check(text):
         try:
@@ -583,9 +590,9 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
         for t in u.tokens:
             if t.particle is None and t.ending is None and t.negation is None:
                 assert (t.stem in plain) == extractor._droppable_in_question(t, t.stem)
-            if t.ending is None and not t.is_vocative:
-                # the extraction routines skip a vocative, and take the stem
-                # of a token without a particle, and ``_content`` of one with
+            if t.ending is None:
+                # the extraction routines take the stem of a token without a
+                # particle, and ``_content`` of one with
                 if t.particle is None:
                     content = dropped = t.stem
                 else:
@@ -601,8 +608,8 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
 
 @pytest.mark.parametrize("name", sorted(LEXICONS))
 def test_cue_window_equals_reading_every_token(name):
-    """Matching the want-to-know cue on the last ``cue_length`` non-vocative
-    tokens gives what matching it on all of them gives."""
+    """Matching the want-to-know cue on the last ``cue_length`` tokens gives
+    what matching it on all of them gives."""
     lex = LEXICONS[name]
     wide = copy.copy(lex)
     wide.cue_length = 10**6  # every window reaches the first token
@@ -618,25 +625,24 @@ def test_cue_window_equals_reading_every_token(name):
 
 
 def token_scan(analyzer, surfaces):
-    """The tokens, offsets and bearer as a loop that looks up every token
-    gives them: the vocative test, the cues and the particle split on each,
-    and the ending match on the bearer."""
+    """The tokens, their surfaces and offsets as a loop that looks up every
+    token gives them: the vocative test on each, which leaves a vocative
+    out, the cues and the particle split on each token kept, and the ending
+    match on the last."""
     lex = analyzer.lexicon
-    voc = [analyzer._is_vocative(surfaces, i) for i in range(len(surfaces))]
-    bearer = max((i for i, v in enumerate(voc) if not v), default=-1)
+    kept = [i for i in range(len(surfaces)) if not analyzer._is_vocative(surfaces, i)]
+    offsets = list(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
     tokens = []
-    for i, surface in enumerate(surfaces):
+    for i in kept:
+        surface = surfaces[i]
         negation, fused, cond = analyzer._cues(surface)
-        ending = lex.match_ending(surface) if i == bearer else None
-        if voc[i]:
-            stem, particle = surface[:-1], surface[-1]
-        elif ending is not None:
+        ending = lex.match_ending(surface) if i == kept[-1] else None
+        if ending is not None:
             stem, particle = surface[: len(surface) - len(ending.surface)], None
         else:
             stem, particle = analyzer.strip_josa(surface)
-        tokens.append(Eojeol(surface, stem, particle, ending, voc[i], negation, fused, cond))
-    offsets = tuple(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
-    return tuple(tokens), offsets, bearer
+        tokens.append(Eojeol(surface, stem, particle, ending, negation, fused, cond))
+    return tuple(tokens), tuple(surfaces[i] for i in kept), tuple(offsets[i] for i in kept)
 
 
 def negative_imperative_scan(tokens):
@@ -673,10 +679,10 @@ def test_plain_token_shortcut_equals_a_full_scan(name):
             u = analyzer.normalize(text)
         except EmptyUtterance:
             return
-        tokens, offsets, bearer = token_scan(analyzer, u.text.split(" "))
+        tokens, surfaces, offsets = token_scan(analyzer, u.text.split(" "))
         assert u.tokens == tokens
+        assert u.surfaces == surfaces
         assert u.offsets == offsets
-        assert u.bearer == bearer
         assert u.cued == tuple(i for i, t in enumerate(tokens) if t.negation or t.conditional)
         every = u._replace(cued=tuple(range(len(u.tokens))))
         assert classify_or_none(classifier, u) == classify_or_none(classifier, every)
@@ -726,10 +732,13 @@ def test_each_table_gates_its_own_lookup(monkeypatch, filler, gated, taken):
 
 
 def test_final_name_call_probes_only_ending_finals(monkeypatch):
-    # a final name call needs an earlier ending, looked for only on the
-    # surfaces that end in an ending's last character
+    # a final name call needs an earlier ending or cue, looked for only on
+    # the surfaces that end in an ending's or a cue's last character
     counts = _lookup_counts(monkeypatch, "사과 ", "먹어 철수야")
     assert counts[0]["match_ending"] == counts[1]["match_ending"] >= 2
+    assert counts[0]["_cues"] == counts[1]["_cues"]
+    counts = _lookup_counts(monkeypatch, "사과 ", "가면 철수야")
+    assert counts[0]["_cues"] == counts[1]["_cues"] >= 1
 
 
 def test_wh_scan_visits_only_anchor_tokens(monkeypatch):

@@ -79,10 +79,10 @@ def test_positional_builds_keep_their_field_order():
     assert NormalizedUtterance._fields == (
         "text",
         "tokens",
+        "surfaces",
         "offsets",
         "wh_hits",
         "cued",
-        "bearer",
         "kept",
     )
     assert Evidence._fields == ("rule", "span")
