@@ -12,7 +12,7 @@ import io
 import os
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
 from .errors import LexiconError
@@ -42,20 +42,9 @@ class ArgumentCategory(Enum):
     REQUIREMENT = "요구"
 
 
-# a wh row's category= spelling -> the category of its wh form
-_WH_CATEGORIES = {
-    "who": ArgumentCategory.PERSON,
-    "what": ArgumentCategory.MEANING,
-    "where": ArgumentCategory.LOCATION,
-    "when": ArgumentCategory.TIME,
-    "why": ArgumentCategory.REASON,
-    "how": ArgumentCategory.METHOD,
-}
-
-
 class Josa(NamedTuple):
     surface: str
-    prev_tails: Optional[frozenset[int]]  # see _CONDITIONS
+    prev_tails: Optional[frozenset[int]]  # see _COND
     droppable: bool  # case particle a command argument may lose
     object: bool = False  # object case particle: a quantifier goes before its noun
 
@@ -64,7 +53,7 @@ class Ending(NamedTuple):
     surface: str
     kind: EndingKind
     copula: bool = False
-    prev_tails: Optional[frozenset[int]] = None  # see _CONDITIONS
+    prev_tails: Optional[frozenset[int]] = None  # see _PREV_CODA
     stem: str = ""  # lexical stem recovered when the suffix is the whole token
 
 
@@ -72,56 +61,6 @@ class WhMatch(NamedTuple):
     kind: ArgumentCategory
     start: int
     end: int
-
-
-# roles whose rows are bare surfaces, and the set table each one fills
-_SET_ROLES = {
-    "disjunction": "disjunction",
-    "infoverb": "infoverbs",
-    "lightverb": "lightverb_stems",
-    "pronoun": "pronouns",
-    "knowstem": "knowstems",
-    "depnoun": "depnouns",
-    "connective": "connectives",
-    "nostrip": "nostrip",
-}
-ROLES = {"josa", "vocative", "ending", "cue", "wh", "negation", "danger", "advdet", *_SET_ROLES}
-# the attribute keys each role reads; a role not listed reads none, and any
-# other key is a load error, not a condition dropped without a word
-_ROLE_KEYS = {
-    "josa": {"cond", "droppable", "object"},
-    "vocative": {"cond"},
-    "ending": {"kind", "copula", "prev_coda", "stem"},
-    "wh": {"category"},
-    "negation": {"kind"},
-    "advdet": {"det"},
-}
-# the keys that are bare flags: one given a value is a load error, since
-# droppable=false would read as droppable
-_FLAGS = {"droppable", "object", "copula"}
-# a row's attributes: key -> value, None for a key written bare
-_Attrs = dict[str, Optional[str]]
-
-NEGATION_KINDS = ("ma", "malgo", "anh", "preverbal")
-
-_ENDING_KINDS = {"int": EndingKind.INTERROGATIVE, "imp": EndingKind.IMPERATIVE}
-
-# the condition a suffix row puts on the character before it, compiled at
-# load into the hangul.tail values that character may have (None: any). A
-# josa or vocative row spells it cond=<name>, where a character that is no
-# syllable (tail -1) reads as open; an ending row spells it prev_coda=<final
-# consonant>, which only a syllable closed by that consonant meets
-_CLOSED = frozenset(range(1, len(hangul.TAILS)))
-_CONDITIONS = {
-    "cond": {
-        "any": None,
-        "batchim": _CLOSED,
-        "no_batchim": frozenset({-1, hangul.TAIL_NONE}),
-        "open_or_rieul": frozenset({-1, hangul.TAIL_NONE, hangul.TAIL_RIEUL}),
-        "batchim_not_rieul": _CLOSED - {hangul.TAIL_RIEUL},
-    },
-    "prev_coda": {coda: frozenset({i}) for i, coda in enumerate(hangul.TAILS) if coda},
-}
 
 
 # every table, by attribute name and type; parse_lexicon fills an empty one of
@@ -145,6 +84,97 @@ TABLES = {
     "depnouns": set[str],
     "connectives": set[str],
     "nostrip": set[str],
+}
+
+# a key's parser: FLAG, a bare key that reads as True (given a value it is a
+# load error, since droppable=false would read as droppable); VALUE, any value
+# but the empty one, kept as written; or a dict from each spelling of the
+# value to what it compiles to
+FLAG, VALUE = "flag", "value"
+
+# the condition a suffix row puts on the character before it, compiled at
+# load into the hangul.tail values that character may have (None: any). A
+# josa or vocative row spells it cond=<name>, where a character that is no
+# syllable (tail -1) reads as open; an ending row spells it prev_coda=<final
+# consonant>, which only a syllable closed by that consonant meets
+_CLOSED = frozenset(range(1, len(hangul.TAILS)))
+_COND = {
+    "any": None,
+    "batchim": _CLOSED,
+    "no_batchim": frozenset({-1, hangul.TAIL_NONE}),
+    "open_or_rieul": frozenset({-1, hangul.TAIL_NONE, hangul.TAIL_RIEUL}),
+    "batchim_not_rieul": _CLOSED - {hangul.TAIL_RIEUL},
+}
+_PREV_CODA = {coda: frozenset({i}) for i, coda in enumerate(hangul.TAILS) if coda}
+
+
+class Role(NamedTuple):
+    """How the rows of one role are read. A surface of n words fills
+    ``tables[n - 1]``, or the last table for more, and spans at most
+    ``most`` words (0: any number). ``keys`` maps each attribute key the
+    role reads to its parser, and a row must give each key in ``required``.
+    ``build`` makes a dict table's value from the surface and the parsed
+    keys; a role without one fills a set."""
+
+    tables: tuple[str, ...]
+    most: int = 1
+    keys: dict[str, object] = {}
+    required: tuple[str, ...] = ()
+    build: Optional[Callable[..., object]] = None
+
+
+# every role a row may have; parse_lexicon reads each row through its entry
+ROLE_SCHEMA = {
+    "josa": Role(
+        ("josa",),
+        keys={"cond": _COND, "droppable": FLAG, "object": FLAG},
+        build=lambda s, cond=None, droppable=False, object=False: Josa(s, cond, droppable, object),
+    ),
+    "vocative": Role(("vocative",), keys={"cond": _COND}, build=lambda s, cond=None: cond),
+    "ending": Role(
+        ("endings",),
+        keys={
+            "kind": {"int": EndingKind.INTERROGATIVE, "imp": EndingKind.IMPERATIVE},
+            "copula": FLAG,
+            "prev_coda": _PREV_CODA,
+            "stem": VALUE,
+        },
+        required=("kind",),
+        build=lambda s, kind, copula=False, prev_coda=None, stem="": Ending(s, kind, copula, prev_coda, stem),
+    ),
+    "cue": Role(("cues",), most=0),
+    "wh": Role(
+        ("wh_surfaces", "wh_pairs"),
+        most=2,
+        keys={
+            "category": {
+                "who": ArgumentCategory.PERSON,
+                "what": ArgumentCategory.MEANING,
+                "where": ArgumentCategory.LOCATION,
+                "when": ArgumentCategory.TIME,
+                "why": ArgumentCategory.REASON,
+                "how": ArgumentCategory.METHOD,
+            }
+        },
+        required=("category",),
+        build=lambda s, category: category,
+    ),
+    "negation": Role(
+        ("negation",),
+        keys={"kind": {kind: kind for kind in ("ma", "malgo", "anh", "preverbal")}},
+        required=("kind",),
+        build=lambda s, kind: kind,
+    ),
+    "disjunction": Role(("disjunction",)),
+    "danger": Role(("danger", "danger_pairs"), most=2),
+    "infoverb": Role(("infoverbs",)),
+    "advdet": Role(("advdet",), keys={"det": VALUE}, required=("det",), build=lambda s, det: det),
+    "lightverb": Role(("lightverb_stems",)),
+    "pronoun": Role(("pronouns",)),
+    "knowstem": Role(("knowstems",)),
+    "depnoun": Role(("depnouns",)),
+    "connective": Role(("connectives",)),
+    "nostrip": Role(("nostrip",)),
 }
 
 
@@ -325,32 +355,50 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) < 2:
-            raise LexiconError(f"{source}:{lineno}: expected role<TAB>surface")
-        role, surface = parts[0].strip(), parts[1].strip()
         where = f"{source}:{lineno}"
-        attrs = _parse_attrs(parts[2] if len(parts) > 2 else "", where)
-        if role not in ROLES:
+        parts = line.split("\t")
+        if not 2 <= len(parts) <= 3:
+            raise LexiconError(f"{where}: expected role<TAB>surface[<TAB>attributes]")
+        role, surface = parts[0].strip(), parts[1].strip()
+        spec = ROLE_SCHEMA.get(role)
+        if spec is None:
             raise LexiconError(f"{where}: unknown role {role!r}")
-        for key, value in attrs.items():
-            if key not in _ROLE_KEYS.get(role, ()):
+        fields: dict[str, object] = {}
+        for key, value in _parse_attrs(parts[2] if len(parts) == 3 else "", where).items():
+            parser = spec.keys.get(key)
+            if parser is None:
                 raise LexiconError(f"{where}: unknown attribute {key} for {role}")
-            if key in _FLAGS and value is not None:
-                raise LexiconError(f"{where}: flag {key} takes no value: {key}={value}")
-        if not surface:
-            raise LexiconError(f"{where}: empty surface")
-        if role not in ("cue", "wh", "danger"):
-            _words(surface, where, most=1)  # the other roles match one token
+            if parser is FLAG:
+                if value is not None:
+                    raise LexiconError(f"{where}: flag {key} takes no value: {key}={value}")
+                fields[key] = True
+            elif not value or parser is not VALUE and value not in parser:
+                raise LexiconError(f"{where}: {_needs(role, key, parser)}")
+            else:
+                fields[key] = value if parser is VALUE else parser[value]
+        for key in spec.required:
+            if key not in fields:
+                raise LexiconError(f"{where}: {_needs(role, key, spec.keys[key])}")
+        # a token holds no whitespace, so only words split by single spaces match
+        words = tuple(surface.split())
+        if not words or " ".join(words) != surface or 0 < spec.most < len(words):
+            raise LexiconError(f"{where}: {surface!r} is not {_SHAPES[spec.most]}")
         if (role, surface) in seen:
             raise LexiconError(f"{where}: duplicate entry {role} {surface!r}")
         seen.add((role, surface))
-        _add_entry(tables, role, surface, attrs, where)
+        name = spec.tables[min(len(words), len(spec.tables)) - 1]
+        # a table keyed by tuples holds each surface as its words
+        entry = surface if TABLES[name].__args__[0] is str else words
+        if spec.build is None:
+            tables[name].add(entry)
+        else:
+            tables[name][entry] = spec.build(surface, **fields)
     return Lexicon(**tables)
 
 
-def _parse_attrs(text: str, where: str) -> _Attrs:
-    attrs: _Attrs = {}
+def _parse_attrs(text: str, where: str) -> dict[str, Optional[str]]:
+    """A row's attributes: key -> value, None for a key written bare."""
+    attrs: dict[str, Optional[str]] = {}
     for chunk in text.strip().split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -362,79 +410,13 @@ def _parse_attrs(text: str, where: str) -> _Attrs:
     return attrs
 
 
+def _needs(role: str, key: str, parser: object) -> str:
+    """The message for a missing or bad value of a key that takes one."""
+    return f"{role} needs {key}={f'<{key}>' if parser is VALUE else '|'.join(parser)}"
+
+
+# the surfaces a role's word limit allows, by that limit
 _SHAPES = ("words split by single spaces", "one word", "one or two words split by single spaces")
-
-
-def _words(surface: str, where: str, most: int = 0) -> tuple[str, ...]:
-    """The tokens a row's surface spans, at most ``most`` of them (0: any
-    number): a token holds no whitespace, so only words split by single
-    spaces can match."""
-    words = tuple(surface.split())
-    if " ".join(words) != surface or 0 < most < len(words):
-        raise LexiconError(f"{where}: {surface!r} is not {_SHAPES[most]}")
-    return words
-
-
-def _add_entry(t: dict, role: str, surface: str, attrs: _Attrs, where: str) -> None:
-    if role in _SET_ROLES:
-        t[_SET_ROLES[role]].add(surface)
-    elif role == "josa":
-        tails = _prev_tails(attrs, "cond", where)
-        t["josa"][surface] = Josa(surface, tails, "droppable" in attrs, "object" in attrs)
-    elif role == "vocative":
-        t["vocative"][surface] = _prev_tails(attrs, "cond", where)
-    elif role == "ending":
-        kind = _ENDING_KINDS.get(attrs.get("kind", ""))
-        if kind is None:
-            raise LexiconError(f"{where}: ending needs kind=int|imp")
-        stem = attrs.get("stem", "")
-        if stem is None:
-            raise LexiconError(f"{where}: stem needs a value: stem=<stem>")
-        t["endings"][surface] = Ending(
-            surface,
-            kind,
-            copula="copula" in attrs,
-            prev_tails=_prev_tails(attrs, "prev_coda", where),
-            stem=stem,
-        )
-    elif role == "cue":
-        t["cues"].add(_words(surface, where))
-    elif role == "wh":
-        category = _WH_CATEGORIES.get(attrs.get("category", ""))
-        if category is None:
-            raise LexiconError(f"{where}: bad wh category {attrs.get('category')!r}")
-        words = _words(surface, where, most=2)
-        if len(words) == 2:
-            t["wh_pairs"][words] = category
-        else:
-            t["wh_surfaces"][surface] = category
-    elif role == "negation":
-        kind = attrs.get("kind", "")
-        if kind not in NEGATION_KINDS:
-            raise LexiconError(f"{where}: negation needs kind=ma|malgo|anh|preverbal")
-        t["negation"][surface] = kind
-    elif role == "danger":
-        words = _words(surface, where, most=2)
-        if len(words) == 2:
-            t["danger_pairs"].add(words)
-        else:
-            t["danger"].add(surface)
-    elif role == "advdet":
-        det = attrs.get("det")
-        if not det:
-            raise LexiconError(f"{where}: advdet needs det=<determiner>")
-        t["advdet"][surface] = det
-
-
-def _prev_tails(attrs: _Attrs, key: str, where: str) -> Optional[frozenset[int]]:
-    if key not in attrs:
-        return None
-    value, spellings = attrs[key], _CONDITIONS[key]
-    if value is None:
-        raise LexiconError(f"{where}: bad condition {key}, which needs a value: {key}=<spelling>")
-    if value not in spellings:
-        raise LexiconError(f"{where}: bad condition {key}={value!r}")
-    return spellings[value]
 
 
 def load_lexicon(path: str | os.PathLike[str]) -> Lexicon:

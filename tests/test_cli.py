@@ -438,7 +438,8 @@ def test_bad_condition_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsy
     argv = ["--lexicon", str(path), "extract", "-"]
     code, out, err = run_cli(argv, "손 씻어라\n철수야 뭐 먹을래\n", monkeypatch, capsys)
     assert (code, out) == (1, "")
-    assert err.startswith(f"saek: {path}:{line}: bad condition cond='nobatchim'")
+    cond = "any|batchim|no_batchim|open_or_rieul|batchim_not_rieul"
+    assert err == f"saek: {path}:{line}: vocative needs cond={cond}\n"
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import unicodedata
@@ -20,8 +21,10 @@ from saek.analyze import Eojeol, WhHit, negative_imperative
 from saek.classify import Evidence
 from saek.errors import EmptyUtterance, LexiconError, Unclassifiable
 from saek.lexicon import (
-    ROLES,
+    FLAG,
+    ROLE_SCHEMA,
     TABLES,
+    VALUE,
     ArgumentCategory,
     EndingKind,
     Lexicon,
@@ -77,7 +80,7 @@ def test_every_role_and_ending_kind_has_a_bundled_row(lexicon):
     # a pseudo-kind no Ending carries, or a role no row uses, cannot come back
     assert {e.kind for e in lexicon.endings.values()} == set(EndingKind)
     roles = {row.split("\t")[0] for row in _default_rows() if row and not row.startswith("#")}
-    assert roles == ROLES
+    assert roles == set(ROLE_SCHEMA)
 
 
 def test_ending_roles_disjoint_from_josa(lexicon):
@@ -848,6 +851,14 @@ def test_each_condition_compiles_to_the_tails_readme_gives(key, value):
                 assert lookup(ch) == want, (role, ch)
 
 
+def bad_condition(role):
+    """The message for a row of ``role`` whose condition is none of its
+    key's spellings, which README lists."""
+    if role == "ending":
+        return "ending needs prev_coda=" + "|".join(FINALS)
+    return f"{role} needs cond=" + "|".join(COND)
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -862,8 +873,9 @@ def test_each_condition_compiles_to_the_tails_readme_gives(key, value):
     ],
 )
 def test_a_bad_condition_is_a_load_error_naming_its_line(row):
-    with pytest.raises(LexiconError, match=r"^added\.tsv:1: bad condition "):
+    with pytest.raises(LexiconError) as exc:
         parse_lexicon([row], source="added.tsv")
+    assert str(exc.value) == "added.tsv:1: " + bad_condition(row.split("\t")[0])
 
 
 @pytest.mark.parametrize(
@@ -907,11 +919,17 @@ def test_a_flag_given_a_value_is_a_load_error_naming_its_line(row, key, value):
         ("josa\t도\tcond", "cond"),
         ("ending\t니까\tkind=int;prev_coda", "prev_coda"),
         ("ending\t줘\tkind=imp;stem", "stem"),
+        # an empty value is no value: 니 used to load with the stem ""
+        ("ending\t니\tkind=int;stem=", "stem"),
+        ("advdet\t모두\tdet=", "det"),
     ],
 )
 def test_a_bare_key_that_needs_a_value_is_a_load_error_naming_its_line(row, key):
-    with pytest.raises(LexiconError, match=rf"^added\.tsv:1: .*\b{key}\b.* needs a value: {key}=<"):
+    role = row.split("\t")[0]
+    message = bad_condition(role) if key in ("cond", "prev_coda") else f"{role} needs {key}=<{key}>"
+    with pytest.raises(LexiconError) as exc:
         parse_lexicon([row], source="added.tsv")
+    assert str(exc.value) == f"added.tsv:1: {message}"
 
 
 @pytest.mark.parametrize(
@@ -935,12 +953,130 @@ def test_a_bare_key_that_needs_a_value_is_a_load_error_naming_its_line(row, key)
         ("advdet\t모 두\tdet=모든", "'모 두' is not one word"),
         # want-to-know cues are cue rows; an ending is interrogative or imperative
         ("ending\t궁금\tkind=cue", "ending needs kind=int|imp"),
+        # a fourth column used to be dropped: 은 loaded without droppable,
+        # and after an empty third column without any attribute
+        ("josa\t은\tcond=batchim\tdroppable", "expected role<TAB>surface[<TAB>attributes]"),
+        ("josa\t은\t\tdroppable", "expected role<TAB>surface[<TAB>attributes]"),
+        ("cue 궁금", "expected role<TAB>surface[<TAB>attributes]"),
+        ("josa\t\tcond=batchim", "'' is not one word"),
     ],
 )
 def test_a_malformed_row_is_a_load_error_naming_its_line(row, message):
     with pytest.raises(LexiconError) as exc:
         parse_lexicon([row], source="added.tsv")
     assert str(exc.value) == f"added.tsv:1: {message}"
+
+
+# -- every cell of ROLE_SCHEMA, loaded and broken -----------------------------
+
+# the surfaces a word limit allows, by that limit
+SHAPES = {1: "one word", 2: "one or two words split by single spaces"}
+
+
+def _given(key, parser):
+    """``key`` as a row gives it with a value its parser takes."""
+    if parser == FLAG:
+        return key
+    return f"{key}={'x' if parser == VALUE else next(iter(parser))}"
+
+
+def _needs(role, key, parser):
+    spellings = f"<{key}>" if parser == VALUE else "|".join(parser)
+    return f"{role} needs {key}={spellings}"
+
+
+def _schema_cases():
+    """(role, surface, attributes, table, message): for each role a valid
+    row of each word count it allows, with every key it reads, and the
+    table it fills; for each key the rows that must fail, with the message."""
+    every_key = {key for spec in ROLE_SCHEMA.values() for key in spec.keys} | {"bogus"}
+    for role, spec in ROLE_SCHEMA.items():
+        every = ";".join(_given(key, parser) for key, parser in spec.keys.items())
+        for n, table in enumerate(spec.tables, 1):
+            yield role, " ".join("가나다"[:n]), every, table, None
+        if not spec.most:
+            yield role, "가 나 다", every, spec.tables[-1], None
+        else:
+            surface = " ".join("가나다"[: spec.most + 1])
+            yield role, surface, every, None, f"{surface!r} is not {SHAPES[spec.most]}"
+
+        def row(key, attribute):
+            """The required keys but ``key``, then ``attribute``."""
+            others = [_given(k, spec.keys[k]) for k in spec.required if k != key]
+            return ";".join([*others, attribute] if attribute else others)
+
+        for key in sorted(every_key - spec.keys.keys()):
+            yield role, "가", row(key, f"{key}=x"), None, f"unknown attribute {key} for {role}"
+        for key, parser in spec.keys.items():
+            if parser == FLAG:
+                yield role, "가", row(key, f"{key}=x"), None, f"flag {key} takes no value: {key}=x"
+                continue
+            bad = [key, f"{key}="] + ([] if parser == VALUE else [f"{key}=x{next(iter(parser))}"])
+            for attribute in bad:
+                yield role, "가", row(key, attribute), None, _needs(role, key, parser)
+        for key in spec.required:
+            yield role, "가", row(key, ""), None, _needs(role, key, spec.keys[key])
+
+
+@pytest.mark.parametrize("role, surface, attributes, table, message", list(_schema_cases()))
+def test_each_schema_cell_loads_or_fails_naming_its_line(role, surface, attributes, table, message):
+    lines = ["# a comment", "", f"{role}\t{surface}\t{attributes}"]
+    if message is not None:
+        with pytest.raises(LexiconError) as exc:
+            parse_lexicon(lines, source="schema.tsv")
+        assert str(exc.value) == f"schema.tsv:3: {message}"
+        return
+    lex = parse_lexicon(lines, source="schema.tsv")
+    assert [name for name in TABLES if getattr(lex, name)] == [table]
+
+
+def test_each_table_is_filled_by_exactly_one_role():
+    filled = Counter(table for spec in ROLE_SCHEMA.values() for table in spec.tables)
+    assert filled == dict.fromkeys(TABLES, 1)
+    for role, spec in ROLE_SCHEMA.items():
+        # a dict table is built a value, a set table holds the surface
+        kinds = {TABLES[table].__origin__ for table in spec.tables}
+        assert kinds == {set if spec.build is None else dict}, role
+        assert set(spec.required) <= set(spec.keys), role
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_roles():
+    """role -> (tables, words, flags, {key: its values as given}, required)
+    for each row of the role table in README's "Lexicon" section."""
+    section = README.read_text("utf-8").split("\n## Lexicon\n", 1)[1].split("\n## ", 1)[0]
+    roles = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 7 or not re.fullmatch(r"`\w+`", cells[0]):
+            continue
+        names = [re.findall(r"`([^`]+)`", cell) for cell in cells]
+        values = dict(part.split(": ", 1) for part in cells[4].split("; ") if part)
+        values = {key.strip("`"): given for key, given in values.items()}
+        roles[names[0][0]] = (names[1], cells[2], names[3], values, names[5])
+    return roles
+
+
+def test_readme_role_table_is_the_schema():
+    roles = readme_roles()
+    assert list(roles) == list(ROLE_SCHEMA)
+    for role, spec in ROLE_SCHEMA.items():
+        tables, words, flags, values, required = roles[role]
+        assert tables == list(spec.tables), role
+        assert words == (str(spec.most) if spec.most else "any"), role
+        assert flags == [key for key, parser in spec.keys.items() if parser == FLAG], role
+        assert list(values) == [key for key, parser in spec.keys.items() if parser != FLAG], role
+        assert required == list(spec.required), role
+        for key, given in values.items():
+            parser = spec.keys[key]
+            # a free value reads "any"; spellings are listed, or named in words
+            if parser == VALUE:
+                assert given == "any", (role, key)
+            else:
+                spellings = re.findall(r"`([^`]+)`", given)
+                assert given != "any" and spellings in ([], list(parser)), (role, key)
 
 
 # one utterance per row that no other test pins, with its gold output under
@@ -996,7 +1132,7 @@ def test_a_lexicon_that_loads_never_makes_process_raise(role, surface, value):
     try:
         lex = parse_lexicon(rows, source="added.tsv")
     except LexiconError as exc:
-        assert str(exc).startswith(f"added.tsv:{len(rows)}: bad condition ")
+        assert str(exc) == f"added.tsv:{len(rows)}: {bad_condition(role)}"
         return
     engine = Engine(lex)
     for line in workload_gen.reference_lines()[:600] + ADDED_ROW_LINES:
