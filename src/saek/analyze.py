@@ -185,7 +185,7 @@ class Analyzer:
         if len(surface) < 3:  # name of >=2 syllables plus the marker
             return False
         marker, stem = surface[-1], surface[:-1]
-        if marker not in lex.vocative or not all(hangul.is_syllable(c) for c in stem):
+        if marker not in lex.vocative or not hangul.all_syllables(stem):
             return False
         tails = lex.vocative[marker]
         if tails is not None and hangul.tail(stem[-1]) not in tails:
@@ -222,6 +222,8 @@ class Analyzer:
         the token that holds it, so only the tokens an anchor (``anchors``:
         ``Lexicon.wh_anchors`` of the text) falls in are looked up."""
         lex = self.lexicon
+        # each WhHit is built positionally, as each Eojeol: test_records pins
+        # the field order
         hits: list[WhHit] = []
         free = 0  # the first token no earlier hit took or looked at
         for anchor in anchors:
@@ -233,7 +235,7 @@ class Analyzer:
                 pair = lex.lookup_wh_pair(tokens[i].stem, tokens[i + 1].stem)
                 if pair is not None:
                     end = offsets[i + 1] + len(tokens[i + 1].stem)
-                    hits.append(WhHit(pair, i, i + 2, offsets[i], end))
+                    hits.append(tuple.__new__(WhHit, (pair, i, i + 2, offsets[i], end)))
                     free = i + 2
                     continue
             match = lex.lookup_wh(tokens[i].stem)
@@ -241,15 +243,9 @@ class Analyzer:
                 # a false particle split can hide a fused wh form (누가)
                 match = lex.lookup_wh(tokens[i].surface)
             if match is not None:
-                hits.append(
-                    WhHit(
-                        match.kind,
-                        i,
-                        i + 1,
-                        offsets[i] + match.start,
-                        offsets[i] + match.end,
-                    )
-                )
+                start = offsets[i]
+                fields = (match.kind, i, i + 1, start + match.start, start + match.end)
+                hits.append(tuple.__new__(WhHit, fields))
         return tuple(hits)
 
 

@@ -11,6 +11,7 @@ extraction routine, so the rule is decided here only.
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from . import predicate
@@ -78,7 +79,8 @@ def _fired(
     """The step that fired, with its label, one evidence span per rule and
     the token it was decided on."""
     label, rules = STEPS[step]
-    evidence = tuple([_new(Evidence, pair) for pair in zip(rules, spans, strict=True)])
+    # map builds each Evidence in C, with no comprehension frame
+    evidence = tuple(map(_new, repeat(Evidence), zip(rules, spans, strict=True)))
     return _new(Classification, (label, step, wh, evidence, end))
 
 
@@ -112,8 +114,18 @@ class Classifier:
         start = offsets[last]
         stop = start + len(surfaces[last])
 
-        # (1) information-seeking imperatives are treated as questions
-        info_idx = self._info_verb_index(u)
+        # (1) information-seeking imperatives are treated as questions: an
+        # info verb is the last token, or precedes a spaced benefactive (말해 줘)
+        info_idx = None
+        if surfaces[last] in lex.infoverbs:
+            info_idx = last
+        elif (
+            ending is not None
+            and ending.stem == predicate.BENEFACTIVE
+            and last > 0
+            and surfaces[last - 1] in lex.infoverbs
+        ):
+            info_idx = last - 1
         if info_idx is not None:
             verb = (offsets[info_idx], offsets[info_idx] + len(surfaces[info_idx]))
             if wh_hits:
@@ -183,8 +195,7 @@ class Classifier:
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is
         # the predicate that ends at the last token.
-        consequence = surfaces[-2:]
-        danger = myen is not None and lex.is_danger_predicate(consequence)
+        danger = myen is not None and lex.is_danger_predicate(surfaces[-2:])
         if danger and not preverbal:
             core = predicate.conditional_core(surfaces[myen])
             preverbal = lex.strip_preverbal(core) != core
@@ -205,23 +216,6 @@ class Classifier:
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 
     # -- helpers ---------------------------------------------------------
-
-    def _info_verb_index(self, u: NormalizedUtterance) -> Optional[int]:
-        """Index of an information-seeking verb ending on the last token, if any."""
-        lex = self.lexicon
-        final = len(u.tokens) - 1
-        t = u.tokens[final]
-        if t.surface in lex.infoverbs:
-            return final
-        # spaced benefactive: 말해 줘
-        if (
-            t.ending is not None
-            and t.ending.stem == predicate.BENEFACTIVE
-            and final > 0
-            and u.tokens[final - 1].surface in lex.infoverbs
-        ):
-            return final - 1
-        return None
 
     def _universal_quantifier_index(
         self, u: NormalizedUtterance, exclude: int

@@ -7,7 +7,8 @@ by one.  The engine never invents tokens that are absent from the input.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import filterfalse
+from typing import NamedTuple, Optional, Sequence
 
 from . import hangul, predicate
 from .analyze import Eojeol, NormalizedUtterance, WhHit, host_form
@@ -38,6 +39,8 @@ class Extractor:
         # and _droppable_in_question's rule for it reduces to one probe of the
         # union of the tables it reads
         self._plain_droppable = lex.pronouns | lex.lightverb_stems | lex.depnouns
+        # what _clean_parts drops: empty content and ending homographs
+        self._unclean = frozenset({*lex.endings, ""})
 
     # -- dispatch --------------------------------------------------------
 
@@ -87,7 +90,7 @@ class Extractor:
             return self.lexicon.strip_josa_all(e.surface, droppable_only)
         return self.lexicon.strip_josa_all(e.stem, droppable_only)
 
-    def _question_items(self, tokens: Iterable[Eojeol]) -> tuple[list[Eojeol], list[str]]:
+    def _question_items(self, tokens: Sequence[Eojeol]) -> tuple[list[Eojeol], list[str]]:
         """The tokens a question argument keeps and the content of each at
         the same index, computed once; a routine trims both lists from the
         end only."""
@@ -119,17 +122,13 @@ class Extractor:
         return stem in lex.depnouns
 
     def _clean_parts(self, parts: list[str]) -> list[str]:
-        """Drop content homographs of sentence-final endings (자, 게, 해 as
-        bare nouns); the no-ending-leakage contract outranks recall here."""
-        return [p for p in parts if p and p not in self.lexicon.endings]
+        """Drop empty parts and content homographs of sentence-final endings
+        (자, 게, 해 as bare nouns); the no-ending-leakage contract outranks
+        recall here."""
+        return list(filterfalse(self._unclean.__contains__, parts))
 
     def _is_bare_noun(self, e: Eojeol) -> bool:
-        return (
-            e.ending is None
-            and e.particle is None
-            and bool(e.surface)
-            and all(hangul.is_syllable(ch) for ch in e.surface)
-        )
+        return e.ending is None and e.particle is None and hangul.all_syllables(e.surface)
 
     # -- yes/no questions ---------------------------------------------------
 
@@ -232,7 +231,7 @@ class Extractor:
         lex = self.lexicon
         wh_tokens = {i for h in hits for i in range(h.token_start, h.token_end)}
         items, content = self._question_items(
-            t for i, t in enumerate(tokens, first) if i not in wh_tokens
+            [t for i, t in enumerate(tokens, first) if i not in wh_tokens]
         )
 
         notes: list[str] = []

@@ -48,6 +48,15 @@ def is_syllable(ch: str) -> bool:
     return len(ch) == 1 and SYLLABLE_BASE <= ord(ch) <= SYLLABLE_LAST
 
 
+_FIRST, _LAST = chr(SYLLABLE_BASE), chr(SYLLABLE_LAST)
+
+
+def all_syllables(s: str) -> bool:
+    """Whether ``s`` is non-empty and every character of it a precomposed
+    syllable: its smallest and largest code points fall in the block."""
+    return s != "" and _FIRST <= min(s) and max(s) <= _LAST
+
+
 def decompose(ch: str) -> JamoTriple:
     """Split a precomposed syllable into its jamo indices."""
     if not is_syllable(ch):

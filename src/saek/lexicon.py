@@ -286,13 +286,20 @@ class Lexicon:
         m = self._wh_re.search(token)
         if m is None:
             return None
-        return WhMatch(self.wh_surfaces[m.group()], m.start(), m.end())
+        # positional, as Eojeol: test_records pins the field order
+        return tuple.__new__(WhMatch, (self.wh_surfaces[m.group()], m.start(), m.end()))
 
     def wh_anchors(self, text: str) -> list[int]:
         """Start offsets of the wh surfaces and first stems of wh pairs in
         ``text``, left to right, matches not overlapping; where there is
         none, no token of ``text`` can hold a wh form."""
-        return list(map(re.Match.start, self._wh_anchor_re.finditer(text)))
+        anchors = self._wh_anchor_re
+        m = anchors.search(text)
+        if m is None:  # most lines: one search, nothing built
+            return []
+        # matches are leftmost and never overlap, so the scan from the first
+        # one finds what a scan of the whole text finds
+        return list(map(re.Match.start, anchors.finditer(text, m.start())))
 
     def lookup_wh_pair(self, stem_a: str, stem_b: str) -> Optional[ArgumentCategory]:
         """Two-token wh form (counting interrogatives like 몇 시)."""
@@ -319,16 +326,15 @@ class Lexicon:
                 return parts
         return None
 
-    def is_danger_predicate(self, tokens: Iterable[str]) -> bool:
+    def is_danger_predicate(self, tokens: Sequence[str]) -> bool:
         """Final predicate (last token, or last two) in the danger table."""
-        toks = list(tokens)
-        if not toks:
+        if not tokens:
             return False
-        last = toks[-1]
+        last = tokens[-1]
         for k in self.danger_ends.get(last[-1:], ()):
             if last[-k:] in self.danger:
                 return True
-        return len(toks) >= 2 and (toks[-2], last) in self.danger_pairs
+        return len(tokens) >= 2 and (tokens[-2], last) in self.danger_pairs
 
     def strip_preverbal(self, core: str) -> str:
         """``core`` without a fused preverbal negator (안매 -> 매)."""

@@ -43,6 +43,9 @@ def test_normalize_collapse_and_strip(analyzer):
 def test_normalize_removes_listed_punctuation(analyzer):
     u = analyzer.normalize("뭐, 먹을까~? 진짜….")
     assert not set(u.text) & set(PUNCTUATION)
+    # each mark is a space
+    assert u == analyzer.normalize("뭐 먹을까 진짜")
+    assert analyzer.normalize("뭐,먹을까").text == "뭐 먹을까"
 
 
 def test_tokens_rebuild_text(analyzer):

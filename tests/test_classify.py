@@ -175,6 +175,16 @@ def test_each_step_fires_with_its_label_and_evidence_rules(analyzer, classifier,
     assert (record.label, record.error) == (label, None)
 
 
+@pytest.mark.parametrize("step", STEPS)
+def test_a_step_given_the_wrong_number_of_spans_raises(step):
+    _, rules = STEPS[step]
+    fired = saek.classify._fired(step, *[(0, 1)] * len(rules))
+    assert [e.rule for e in fired.evidence] == list(rules)
+    for n in (len(rules) - 1, len(rules) + 1):
+        with pytest.raises(ValueError):
+            saek.classify._fired(step, *[(0, 1)] * n)
+
+
 def readme_cascade() -> list[tuple[int, str, int, tuple[str, ...]]]:
     """(row number, step, label, evidence rules) of each row of README's
     "Rule cascade" table; a rule named twice in a row is read once."""

@@ -1,7 +1,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from saek import hangul
 from saek.errors import IndexOutOfRange, NotHangulSyllable
@@ -96,3 +96,14 @@ def test_tail_is_the_decomposed_tail_of_every_syllable():
         assert hangul.tail(ch) == hangul.decompose(ch).tail, ch
     for s in ("ㄱ", "ㄹ", "ㅏ", "a", "1", " ", "", "가나", "ㄹ지"):
         assert hangul.tail(s) == -1, s
+
+
+@given(st.text(max_size=8))
+@example("")
+@example("\uabff")
+@example("\uac00")
+@example("\ud7a3")
+@example("\ud7a4")
+@example("가\ud7a4나")
+def test_all_syllables_equals_testing_each_character(s):
+    assert hangul.all_syllables(s) == (bool(s) and all(map(hangul.is_syllable, s)))

@@ -223,6 +223,32 @@ def test_no_single_token_wh_rows_gives_no_hit():
     assert lex.lookup_wh_pair("몇", "시에") is ArgumentCategory.TIME
 
 
+def _scan_anchors(lex, text):
+    return [m.start() for m in lex._wh_anchor_re.finditer(text)]
+
+
+def test_gated_wh_anchors_equal_a_scan_of_the_whole_text(lexicon, fixtures_dir):
+    # wh_anchors searches once and scans on from the first match only; the
+    # matches of a scan of the whole text are leftmost and never overlap, so
+    # the two lists are the same
+    rows = (fixtures_dir / "minimal_pairs.tsv").read_text("utf-8").splitlines()
+    texts = workload_gen.reference_lines() + [r.split("\t")[1] for r in rows]
+    texts += [g[0] for g in GOLDEN]
+    hits = 0
+    for text in texts:
+        anchors = lexicon.wh_anchors(text)
+        assert anchors == _scan_anchors(lexicon, text), text
+        hits += bool(anchors)
+    assert 0 < hits < len(texts)
+    # no wh row at all, and a first wh stem found only in a pair
+    empty = parse_lexicon([])
+    assert empty.wh_anchors("뭐 먹을래") == [] == _scan_anchors(empty, "뭐 먹을래")
+    pair = parse_lexicon(["wh\t몇 시\tcategory=when"])
+    for text in ["몇 시에 와", "사과 몇 개 몇 시", "시 몇몇", "사과 줘", "몇"]:
+        assert pair.wh_anchors(text) == _scan_anchors(pair, text), text
+    assert pair.wh_anchors("사과 몇 개 몇 시") == [3, 7]
+
+
 def test_metacharacter_surfaces_match_literally():
     lex = parse_lexicon(["wh\ta.b\tcategory=what", "wh\t(뭐|왜)\tcategory=why", "josa\t.*\t"])
     assert lex.lookup_wh("xa.by") == (ArgumentCategory.MEANING, 1, 4)

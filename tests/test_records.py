@@ -72,10 +72,10 @@ def test_eojeol_replace_keeps_the_other_fields(analyzer):
 
 
 def test_positional_builds_keep_their_field_order():
-    """``normalize``, ``_fired`` and the extraction routines build these with
-    ``tuple.__new__`` from positional values, which checks neither their
-    number nor their order: a field added or moved must be added or moved
-    there too."""
+    """``normalize``, ``find_wh``, ``lookup_wh``, ``_fired`` and the
+    extraction routines build these with ``tuple.__new__`` from positional
+    values, which checks neither their number nor their order: a field
+    added or moved must be added or moved there too."""
     assert NormalizedUtterance._fields == (
         "text",
         "tokens",
@@ -88,6 +88,9 @@ def test_positional_builds_keep_their_field_order():
     assert Evidence._fields == ("rule", "span")
     assert Classification._fields == ("label", "step", "wh", "evidence", "end")
     assert Argument._fields == ("text", "category", "notes")
+    # find_wh and Lexicon.lookup_wh build these positionally too
+    assert WhHit._fields == ("kind", "token_start", "token_end", "char_start", "char_end")
+    assert WhMatch._fields == ("kind", "start", "end")
 
 
 # one input per record shape: each error, a label without and with a
