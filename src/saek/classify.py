@@ -2,10 +2,9 @@
 
 Labels follow the dataset encoding (0..5): yes/no, alternative and wh
 questions, then prohibition, requirement and strong requirement commands.
-A fixed first-match rule cascade keeps the decision deterministic; ``STEPS``
-gives each step its label and evidence rules, every fired rule leaves an
-evidence span for explainability, and the step that fired picks the
-extraction routine, so the rule is decided here only.
+A fixed first-match rule cascade keeps the decision deterministic. ``STEPS``
+gives each step its label, evidence rules and extraction routine, so the rule
+is decided here only, and every fired rule leaves an evidence span.
 """
 
 from __future__ import annotations
@@ -45,23 +44,28 @@ class Classification(NamedTuple):
     end: Optional[int] = None
 
 
-# the cascade's steps, in the order they are tried: step -> (label, the
-# evidence rule of each span the step leaves); README's "Rule cascade" table
-# and Extractor.extract's routines follow it
-STEPS: dict[str, tuple[IntentLabel, tuple[str, ...]]] = {
-    "info-seeking+wh-word": (IntentLabel.WH, ("info-seeking", "wh-word")),
-    "info-seeking+universal-quantifier": (IntentLabel.WH, ("info-seeking", "universal-quantifier")),
-    "info-seeking": (IntentLabel.YES_NO, ("info-seeking",)),
-    "wh-word": (IntentLabel.WH, ("wh-word",)),
-    "parallel-clauses": (IntentLabel.ALTERNATIVE, ("parallel-clauses", "parallel-clauses")),
-    "disjunction": (IntentLabel.ALTERNATIVE, ("disjunction",)),
-    "polar-ending": (IntentLabel.YES_NO, ("polar-ending",)),
-    "want-to-know": (IntentLabel.YES_NO, ("want-to-know",)),
-    "negation-coordination": (IntentLabel.STRONG_REQUIREMENT, ("negation-coordination",)),
-    "double-negation": (IntentLabel.STRONG_REQUIREMENT, ("double-negation",)),
-    "negative-imperative": (IntentLabel.PROHIBITION, ("negative-imperative",)),
-    "danger-conditional": (IntentLabel.PROHIBITION, ("danger-conditional",)),
-    "imperative-ending": (IntentLabel.REQUIREMENT, ("imperative-ending",)),
+class Step(NamedTuple):
+    label: IntentLabel
+    rules: tuple[str, ...]  # the evidence rule of each span the step leaves
+    routine: str  # the Extractor method that builds the step's argument
+
+
+# the cascade's steps, in the order they are tried; README's "Rule cascade"
+# table follows it, and Extractor looks up each step's routine in it
+STEPS: dict[str, Step] = {
+    "info-seeking+wh-word": Step(IntentLabel.WH, ("info-seeking", "wh-word"), "extract_wh"),
+    "info-seeking+universal-quantifier": Step(IntentLabel.WH, ("info-seeking", "universal-quantifier"), "_object_span"),
+    "info-seeking": Step(IntentLabel.YES_NO, ("info-seeking",), "extract_yesno"),
+    "wh-word": Step(IntentLabel.WH, ("wh-word",), "extract_wh"),
+    "parallel-clauses": Step(IntentLabel.ALTERNATIVE, ("parallel-clauses", "parallel-clauses"), "extract_alternative"),
+    "disjunction": Step(IntentLabel.ALTERNATIVE, ("disjunction",), "extract_alternative"),
+    "polar-ending": Step(IntentLabel.YES_NO, ("polar-ending",), "extract_yesno"),
+    "want-to-know": Step(IntentLabel.YES_NO, ("want-to-know",), "extract_yesno"),
+    "negation-coordination": Step(IntentLabel.STRONG_REQUIREMENT, ("negation-coordination",), "_requirement"),
+    "double-negation": Step(IntentLabel.STRONG_REQUIREMENT, ("double-negation",), "_sr_from_double_negation"),
+    "negative-imperative": Step(IntentLabel.PROHIBITION, ("negative-imperative",), "_prohibition"),
+    "danger-conditional": Step(IntentLabel.PROHIBITION, ("danger-conditional",), "_prohibition"),
+    "imperative-ending": Step(IntentLabel.REQUIREMENT, ("imperative-ending",), "_requirement"),
 }
 
 
@@ -78,7 +82,7 @@ def _fired(
 ) -> Classification:
     """The step that fired, with its label, one evidence span per rule and
     the token it was decided on."""
-    label, rules = STEPS[step]
+    label, rules, _ = STEPS[step]
     # map builds each Evidence in C, with no comprehension frame
     evidence = tuple(map(_new, repeat(Evidence), zip(rules, spans, strict=True)))
     return _new(Classification, (label, step, wh, evidence, end))

@@ -11,8 +11,8 @@ from itertools import filterfalse
 from typing import NamedTuple, Optional, Sequence
 
 from . import hangul, predicate
-from .analyze import Eojeol, NormalizedUtterance, WhHit, host_form
-from .classify import Classification
+from .analyze import Eojeol, NormalizedUtterance, host_form
+from .classify import STEPS, Classification
 from .errors import ExtractionFailed, OptionsNotFound
 from .lexicon import ArgumentCategory, EndingKind, Lexicon, default_lexicon
 
@@ -41,39 +41,20 @@ class Extractor:
         self._plain_droppable = lex.pronouns | lex.lightverb_stems | lex.depnouns
         # what _clean_parts drops: empty content and ending homographs
         self._unclean = frozenset({*lex.endings, ""})
+        # each step's routine, looked up once: a missing one fails here
+        self._routines = {step: getattr(self, s.routine) for step, s in STEPS.items()}
 
     # -- dispatch --------------------------------------------------------
 
     def extract(self, u: NormalizedUtterance, c: Classification) -> Argument:
-        """Run the routine of the cascade step that fired; the step decided
-        the rule and the token the argument's material ends before (``c.end``),
-        so no routine decides or searches again. 말고 rejects what precedes
-        it, so every routine reads ``u.tokens[u.kept : c.end]``, and a token
-        before the last 말고 leaves none."""
-        end = c.end
-        if end is not None and end < u.kept:
+        """Run the routine ``STEPS`` names for the step that fired, on
+        ``u.tokens[u.kept : c.end]``. The step decided the rule and the token
+        the argument ends before (``c.end``), so no routine decides or
+        searches again; 말고 rejects what precedes it, so a token before the
+        last 말고 leaves none."""
+        if c.end is not None and c.end < u.kept:
             raise ExtractionFailed("the step's token precedes the last 말고")
-        tokens = u.tokens[u.kept : end]
-        match c.step:
-            case "info-seeking" | "polar-ending" | "want-to-know":
-                return self.extract_yesno(tokens)
-            case "parallel-clauses" | "disjunction":
-                return self.extract_alternative(tokens)
-            case "wh-word" | "info-seeking+wh-word":
-                return self.extract_wh(tokens, c.wh, c.step != "wh-word", u.wh_hits, u.kept)
-            case "info-seeking+universal-quantifier":
-                return self._object_span(tokens, c.wh)
-            case "double-negation":
-                core = predicate.conditional_core(u.tokens[end].surface)
-                return self._sr_from_double_negation(tokens, core)
-            case "negative-imperative":
-                return self._prohibition(tokens, host_form(u.tokens[end]))
-            case "danger-conditional":
-                core = predicate.conditional_core(u.tokens[end].surface)
-                return self._prohibition(tokens, predicate.negation_host(core))
-            case "negation-coordination" | "imperative-ending":
-                return self._requirement(*self._command_items(tokens))
-        raise ValueError(f"no extraction routine for cascade step {c.step!r}")
+        return self._routines[c.step](u, c, u.tokens[u.kept : c.end])
 
     # -- shared helpers ---------------------------------------------------
 
@@ -132,7 +113,9 @@ class Extractor:
 
     # -- yes/no questions ---------------------------------------------------
 
-    def extract_yesno(self, tokens: Sequence[Eojeol]) -> Argument:
+    def extract_yesno(
+        self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
+    ) -> Argument:
         lex = self.lexicon
         items, content = self._question_items(tokens)
         items = self._drop_want_cue(items)
@@ -169,7 +152,9 @@ class Extractor:
 
     # -- alternative questions ------------------------------------------------
 
-    def extract_alternative(self, tokens: Sequence[Eojeol]) -> Argument:
+    def extract_alternative(
+        self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
+    ) -> Argument:
         lex = self.lexicon
         # each interrogative predicate with its ending: ``normalize`` matched
         # the last token's, which parallel clauses repeat, and a token that
@@ -218,20 +203,14 @@ class Extractor:
     # -- wh questions -----------------------------------------------------------
 
     def extract_wh(
-        self,
-        tokens: Sequence[Eojeol],
-        wh: ArgumentCategory,
-        info: bool,
-        hits: Sequence[WhHit],
-        first: int,
+        self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
     ) -> Argument:
-        """``info``: ``tokens`` end before an info verb (an info-seeking
-        frame); ``hits``: the wh forms, whose tokens go; ``first``: the index
-        ``hits`` count ``tokens[0]`` at."""
+        """The tokens of every wh hit go; a step that hands over a token
+        (``c.end``) ends ``tokens`` before an info verb, an info-seeking frame."""
         lex = self.lexicon
-        wh_tokens = {i for h in hits for i in range(h.token_start, h.token_end)}
+        wh_tokens = {i for h in u.wh_hits for i in range(h.token_start, h.token_end)}
         items, content = self._question_items(
-            [t for i, t in enumerate(tokens, first) if i not in wh_tokens]
+            [t for i, t in enumerate(tokens, u.kept) if i not in wh_tokens]
         )
 
         notes: list[str] = []
@@ -243,7 +222,7 @@ class Extractor:
         if items and items[-1].ending is not None:
             verb = items.pop()
             stem, copula = verb.stem, verb.ending.copula
-        elif info and items:
+        elif c.end is not None and items:
             # inside an info-seeking frame, an embedded question form
             # (먹었는지), or a finite question (먹었니), whose ending normalize
             # did not match: it matched the last token's, on the info verb
@@ -278,8 +257,8 @@ class Extractor:
             stems.append(append_noun)
 
         # the category's word is the replacement noun (_value_: no Enum.value call)
-        noun = wh._value_
-        if wh is ArgumentCategory.REASON:
+        noun = c.wh._value_
+        if c.wh is ArgumentCategory.REASON:
             # reason arguments keep only the predicate; context tokens are noise
             if not adnominal:
                 raise ExtractionFailed("reason question without a predicate")
@@ -288,9 +267,11 @@ class Extractor:
             parts = stems + ([adnominal] if adnominal else []) + [noun]
             if len(parts) == 1:
                 raise ExtractionFailed("no content around the wh word")
-        return _new(Argument, (" ".join(parts), wh, tuple(notes)))
+        return _new(Argument, (" ".join(parts), c.wh, tuple(notes)))
 
-    def _object_span(self, tokens: Sequence[Eojeol], wh: ArgumentCategory) -> Argument:
+    def _object_span(
+        self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
+    ) -> Argument:
         """Information-seeking imperatives with a universal quantifier keep
         their object span verbatim, the quantifier adverb turned determiner."""
         lex = self.lexicon
@@ -314,7 +295,7 @@ class Extractor:
         if quant is not None:
             at = object_pos if object_pos is not None else len(stems) - 1
             stems.insert(at, quant)
-        return _new(Argument, (" ".join(stems), wh, ()))
+        return _new(Argument, (" ".join(stems), c.wh, ()))
 
     # -- commands -------------------------------------------------------------
 
@@ -355,19 +336,29 @@ class Extractor:
                 return i + 1
         return 0
 
-    def _prohibition(self, tokens: Sequence[Eojeol], form: str) -> Argument:
+    def _prohibition(
+        self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
+    ) -> Argument:
         """The prohibited action: the last clause of ``tokens``, which end
-        before the -지 host, then the host's -지 ``form`` and 않기."""
+        before the step's token, then that token's -지 form and 않기: a -지
+        host's own, or the -지 host of a -(으)면 clause's core."""
+        t = u.tokens[c.end]
+        if t.conditional:
+            form = predicate.negation_host(predicate.conditional_core(t.surface))
+        else:
+            form = host_form(t)
         items, content = self._command_items(tokens)
         parts = self._clean_parts(content[self._clause_start(items, len(items)) :])
         text = predicate.prohibition(parts, form)
         return _new(Argument, (text, ArgumentCategory.PROHIBITION, ()))
 
-    def _sr_from_double_negation(self, tokens: Sequence[Eojeol], core: str) -> Argument:
+    def _sr_from_double_negation(
+        self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
+    ) -> Argument:
         """The required action: the last clause of ``tokens``, which end
-        before the -(으)면 clause of ``core``, its negators dropped."""
+        before the step's -(으)면 clause, its negators dropped."""
         items, content = self._command_items(tokens)
-        core = self.lexicon.strip_preverbal(core)
+        core = self.lexicon.strip_preverbal(predicate.conditional_core(u.tokens[c.end].surface))
         start = self._clause_start(items, len(items))
         keep = [i for i in range(start, len(items)) if items[i].negation != "preverbal"]
         span = [items[i] for i in keep]
@@ -375,7 +366,10 @@ class Extractor:
         parts = self._clean_parts([content[i] for i in keep[: len(span)]])
         return _new(Argument, (" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, ()))
 
-    def _requirement(self, items: list[Eojeol], content: list[str]) -> Argument:
+    def _requirement(
+        self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
+    ) -> Argument:
+        items, content = self._command_items(tokens)
         if not items:
             raise ExtractionFailed("empty required action")
         end = len(items) - 1

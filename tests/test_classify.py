@@ -1,4 +1,5 @@
 import re
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import saek.classify
 import saek.extract
 from golden_cases import GOLDEN
+from saek import predicate
 from saek.classify import STEPS, IntentLabel
 from saek.errors import Unclassifiable
 from saek.lexicon import ArgumentCategory, Lexicon
@@ -160,12 +162,12 @@ STEP_INPUTS = {
     "danger-conditional": "밖에 나가면 위험해",
     "imperative-ending": "인적사항 확인 바랍니다",
 }
-QUESTION_STEPS = {s: text for s, text in STEP_INPUTS.items() if STEPS[s][0] <= IntentLabel.WH}
+QUESTION_STEPS = {s: text for s, text in STEP_INPUTS.items() if STEPS[s].label <= IntentLabel.WH}
 
 
 @pytest.mark.parametrize("step", STEPS)
 def test_each_step_fires_with_its_label_and_evidence_rules(analyzer, classifier, engine, step):
-    label, rules = STEPS[step]
+    label, rules, _ = STEPS[step]
     text = STEP_INPUTS[step]
     got = classifier.classify(analyzer.normalize(text))
     assert (got.step, got.label) == (step, label)
@@ -177,7 +179,7 @@ def test_each_step_fires_with_its_label_and_evidence_rules(analyzer, classifier,
 
 @pytest.mark.parametrize("step", STEPS)
 def test_a_step_given_the_wrong_number_of_spans_raises(step):
-    _, rules = STEPS[step]
+    rules = STEPS[step].rules
     fired = saek.classify._fired(step, *[(0, 1)] * len(rules))
     assert [e.rule for e in fired.evidence] == list(rules)
     for n in (len(rules) - 1, len(rules) + 1):
@@ -185,26 +187,137 @@ def test_a_step_given_the_wrong_number_of_spans_raises(step):
             saek.classify._fired(step, *[(0, 1)] * n)
 
 
-def readme_cascade() -> list[tuple[int, str, int, tuple[str, ...]]]:
-    """(row number, step, label, evidence rules) of each row of README's
-    "Rule cascade" table; a rule named twice in a row is read once."""
+# one input for each pair of steps whose conditions can both hold, and the
+# earlier step fires on it: (earlier, later, text). A step's condition is its
+# own test in Classifier.classify, without the steps before it. A want-to-know
+# cue shares the last token with a danger predicate, or with a benefactive
+# after an info verb, only in a made-up fused token (궁금위험해, 궁금해줘)
+STEP_ORDER_PINS = [
+    ("info-seeking+wh-word", "info-seeking+universal-quantifier", "누가 일정을 모두 정했는지 말해줘"),
+    ("info-seeking+wh-word", "info-seeking", "어디 가는지 알려줘"),
+    ("info-seeking+wh-word", "wh-word", "뭐 먹었는지 말해줄래"),
+    ("info-seeking+wh-word", "parallel-clauses", "누가 왔는지 알려줄래 누가 갔는지 알려줄래"),
+    ("info-seeking+wh-word", "disjunction", "누가 왔는지 아니면 누가 갔는지 알려줄래"),
+    ("info-seeking+wh-word", "polar-ending", "누가 왔는지 알려줄래"),
+    ("info-seeking+wh-word", "want-to-know", "뭐 먹었는지 말해 궁금해줘"),
+    ("info-seeking+wh-word", "negation-coordination", "놀지 말고 뭐 할지 말해줘"),
+    ("info-seeking+wh-word", "negative-imperative", "나가지 마 누가 그랬는지 말해줘"),
+    ("info-seeking+wh-word", "imperative-ending", "뭐 먹었는지 말해줘"),
+    ("info-seeking+universal-quantifier", "info-seeking", "이번 주 일정을 모두 말해"),
+    ("info-seeking+universal-quantifier", "parallel-clauses", "일정을 모두 알려줄래 메뉴를 모두 알려줄래"),
+    ("info-seeking+universal-quantifier", "disjunction", "일정 아니면 메뉴를 모두 알려줄래"),
+    ("info-seeking+universal-quantifier", "polar-ending", "일정을 모두 알려줄래"),
+    ("info-seeking+universal-quantifier", "want-to-know", "일정을 모두 말해 궁금해줘"),
+    ("info-seeking+universal-quantifier", "negation-coordination", "놀지 말고 일정을 모두 말해줘"),
+    ("info-seeking+universal-quantifier", "negative-imperative", "나가지 마 일정을 모두 알려줘"),
+    ("info-seeking+universal-quantifier", "imperative-ending", "일정을 모두 알려줘"),
+    ("info-seeking", "parallel-clauses", "비 오는지 알려줄래 눈 오는지 알려줄래"),
+    ("info-seeking", "disjunction", "비 아니면 눈 오는지 알려줄래"),
+    ("info-seeking", "polar-ending", "내일 비 오는지 알려줄래"),
+    ("info-seeking", "want-to-know", "비 오는지 말해 궁금해줘"),
+    ("info-seeking", "negation-coordination", "놀지 말고 어제 소식 말해줘"),
+    ("info-seeking", "negative-imperative", "나가지 마 어제 소식 말해줘"),
+    ("info-seeking", "imperative-ending", "어제 소식 말해줘"),
+    ("wh-word", "parallel-clauses", "뭐 먹을래 뭐 먹을래"),
+    ("wh-word", "disjunction", "커피 아니면 뭐 마실래"),
+    ("wh-word", "polar-ending", "뭐 먹을래"),
+    ("wh-word", "want-to-know", "뭐 먹었는지 궁금해"),
+    ("wh-word", "negation-coordination", "놀지 말고 뭐 할지 궁금해"),
+    ("wh-word", "double-negation", "뭐 안 가면 궁금위험해"),
+    ("wh-word", "negative-imperative", "밖에 나가지 마 뭐 할래"),
+    ("wh-word", "danger-conditional", "뭐 나가면 궁금위험해"),
+    ("wh-word", "imperative-ending", "누가 왔는지 궁금해"),
+    ("parallel-clauses", "disjunction", "버스 탈래 아니면 택시 탈래"),
+    ("parallel-clauses", "polar-ending", "짜장 먹을래 짬뽕 먹을래"),
+    ("parallel-clauses", "want-to-know", "비 오는지 궁금하니 눈 오는지 궁금하니"),
+    ("parallel-clauses", "negative-imperative", "나가지 마 짜장 먹을래 짬뽕 먹을래"),
+    ("disjunction", "polar-ending", "커피 아니면 차 마실래"),
+    ("disjunction", "want-to-know", "비 아니면 눈 오는지 궁금하니"),
+    ("disjunction", "negative-imperative", "나가지 마 커피 아니면 차 마실래"),
+    ("polar-ending", "want-to-know", "가면 안 되는지 궁금하니"),
+    ("polar-ending", "negative-imperative", "밖에 나가지 마 알겠니"),
+    ("want-to-know", "negation-coordination", "놀지 말고 공부했는지 궁금해"),
+    ("want-to-know", "double-negation", "안 가면 궁금위험해"),
+    ("want-to-know", "negative-imperative", "밖에 나가지 마 궁금해"),
+    ("want-to-know", "danger-conditional", "나가면 궁금위험해"),
+    ("want-to-know", "imperative-ending", "밥 먹었는지 궁금해"),
+    ("negation-coordination", "double-negation", "장난치지 말고 안전벨트 안 매면 위험해"),
+    ("negation-coordination", "negative-imperative", "놀지 말고 나가지 마세요"),
+    ("negation-coordination", "danger-conditional", "놀지 말고 밖에 나가면 위험해"),
+    ("negation-coordination", "imperative-ending", "놀지 말고 공부해"),
+    ("double-negation", "negative-imperative", "떠들지 마 숙제 안 하면 혼나"),
+    ("double-negation", "danger-conditional", "안 가면 큰일나"),
+    ("double-negation", "imperative-ending", "안전벨트 안 매면 위험해"),
+    ("negative-imperative", "danger-conditional", "밖에 나가지 마 나가면 큰일나"),
+    ("negative-imperative", "imperative-ending", "나가지 마세요"),
+    ("danger-conditional", "imperative-ending", "밖에 나가면 위험해"),
+]
+INFO_STEPS = ("info-seeking+wh-word", "info-seeking+universal-quantifier", "info-seeking")
+ENDING_STEPS = ("parallel-clauses", "disjunction", "polar-ending")
+DANGER_STEPS = ("double-negation", "danger-conditional")
+# the pairs of steps whose conditions never both hold, each with the reason
+DISJOINT_STEPS = {
+    **dict.fromkeys(
+        product(INFO_STEPS, DANGER_STEPS),
+        "the last token is an info verb, or a benefactive after one, and none ends in a"
+        " danger predicate (test_no_info_verb_or_benefactive_ends_in_a_danger_predicate)",
+    ),
+    **dict.fromkeys(
+        product(INFO_STEPS[1:], ["wh-word"]),
+        "wh-word needs a wh hit, and an info verb with a wh hit is info-seeking+wh-word",
+    ),
+    **dict.fromkeys(
+        product(ENDING_STEPS, ["negation-coordination", "imperative-ending"]),
+        "the last token's ending is interrogative or imperative, not both",
+    ),
+    **dict.fromkeys(
+        product(ENDING_STEPS, DANGER_STEPS),
+        "no danger predicate ends in an interrogative ending"
+        " (test_lexicon.py::test_no_danger_row_ends_in_an_interrogative_ending)",
+    ),
+}
+
+
+@pytest.mark.parametrize("earlier, later, text", STEP_ORDER_PINS)
+def test_the_earlier_of_two_steps_that_both_hold_fires(analyzer, classifier, earlier, later, text):
+    assert classifier.classify(analyzer.normalize(text)).step == earlier
+
+
+def test_every_pair_of_steps_is_pinned_or_disjoint():
+    pairs = [(a, b) for a, b, _ in STEP_ORDER_PINS] + list(DISJOINT_STEPS)
+    assert sorted(pairs) == sorted(combinations(STEPS, 2))
+
+
+def test_no_info_verb_or_benefactive_ends_in_a_danger_predicate(lexicon):
+    # a danger predicate ends the last token, or is the last two tokens
+    benefactive = [s for s, e in lexicon.endings.items() if e.stem == predicate.BENEFACTIVE]
+    finals = [*lexicon.danger, *(last for _, last in lexicon.danger_pairs)]
+    assert benefactive and finals
+    ends = [*lexicon.infoverbs, *benefactive]
+    assert [(s, d) for s in ends for d in finals if s.endswith(d) or d.endswith(s)] == []
+
+
+def readme_cascade() -> list[tuple[int, str, int, tuple[str, ...], str]]:
+    """(row number, step, label, evidence rules, routine) of each row of
+    README's "Rule cascade" table; a rule named twice in a row is read once."""
     section = README.read_text("utf-8").split("\n## Rule cascade\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     rows = []
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) < 4 or not cells[0].isdigit():
+        if len(cells) < 5 or not cells[0].isdigit():
             continue
         (step,) = re.findall(r"`([^`]+)`", cells[1])
         rules = tuple(dict.fromkeys(re.findall(r"`([^`]+)`", cells[3])))
-        rows.append((int(cells[0]), step, int(cells[2]), rules))
+        (routine,) = re.findall(r"`([^`]+)`", cells[4])
+        rows.append((int(cells[0]), step, int(cells[2]), rules, routine))
     return rows
 
 
 def test_readme_cascade_table_is_the_steps_table():
     expected = [
-        (n, step, int(label), tuple(dict.fromkeys(rules)))
-        for n, (step, (label, rules)) in enumerate(STEPS.items(), start=1)
+        (n, step, int(label), tuple(dict.fromkeys(rules)), routine)
+        for n, (step, (label, rules, routine)) in enumerate(STEPS.items(), start=1)
     ]
     assert readme_cascade() == expected
 

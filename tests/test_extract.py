@@ -1,7 +1,9 @@
 import pytest
 
+import saek.classify
 from golden_cases import GOLDEN
-from saek.classify import Evidence
+from saek import Extractor
+from saek.classify import Evidence, IntentLabel, Step
 from saek.errors import ExtractionFailed, OptionsNotFound
 from saek.lexicon import ArgumentCategory
 
@@ -47,7 +49,14 @@ def test_yesno_empty_content_fails(analyzer, classifier, extractor):
     with pytest.raises(ExtractionFailed):
         run(analyzer, classifier, extractor, "궁금해")  # nothing but the cue
     with pytest.raises(ExtractionFailed):
-        extractor.extract_yesno([])
+        extractor.extract_yesno(None, None, [])  # a yes/no routine reads only its tokens
+
+
+def test_a_step_without_its_routine_fails_when_the_extractor_is_built(monkeypatch, lexicon):
+    step = Step(IntentLabel.YES_NO, ("probe",), "extract_probe")
+    monkeypatch.setitem(saek.classify.STEPS, "probe", step)
+    with pytest.raises(AttributeError, match="extract_probe"):
+        Extractor(lexicon)
 
 
 def test_alternative_derived_template(analyzer, classifier, extractor):
@@ -58,7 +67,7 @@ def test_alternative_derived_template(analyzer, classifier, extractor):
 def test_alternative_single_clause_fails(extractor, analyzer):
     u = analyzer.normalize("버스로 올거야")
     with pytest.raises(OptionsNotFound):
-        extractor.extract_alternative(u.tokens)
+        extractor.extract_alternative(u, None, u.tokens)
 
 
 def test_alternative_past_predicate(analyzer, classifier, extractor):

@@ -93,6 +93,9 @@ SHAPES = {
     "커피 말고 pairs": lambda n: ["커피", "말고"] * (n // 2) + ["차", "줘"],
     "trailing name calls": lambda n: ["나무"] * (n // 2) + ["먹어"] + ["민수야"] * (n // 2),
     "listed marks": lambda n: [s + "," for s in ["나무"] * n] + ["뭐", "먹을까~?"],
+    # each 자니 ends in the interrogative 니, so the alternative routine
+    # starts a new option clause at each one
+    "interrogative clauses": lambda n: ["자니", "커피"] * (n // 2) + ["볼까", "차", "볼까"],
 }
 
 
