@@ -249,23 +249,17 @@ class Analyzer:
         return tuple(hits)
 
 
-def host_form(host: Eojeol) -> str:
-    """The -지 form of a negation host token: its surface less a fused
-    negator (나가지마 -> 나가지, 나가지 -> 나가지)."""
-    fused = host.fused
-    return host.surface if fused is None else host.surface[: -len(fused)]
-
-
 def negative_imperative(
     tokens: Sequence[Eojeol], negators: Iterable[int]
 ) -> Optional[tuple[int, str]]:
-    """Index and ``host_form`` of the first -지 host a ma or malgo negator
-    follows, fused or spaced (나가지마, 나가지 마, 놀지 말고); ``negators``:
-    the indices, in order, of the negator tokens, the only ones it reads,
-    with the token before each."""
+    """Index and -지 form of the first -지 host a ma or malgo negator
+    follows, fused or spaced (나가지마 -> 나가지, 나가지 마, 놀지 말고);
+    ``negators``: the indices, in order, of the negator tokens, the only
+    ones it reads, with the token before each."""
     for i in negators:
-        if tokens[i].fused is not None:
-            return i, host_form(tokens[i])
+        fused = tokens[i].fused
+        if fused is not None:
+            return i, tokens[i].surface[: -len(fused)]
         if i > 0 and is_negation_host(tokens[i - 1].surface):
             return i - 1, tokens[i - 1].surface  # a spaced host has no fused negator
     return None

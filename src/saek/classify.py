@@ -42,6 +42,10 @@ class Classification(NamedTuple):
     # on, which the argument's material ends before: the info verb, the -지
     # host of a negative imperative or the -(으)면 clause (None: no such token)
     end: Optional[int] = None
+    # the form the argument ends in, read off that token: the -지 host's
+    # form (negative-imperative, danger-conditional) or the negator-free
+    # -(으)면 core (double-negation); None on every other step
+    form: Optional[str] = None
 
 
 class Step(NamedTuple):
@@ -79,13 +83,14 @@ def _fired(
     *spans: tuple[int, int],
     wh: Optional[ArgumentCategory] = None,
     end: Optional[int] = None,
+    form: Optional[str] = None,
 ) -> Classification:
-    """The step that fired, with its label, one evidence span per rule and
-    the token it was decided on."""
+    """The step that fired, with its label, one evidence span per rule, the
+    token it was decided on and the form read off that token."""
     label, rules, _ = STEPS[step]
     # map builds each Evidence in C, with no comprehension frame
     evidence = tuple(map(_new, repeat(Evidence), zip(rules, spans, strict=True)))
-    return _new(Classification, (label, step, wh, evidence, end))
+    return _new(Classification, (label, step, wh, evidence, end, form))
 
 
 class Classifier:
@@ -198,20 +203,21 @@ class Classifier:
 
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is
-        # the predicate that ends at the last token.
-        danger = myen is not None and lex.is_danger_predicate(surfaces[-2:])
-        if danger and not preverbal:
+        # the predicate that ends at the last token; the clause's core is cut once
+        core = None
+        if myen is not None and lex.is_danger_predicate(surfaces[-2:]):
             core = predicate.conditional_core(surfaces[myen])
-            preverbal = lex.strip_preverbal(core) != core
-        if danger and preverbal:
-            return _fired("double-negation", (start, stop), end=myen)
+            required = lex.strip_preverbal(core)
+            if preverbal or required != core:
+                return _fired("double-negation", (start, stop), end=myen, form=required)
 
         # (7) negative imperative, or conditional with a danger consequence
         host = negative_imperative(tokens, ma) if ma else None
         if host is not None:
-            return _fired("negative-imperative", (start, stop), end=host[0])
-        if danger:
-            return _fired("danger-conditional", (start, stop), end=myen)
+            return _fired("negative-imperative", (start, stop), end=host[0], form=host[1])
+        if core is not None:
+            form = predicate.negation_host(core)
+            return _fired("danger-conditional", (start, stop), end=myen, form=form)
 
         # (8) plain imperative / request / wish
         if imperative:

@@ -11,7 +11,7 @@ from itertools import filterfalse
 from typing import NamedTuple, Optional, Sequence
 
 from . import hangul, predicate
-from .analyze import Eojeol, NormalizedUtterance, host_form
+from .analyze import Eojeol, NormalizedUtterance
 from .classify import STEPS, Classification
 from .errors import ExtractionFailed, OptionsNotFound
 from .lexicon import ArgumentCategory, EndingKind, Lexicon, default_lexicon
@@ -36,7 +36,7 @@ class Extractor:
     def __init__(self, lexicon: Optional[Lexicon] = None):
         lex = self.lexicon = lexicon if lexicon is not None else default_lexicon()
         # a plain token (no particle, ending or negation) is its own content,
-        # and _droppable_in_question's rule for it reduces to one probe of the
+        # and _question_items' drop rule for it reduces to one probe of the
         # union of the tables it reads
         self._plain_droppable = lex.pronouns | lex.lightverb_stems | lex.depnouns
         # what _clean_parts drops: empty content and ending homographs
@@ -58,23 +58,13 @@ class Extractor:
 
     # -- shared helpers ---------------------------------------------------
 
-    def _content(self, e: Eojeol, droppable_only: bool = False) -> str:
-        """Particle-stripped content form: every particle goes for question
-        arguments, only case particles (``droppable_only``) for commands.
-
-        ``e`` carries a particle split (a caller takes the stem of a token
-        without one), and stripping goes on from that split: a case particle
-        it split is the first one a command drops too."""
-        if droppable_only and not self.lexicon.josa[e.particle].droppable:
-            # a command may drop a shorter case particle than the one split:
-            # start over
-            return self.lexicon.strip_josa_all(e.surface, droppable_only)
-        return self.lexicon.strip_josa_all(e.stem, droppable_only)
-
     def _question_items(self, tokens: Sequence[Eojeol]) -> tuple[list[Eojeol], list[str]]:
         """The tokens a question argument keeps and the content of each at
         the same index, computed once; a routine trims both lists from the
-        end only."""
+        end only. Content loses every particle, stripping on from
+        normalize's split; pronouns, preverbal negators, bare light verb
+        forms (하는, 했던) and dependent nouns carry none."""
+        lex = self.lexicon
         plain_droppable = self._plain_droppable
         items: list[Eojeol] = []
         content: list[str] = []
@@ -85,22 +75,18 @@ class Extractor:
                     continue
             else:
                 if t.particle is not None:
-                    stem = self._content(t)
-                if self._droppable_in_question(t, stem):
+                    stem = lex.strip_josa_all(stem)
+                if (
+                    stem in lex.pronouns
+                    or t.surface in lex.pronouns
+                    or t.negation == "preverbal"
+                    or (t.ending is None and stem in lex.lightverb_stems)
+                    or stem in lex.depnouns
+                ):
                     continue
             items.append(t)
             content.append(stem)
         return items, content
-
-    def _droppable_in_question(self, e: Eojeol, stem: str) -> bool:
-        lex = self.lexicon
-        if stem in lex.pronouns or e.surface in lex.pronouns:
-            return True
-        if e.negation == "preverbal":
-            return True
-        if e.ending is None and stem in lex.lightverb_stems:
-            return True  # bare light verb forms (하는, 했던) carry no content
-        return stem in lex.depnouns
 
     def _clean_parts(self, parts: list[str]) -> list[str]:
         """Drop empty parts and content homographs of sentence-final endings
@@ -155,39 +141,36 @@ class Extractor:
     def extract_alternative(
         self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
     ) -> Argument:
+        """Both alternative steps fire on the last token's interrogative
+        ending, so the last token is the shared predicate."""
         lex = self.lexicon
-        # each interrogative predicate with its ending: ``normalize`` matched
-        # the last token's, which parallel clauses repeat, and a token that
-        # ends in no ending's last character matches none
+        # the index of each interrogative predicate: parallel clauses repeat
+        # the last token, and a token that ends in no ending's last
+        # character matches no ending
         final = tokens[-1]
         preds = []
         for i, t in enumerate(tokens):
             if t.surface == final.surface:
-                m = final.ending
+                preds.append(i)
             elif t.surface[-1] in lex.ending_ends:
                 m = lex.match_ending(t.surface)
-            else:
-                continue
-            if m is not None and m.kind is EndingKind.INTERROGATIVE:
-                preds.append((i, m))
+                if m is not None and m.kind is EndingKind.INTERROGATIVE:
+                    preds.append(i)
         notes: list[str] = []
         options: list[str] = []
         if len(preds) >= 2:
             start = 0
-            for i, _ in preds:
+            for i in preds:
                 options.extend(self._option_phrases(tokens[start:i]))
                 start = i + 1
-        elif preds and any(t.surface in lex.disjunction for t in tokens):
-            pred = tokens[preds[-1][0]]
-            options = self._option_phrases([t for t in tokens if t is not pred])
+        elif any(t.surface in lex.disjunction for t in tokens):
+            options = self._option_phrases(tokens[:-1])
         else:
             raise OptionsNotFound("no parallel clauses or disjunction marker")
         if len(options) < 2:
             raise OptionsNotFound("fewer than two option phrases")
 
-        i, ending = preds[-1]
-        stem = tokens[i].surface[: len(tokens[i].surface) - len(ending.surface)]
-        text = " ".join(options + [predicate.choice(stem, notes)])
+        text = " ".join(options + [predicate.choice(final.stem, notes)])
         return _new(Argument, (text, ArgumentCategory.CHOICE, tuple(notes)))
 
     def _option_phrases(self, clause: Sequence[Eojeol]) -> list[str]:
@@ -302,13 +285,20 @@ class Extractor:
     def _command_items(self, tokens: Sequence[Eojeol]) -> tuple[list[Eojeol], list[str]]:
         """The tokens a command argument keeps and the content of each at
         the same index, computed once."""
-        pronouns = self.lexicon.pronouns
+        lex = self.lexicon
+        pronouns = lex.pronouns
         items: list[Eojeol] = []
         content: list[str] = []
         for t in tokens:
             if t.surface in pronouns:
                 continue
-            stem = t.stem if t.particle is None else self._content(t, droppable_only=True)
+            stem = t.stem
+            if t.particle is not None:
+                # only case particles go: stripping goes on from a case
+                # particle normalize split, and past any other starts over
+                # from the surface, which a shorter case particle may end
+                split = stem if lex.josa[t.particle].droppable else t.surface
+                stem = lex.strip_josa_all(split, droppable_only=True)
             if stem in pronouns:
                 continue
             items.append(t)
@@ -340,29 +330,24 @@ class Extractor:
         self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
     ) -> Argument:
         """The prohibited action: the last clause of ``tokens``, which end
-        before the step's token, then that token's -지 form and 않기: a -지
-        host's own, or the -지 host of a -(으)면 clause's core."""
-        t = u.tokens[c.end]
-        if t.conditional:
-            form = predicate.negation_host(predicate.conditional_core(t.surface))
-        else:
-            form = host_form(t)
+        before the step's token, then the -지 form the step read off that
+        token (``c.form``) and 않기."""
         items, content = self._command_items(tokens)
         parts = self._clean_parts(content[self._clause_start(items, len(items)) :])
-        text = predicate.prohibition(parts, form)
+        text = predicate.prohibition(parts, c.form)
         return _new(Argument, (text, ArgumentCategory.PROHIBITION, ()))
 
     def _sr_from_double_negation(
         self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
     ) -> Argument:
         """The required action: the last clause of ``tokens``, which end
-        before the step's -(으)면 clause, its negators dropped."""
+        before the step's -(으)면 clause, its negators dropped, then the
+        clause's negator-free core (``c.form``) nominalized."""
         items, content = self._command_items(tokens)
-        core = self.lexicon.strip_preverbal(predicate.conditional_core(u.tokens[c.end].surface))
         start = self._clause_start(items, len(items))
         keep = [i for i in range(start, len(items)) if items[i].negation != "preverbal"]
         span = [items[i] for i in keep]
-        nominal = self._nominalize_stem(core, span)  # may pop from span
+        nominal = self._nominalize_stem(c.form, span)  # may pop from span
         parts = self._clean_parts([content[i] for i in keep[: len(span)]])
         return _new(Argument, (" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, ()))
 
@@ -376,7 +361,8 @@ class Extractor:
         start = self._clause_start(items, end)
         last = items[end]
         rest = items[start:end]
-        if last.ending is not None and last.ending.kind is EndingKind.IMPERATIVE:
+        # only the last token carries an ending: the imperative the step fired on
+        if last.ending is not None:
             stem = last.stem + last.ending.stem  # 확인 + 하 for 확인해
             if stem:
                 nominal = self._nominalize_stem(stem, rest)

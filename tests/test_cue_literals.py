@@ -153,9 +153,14 @@ def test_extract_makes_no_rule_decision():
     # the cascade step that fired picks the extraction routine, so outside
     # the lexicon only the classifier reads the cued tokens or the danger
     # table; extract projects no label, and as the classifier hands the info
-    # verb over, extract reads no info-verb table either
+    # verb over, extract reads no info-verb table either; as each command
+    # step hands over the form it read off its token (Classification.form),
+    # extract reads no negation or conditional cue and cuts no form again
     rule = {"cued", "danger_pairs", "is_danger_predicate"}
-    found = names_in(SRC / "extract.py", rule | {"negativeness", "infoverbs"}, {"negativeness"})
+    forms = {"conditional", "fused", "conditional_core", "negation_host", "strip_preverbal", "host_form"}
+    found = names_in(
+        SRC / "extract.py", rule | forms | {"negativeness", "infoverbs"}, forms | {"negativeness"}
+    )
     for path in sorted(SRC.glob("*.py")):
         if path.name not in ("lexicon.py", "classify.py", "extract.py"):
             found += names_in(path, rule)

@@ -19,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workload_gen  # noqa: E402
 
 LINES = 600
-# the mean "call" events per utterance on CPython 3.11 is 12604/600, about
-# 21.01 (it was 40.58 before the cue table's gate and the direct record
+# the mean "call" events per utterance on CPython 3.11 is 12157/600, about
+# 20.26 (it was 40.58 before the cue table's gate and the direct record
 # build, 31.92 before the suffix conditions were compiled at load, 31.71
 # before the 말고 cut and the wh-anchor scan were made once in normalize,
 # 29.625 before WhKind hashed by identity, 29.25 before the record kept
@@ -30,9 +30,11 @@ LINES = 600
 # or the -면 clause, and 25.85 before normalize left the vocatives out of the
 # tokens, so the alternative routine no longer filters them out, and 25.69
 # before the per-item tests of _fired, _clean_parts and the syllable checks
-# ran in C and the info-verb test was folded into classify); interpreters
-# that inline comprehensions (3.12+) count fewer
-BUDGET = 12604 / 600
+# ran in C and the info-verb test was folded into classify, and 21.01 before
+# each command step handed extraction the form it read off its token and the
+# question and command routines stripped particles without a shared helper);
+# interpreters that inline comprehensions (3.12+) count fewer
+BUDGET = 12157 / 600
 
 
 def _profile_calls(engine, lines, on_call) -> None:
@@ -96,6 +98,10 @@ SHAPES = {
     # each 자니 ends in the interrogative 니, so the alternative routine
     # starts a new option clause at each one
     "interrogative clauses": lambda n: ["자니", "커피"] * (n // 2) + ["볼까", "차", "볼까"],
+    # each 교과서 ends in 서, the last character of a connective, so the
+    # clause search of the command routines probes every one
+    "double negation": lambda n: ["교과서"] * n + ["안", "나가면", "큰일나"],
+    "danger conditional": lambda n: ["교과서"] * n + ["밖에", "나가면", "위험해"],
 }
 
 

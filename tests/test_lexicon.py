@@ -587,12 +587,25 @@ def wh_hits_scan(lex, tokens, offsets):
     return tuple(hits)
 
 
+def question_drop_scan(lex, t, content):
+    """The full question rule: a token carries no content for a question
+    argument when it or its content is a pronoun, it is a preverbal negator,
+    its content is a dependent noun, or it is a bare light verb form."""
+    return (
+        content in lex.pronouns
+        or t.surface in lex.pronouns
+        or t.negation == "preverbal"
+        or (t.ending is None and content in lex.lightverb_stems)
+        or content in lex.depnouns
+    )
+
+
 @pytest.mark.parametrize("name", sorted(LEXICONS))
 def test_per_utterance_shortcuts_equal_a_full_scan(name):
     """The wh text check and the anchor-only token scan drop no wh hit, the
     final-position vocative test probes no ending it needs, a plain token's
-    one probe drops what the full question rule drops, and extract's
-    content, which goes on from normalize's particle split, is what
+    one probe drops what the full question rule drops, and the content
+    extract keeps, which goes on from normalize's particle split, is what
     stripping the surface gives."""
     lex, conds = LEXICONS[name], CONDITIONS[name]
     analyzer = Analyzer(lex)
@@ -617,21 +630,22 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
         for i in range(len(surfaces)):
             assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, conds, surfaces, i)
         for t in u.tokens:
-            if t.particle is None and t.ending is None and t.negation is None:
-                assert (t.stem in plain) == extractor._droppable_in_question(t, t.stem)
+            # a question drops every particle, a command only case particles
             if t.ending is None:
-                # the extraction routines take the stem of a token without a
-                # particle, and ``_content`` of one with
-                if t.particle is None:
-                    content = dropped = t.stem
-                else:
-                    content = extractor._content(t)
-                    dropped = extractor._content(t, droppable_only=True)
-                assert content == lex.strip_josa_all(t.surface)
-                assert dropped == lex.strip_josa_all(t.surface, droppable_only=True)
+                content = lex.strip_josa_all(t.surface)
+                dropped = lex.strip_josa_all(t.surface, droppable_only=True)
+            else:
+                content = dropped = t.stem  # a token with an ending has no particle
+            items, kept = extractor._question_items([t])
+            assert (items, kept) == (([], []) if question_drop_scan(lex, t, content) else ([t], [content]))
+            pronoun = t.surface in lex.pronouns or dropped in lex.pronouns
+            items, kept = extractor._command_items([t])
+            assert (items, kept) == (([], []) if pronoun else ([t], [dropped]))
 
     for s in sorted(lex.pronouns | lex.lightverb_stems | lex.depnouns | {"사과", "하기"}):
-        assert (s in plain) == extractor._droppable_in_question(Eojeol(s, s), s)
+        e = Eojeol(s, s)
+        assert (s in plain) == question_drop_scan(lex, e, s)
+        assert extractor._question_items([e]) == (([], []) if s in plain else ([e], [s]))
     check()
 
 

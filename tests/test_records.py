@@ -86,7 +86,7 @@ def test_positional_builds_keep_their_field_order():
         "kept",
     )
     assert Evidence._fields == ("rule", "span")
-    assert Classification._fields == ("label", "step", "wh", "evidence", "end")
+    assert Classification._fields == ("label", "step", "wh", "evidence", "end", "form")
     assert Argument._fields == ("text", "category", "notes")
     # find_wh and Lexicon.lookup_wh build these positionally too
     assert WhHit._fields == ("kind", "token_start", "token_end", "char_start", "char_end")
