@@ -10,11 +10,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import hangul
 from .errors import EmptyUtterance
-from .lexicon import ArgumentCategory, Ending, Lexicon, default_lexicon
+from .lexicon import ArgumentCategory, Ending, Lexicon
 from .predicate import CONDITIONAL, NEGATION_HOST, is_negation_host
 
 # sentence punctuation dropped up front (ASR-style input carries none)
@@ -28,6 +29,7 @@ class Eojeol(NamedTuple):
     """One whitespace-delimited token with its morpheme split; never a vocative."""
 
     surface: str
+    start: int  # char offset of ``surface`` within NormalizedUtterance.text
     stem: str
     particle: Optional[str] = None
     ending: Optional[Ending] = None
@@ -52,8 +54,6 @@ class NormalizedUtterance(NamedTuple):
 
     text: str
     tokens: tuple[Eojeol, ...]
-    surfaces: tuple[str, ...]  # the surface of each token
-    offsets: tuple[int, ...]  # char offset of each token within ``text``
     wh_hits: tuple[WhHit, ...]
     cued: tuple[int, ...]  # indices, in order, of the tokens with a negation or conditional cue
     kept: int  # the first token after the last 말고 before the last token (0: none)
@@ -62,8 +62,8 @@ class NormalizedUtterance(NamedTuple):
 class Analyzer:
     """Turns raw text into the feature substrate the classifier reads."""
 
-    def __init__(self, lexicon: Optional[Lexicon] = None):
-        lex = self.lexicon = lexicon if lexicon is not None else default_lexicon()
+    def __init__(self, lexicon: Lexicon):
+        lex = self.lexicon = lexicon
         # one gate per table: a token that ends outside a gate's characters
         # takes none of its lookups; ``_cues`` reads the negators and the
         # conditional's 면, and a token outside the union carries nothing
@@ -79,21 +79,21 @@ class Analyzer:
         if not surfaces:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
         text = " ".join(surfaces)
-        tokens, token_surfaces, offsets, cued, kept = self._analyze_tokens(surfaces)
+        tokens, cued, kept = self._analyze_tokens(surfaces)
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
         anchors = self.lexicon.wh_anchors(text)
-        wh_hits = self.find_wh(anchors, tokens, offsets) if anchors else ()
+        wh_hits = self.find_wh(anchors, tokens) if anchors else ()
         # positional, as each Eojeol below: test_records pins the field order
-        fields = (text, tokens, token_surfaces, offsets, wh_hits, cued, kept)
+        fields = (text, tokens, wh_hits, cued, kept)
         return tuple.__new__(NormalizedUtterance, fields)
 
     def _analyze_tokens(
         self, surfaces: list[str]
-    ) -> tuple[tuple[Eojeol, ...], tuple[str, ...], tuple[int, ...], tuple[int, ...], int]:
-        """The analyzed tokens, their surfaces and offsets, the indices of
-        the tokens that carry a negation or conditional cue and the first
-        token after the last 말고 before the last token (0: none).
+    ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], int]:
+        """The analyzed tokens, the indices of the tokens that carry a
+        negation or conditional cue and the first token after the last 말고
+        before the last token (0: none).
 
         Every vocative is left out, and the sentence-final ending sits on
         the last token kept. Any other token takes only the lookups its last
@@ -112,8 +112,6 @@ class Analyzer:
         # pins the order the two builds below write
         new = tuple.__new__
         tokens: list[Eojeol] = []
-        token_surfaces: list[str] = []
-        offsets: list[int] = []
         cued: list[int] = []
         kept = at = 0
         for i, surface in enumerate(surfaces[: last + 1]):
@@ -121,7 +119,7 @@ class Analyzer:
             at += len(surface) + 1
             final = surface[-1]
             if i < last and final not in suffix_finals:
-                fields = (surface, surface, None, None, None, None, False)
+                fields = (surface, start, surface, None, None, None, None, False)
             elif i < last and final in markers and self._is_vocative(surfaces, i):
                 continue
             else:
@@ -139,11 +137,9 @@ class Analyzer:
                     stem = surface[: len(surface) - len(ending.surface)]
                 elif final in josa_ends:
                     stem, particle = self.strip_josa(surface)
-                fields = (surface, stem, particle, ending, negation, fused, cond)
+                fields = (surface, start, stem, particle, ending, negation, fused, cond)
             tokens.append(new(Eojeol, fields))
-            token_surfaces.append(surface)
-            offsets.append(start)
-        return tuple(tokens), tuple(token_surfaces), tuple(offsets), tuple(cued), kept
+        return tuple(tokens), tuple(cued), kept
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields
@@ -212,9 +208,7 @@ class Analyzer:
 
     # -- utterance-level features ---------------------------------------
 
-    def find_wh(
-        self, anchors: Iterable[int], tokens: Sequence[Eojeol], offsets: Sequence[int]
-    ) -> tuple[WhHit, ...]:
+    def find_wh(self, anchors: Iterable[int], tokens: Sequence[Eojeol]) -> tuple[WhHit, ...]:
         """The wh forms in ``tokens``, left to right; a two-token form is
         tried first at each token and takes its second token along.
 
@@ -227,15 +221,15 @@ class Analyzer:
         hits: list[WhHit] = []
         free = 0  # the first token no earlier hit took or looked at
         for anchor in anchors:
-            i = bisect_right(offsets, anchor) - 1
+            i = bisect_right(tokens, anchor, key=attrgetter("start")) - 1
             if i < free:
                 continue
             free = i + 1
             if i + 1 < len(tokens):
                 pair = lex.lookup_wh_pair(tokens[i].stem, tokens[i + 1].stem)
                 if pair is not None:
-                    end = offsets[i + 1] + len(tokens[i + 1].stem)
-                    hits.append(tuple.__new__(WhHit, (pair, i, i + 2, offsets[i], end)))
+                    end = tokens[i + 1].start + len(tokens[i + 1].stem)
+                    hits.append(tuple.__new__(WhHit, (pair, i, i + 2, tokens[i].start, end)))
                     free = i + 2
                     continue
             match = lex.lookup_wh(tokens[i].stem)
@@ -243,7 +237,7 @@ class Analyzer:
                 # a false particle split can hide a fused wh form (누가)
                 match = lex.lookup_wh(tokens[i].surface)
             if match is not None:
-                start = offsets[i]
+                start = tokens[i].start
                 fields = (match.kind, i, i + 1, start + match.start, start + match.end)
                 hits.append(tuple.__new__(WhHit, fields))
         return tuple(hits)

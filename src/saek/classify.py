@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from enum import IntEnum
 from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from . import predicate
-from .analyze import NormalizedUtterance, negative_imperative
+from .analyze import Eojeol, NormalizedUtterance, negative_imperative
 from .errors import Unclassifiable
-from .lexicon import ArgumentCategory, EndingKind, Lexicon, default_lexicon
+from .lexicon import ArgumentCategory, EndingKind, Lexicon
 
 
 class IntentLabel(IntEnum):
@@ -96,54 +97,55 @@ def _fired(
 class Classifier:
     """First-match rule cascade over the features ``normalize`` computed."""
 
-    def __init__(self, lexicon: Optional[Lexicon] = None):
-        self.lexicon = lexicon if lexicon is not None else default_lexicon()
+    def __init__(self, lexicon: Lexicon):
+        self.lexicon = lexicon
 
     def classify(self, u: NormalizedUtterance) -> Classification:
         lex = self.lexicon
         tokens = u.tokens
         if not tokens:  # every token was a name call
             raise Unclassifiable(f"no rule fires for: {u.text!r}")
-        offsets = u.offsets
-        surfaces = u.surfaces
         wh_hits = u.wh_hits
         last = len(tokens) - 1
+        final = tokens[last]
+        surface = final.surface
 
-        ending = tokens[last].ending
+        ending = final.ending
         kind = ending.kind if ending is not None else None
         interrogative = kind is EndingKind.INTERROGATIVE
         imperative = kind is EndingKind.IMPERATIVE
         # a cue ends on the last token, so only one that starts with a key of
         # the cue table's gate can carry one; the last cue_length tokens decide it
         cue = None
-        if surfaces[last][0] in lex.cue_starts:
-            cue = lex.match_cue(surfaces[-lex.cue_length :])
+        if surface[0] in lex.cue_starts:
+            cue = lex.match_cue(tuple(map(attrgetter("surface"), tokens[-lex.cue_length :])))
 
         # the last token's char span; every other span is spelled where its step fires
-        start = offsets[last]
-        stop = start + len(surfaces[last])
+        start = final.start
+        stop = start + len(surface)
 
         # (1) information-seeking imperatives are treated as questions: an
         # info verb is the last token, or precedes a spaced benefactive (말해 줘)
         info_idx = None
-        if surfaces[last] in lex.infoverbs:
+        if surface in lex.infoverbs:
             info_idx = last
         elif (
             ending is not None
             and ending.stem == predicate.BENEFACTIVE
             and last > 0
-            and surfaces[last - 1] in lex.infoverbs
+            and tokens[last - 1].surface in lex.infoverbs
         ):
             info_idx = last - 1
         if info_idx is not None:
-            verb = (offsets[info_idx], offsets[info_idx] + len(surfaces[info_idx]))
+            info = tokens[info_idx]
+            verb = (info.start, info.start + len(info.surface))
             if wh_hits:
                 hit = wh_hits[0]
                 span = (hit.char_start, hit.char_end)
                 return _fired("info-seeking+wh-word", verb, span, wh=hit.kind, end=info_idx)
-            quant = self._universal_quantifier_index(u, exclude=info_idx)
+            quant = self._universal_quantifier(u, exclude=info_idx)
             if quant is not None:
-                span = (offsets[quant], offsets[quant] + len(surfaces[quant]))
+                span = (quant.start, quant.start + len(quant.surface))
                 return _fired(
                     "info-seeking+universal-quantifier",
                     verb,
@@ -160,17 +162,18 @@ class Classifier:
 
         # (3) parallel clauses with a repeated predicate, or explicit disjunction
         if interrogative:
+            surfaces = tuple(map(attrgetter("surface"), tokens))
             # the first token with the last token's surface: itself when none repeats it
-            repeat = surfaces.index(surfaces[last])
+            repeat = surfaces.index(surface)
             if repeat < last:
-                span = (offsets[repeat], offsets[repeat] + len(surfaces[repeat]))
+                span = (tokens[repeat].start, tokens[repeat].start + len(surface))
                 return _fired("parallel-clauses", span, (start, stop))
             if not lex.disjunction.isdisjoint(surfaces):
-                i = next(i for i, s in enumerate(surfaces) if s in lex.disjunction)
-                return _fired("disjunction", (offsets[i], offsets[i] + len(surfaces[i])))
+                t = next(t for t in tokens if t.surface in lex.disjunction)
+                return _fired("disjunction", (t.start, t.start + len(t.surface)))
 
             # (4) plain polar question
-            return _fired("polar-ending", (start + len(tokens[last].stem), stop))
+            return _fired("polar-ending", (start + len(final.stem), stop))
         # (4) so is a want-to-know cue without an interrogative ending
         if cue is not None:
             return _fired("want-to-know", (start, stop))
@@ -192,21 +195,21 @@ class Classifier:
             # a preverbal negator counts up to the first -면 clause, and not
             # inside a danger pair (안 돼)
             elif negation == "preverbal" and (myen is None or myen == i):
-                if i == last or (t.surface, surfaces[i + 1]) not in lex.danger_pairs:
+                if i == last or (t.surface, tokens[i + 1].surface) not in lex.danger_pairs:
                     preverbal = True
 
         # (5) negated clause coordinated onto a positive imperative (놀지 말고)
         if malgo is not None and imperative:
             if negative_imperative(tokens, (malgo,)) is not None:
-                span = (offsets[malgo], offsets[malgo] + len(surfaces[malgo]))
-                return _fired("negation-coordination", span)
+                t = tokens[malgo]
+                return _fired("negation-coordination", (t.start, t.start + len(t.surface)))
 
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is
         # the predicate that ends at the last token; the clause's core is cut once
         core = None
-        if myen is not None and lex.is_danger_predicate(surfaces[-2:]):
-            core = predicate.conditional_core(surfaces[myen])
+        if myen is not None and lex.is_danger_predicate(tuple(map(attrgetter("surface"), tokens[-2:]))):
+            core = predicate.conditional_core(tokens[myen].surface)
             required = lex.strip_preverbal(core)
             if preverbal or required != core:
                 return _fired("double-negation", (start, stop), end=myen, form=required)
@@ -221,15 +224,13 @@ class Classifier:
 
         # (8) plain imperative / request / wish
         if imperative:
-            return _fired("imperative-ending", (start + len(tokens[last].stem), stop))
+            return _fired("imperative-ending", (start + len(final.stem), stop))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")
 
     # -- helpers ---------------------------------------------------------
 
-    def _universal_quantifier_index(
-        self, u: NormalizedUtterance, exclude: int
-    ) -> Optional[int]:
+    def _universal_quantifier(self, u: NormalizedUtterance, exclude: int) -> Optional[Eojeol]:
         """A universal quantifier adverb with at least one noun to range over."""
         lex = self.lexicon
         quant = None
@@ -238,7 +239,7 @@ class Classifier:
             if i == exclude:
                 continue
             if t.stem in lex.advdet:
-                quant = i
+                quant = t
             elif t.stem and t.stem not in lex.pronouns and t.negation is None:
                 has_noun = True
         return quant if (quant is not None and has_noun) else None

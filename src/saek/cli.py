@@ -20,6 +20,7 @@ from typing import Optional, TextIO
 
 from .engine import Engine, OutputRecord, TSV_COLUMNS, record_tsv_row
 from .errors import EmptyCorpus, IoFailure, LexiconError
+from .lexicon import load_lexicon
 
 _TSV_HELP = "TSV column order: " + ", ".join(TSV_COLUMNS)
 
@@ -257,7 +258,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             if args.corpus_command == "stats":
                 return _run_stats(args)
             return _run_validate(args)
-        engine = Engine.from_lexicon_path(args.lexicon)
+        engine = Engine(load_lexicon(args.lexicon)) if args.lexicon else Engine()
         if args.command == "eval":
             return _run_eval(engine, args)
         return _run_stream(engine, args, extract=args.command == "extract")

@@ -9,7 +9,7 @@ from .analyze import UNDECODED_RE, Analyzer
 from .classify import Classifier, Evidence, IntentLabel
 from .errors import EmptyUtterance, ExtractionFailed, OptionsNotFound, Unclassifiable
 from .extract import Extractor
-from .lexicon import Lexicon, default_lexicon, load_lexicon
+from .lexicon import Lexicon, default_lexicon
 
 
 @dataclass(frozen=True, init=False)
@@ -104,10 +104,6 @@ class Engine:
         self.analyzer = Analyzer(self.lexicon)
         self.classifier = Classifier(self.lexicon)
         self.extractor = Extractor(self.lexicon)
-
-    @classmethod
-    def from_lexicon_path(cls, path: Optional[str]) -> "Engine":
-        return cls(load_lexicon(path)) if path else cls()
 
     def process(self, text: str, extract: bool = True) -> OutputRecord:
         """Classify (and optionally extract from) one utterance.

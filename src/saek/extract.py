@@ -14,7 +14,7 @@ from . import hangul, predicate
 from .analyze import Eojeol, NormalizedUtterance
 from .classify import STEPS, Classification
 from .errors import ExtractionFailed, OptionsNotFound
-from .lexicon import ArgumentCategory, EndingKind, Lexicon, default_lexicon
+from .lexicon import ArgumentCategory, Ending, EndingKind, Lexicon
 
 
 class Argument(NamedTuple):
@@ -33,8 +33,8 @@ _new = tuple.__new__
 class Extractor:
     """One extraction routine per step of the classifier's rule cascade."""
 
-    def __init__(self, lexicon: Optional[Lexicon] = None):
-        lex = self.lexicon = lexicon if lexicon is not None else default_lexicon()
+    def __init__(self, lexicon: Lexicon):
+        lex = self.lexicon = lexicon
         # a plain token (no particle, ending or negation) is its own content,
         # and _question_items' drop rule for it reduces to one probe of the
         # union of the tables it reads
@@ -109,21 +109,37 @@ class Extractor:
         head = ""
         if items:
             last = items[-1]
-            if last.ending is not None:
-                stem, copula = last.stem, last.ending.copula
+            stem, ending = last.stem, last.ending
+            if ending is None and predicate.embedded_question_stem(last.surface) is not None:
+                head = last.surface  # already the embedded form (먹었는지)
+                items = items[:-1]
+            elif ending is None and c.end is not None:
+                # a finite question before the info verb (먹었니 말해줘)
+                stem, ending = self._finite_question(last.surface)
+            if ending is not None:
+                copula = ending.copula
                 items = items[:-1]
                 # a bare light verb's action lives in the preceding verbal noun
                 light = not copula and stem in lex.lightverb_stems
                 if stem and not (light and items and self._is_bare_noun(items[-1])):
                     head = predicate.whether(stem, copula, light)
-            elif predicate.embedded_question_stem(last.surface) is not None:
-                head = last.surface
-                items = items[:-1]
 
         parts = self._clean_parts(content[: len(items)]) + ([head] if head else [])
         if not parts:
             raise ExtractionFailed("no content left for a polar argument")
         return _new(Argument, (predicate.polar(parts), ArgumentCategory.WHETHER, ()))
+
+    def _finite_question(self, surface: str) -> tuple[Optional[str], Optional[Ending]]:
+        """The stem and the interrogative ending of ``surface`` (먹었니 ->
+        먹었, 니), or (None, None); inside an info-seeking frame, normalize
+        matched the ending of the info verb, which ends the tokens, and not
+        this one's."""
+        lex = self.lexicon
+        if surface[-1] in lex.ending_ends:
+            m = lex.match_ending(surface)
+            if m is not None and m.kind is EndingKind.INTERROGATIVE:
+                return surface[: len(surface) - len(m.surface)], m
+        return None, None
 
     def _drop_want_cue(self, items: list[Eojeol]) -> list[Eojeol]:
         lex = self.lexicon
@@ -207,14 +223,12 @@ class Extractor:
             stem, copula = verb.stem, verb.ending.copula
         elif c.end is not None and items:
             # inside an info-seeking frame, an embedded question form
-            # (먹었는지), or a finite question (먹었니), whose ending normalize
-            # did not match: it matched the last token's, on the info verb
+            # (먹었는지), or a finite question (먹었니)
             last = items[-1].surface
             stem = predicate.embedded_question_stem(last)
-            if stem is None and last[-1] in lex.ending_ends:
-                m = lex.match_ending(last)
-                if m is not None and m.kind is EndingKind.INTERROGATIVE:
-                    stem, copula = last[: len(last) - len(m.surface)], m.copula
+            if stem is None:
+                stem, m = self._finite_question(last)
+                copula = m is not None and m.copula
             if stem is not None:
                 items.pop()
 

@@ -434,6 +434,12 @@ def load_lexicon(path: str | os.PathLike[str]) -> Lexicon:
             data = fh.read()
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon {source}: {exc.strerror}") from None
+    return _decode_lexicon(data, source)
+
+
+def _decode_lexicon(data: bytes, source: str) -> Lexicon:
+    """The tables of a lexicon file's bytes; bytes that are not UTF-8 raise
+    ``LexiconError`` with the line they are on."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -452,11 +458,11 @@ def default_lexicon() -> Lexicon:
     global _DEFAULT
     if _DEFAULT is None:
         try:
-            with open(_BUNDLED, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(_BUNDLED, "rb") as fh:
+                data = fh.read()
         except OSError:  # not a file on disk, as in a zip import
             from importlib import resources
 
-            text = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8")
-        _DEFAULT = parse_lexicon(text.splitlines(), source="default_lexicon.tsv")
+            data = resources.files("saek").joinpath("data/default_lexicon.tsv").read_bytes()
+        _DEFAULT = _decode_lexicon(data, "default_lexicon.tsv")
     return _DEFAULT

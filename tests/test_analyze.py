@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from saek.analyze import PUNCTUATION, Eojeol, negative_imperative
 from saek.errors import EmptyUtterance
+from saek.lexicon import default_lexicon
 
 
 def test_normalize_golden_question(analyzer):
@@ -15,10 +16,11 @@ def test_normalize_golden_question(analyzer):
 
 def test_eojeol_fields_are_the_order_normalize_builds():
     """``Analyzer._analyze_tokens`` builds each token with ``tuple.__new__`` from
-    seven positional values, which checks neither their number nor their
+    eight positional values, which checks neither their number nor their
     order: a field added or moved must be added or moved there too."""
     assert Eojeol._fields == (
         "surface",
+        "start",
         "stem",
         "particle",
         "ending",
@@ -48,16 +50,21 @@ def test_normalize_removes_listed_punctuation(analyzer):
     assert analyzer.normalize("뭐,먹을까").text == "뭐 먹을까"
 
 
+def _surfaces(u):
+    return tuple(t.surface for t in u.tokens)
+
+
 def test_tokens_rebuild_text(analyzer):
     u = analyzer.normalize("버스로 올거야 택시로 올거야")
-    assert " ".join(t.surface for t in u.tokens) == u.text
+    assert " ".join(_surfaces(u)) == u.text
+    assert all(u.text[t.start : t.start + len(t.surface)] == t.surface for t in u.tokens)
 
 
 @given(st.text(max_size=80))
 def test_normalize_idempotent(text):
     from saek.analyze import Analyzer
 
-    analyzer = Analyzer()
+    analyzer = Analyzer(default_lexicon())
     try:
         once = analyzer.normalize(text)
     except EmptyUtterance:
@@ -92,46 +99,46 @@ def test_strip_josa_fuzz_never_aborts_and_reconstructs(analyzer):
 def test_ending_assigned_to_last_non_vocative(analyzer):
     u = analyzer.normalize("어디 있니 로비야")
     assert u.text == "어디 있니 로비야"
-    assert u.surfaces == tuple(t.surface for t in u.tokens) == ("어디", "있니")
+    assert _surfaces(u) == ("어디", "있니")
     assert u.tokens[-1].ending is not None
     assert u.tokens[-1].ending.surface == "니"
 
 
 def test_bearer_is_last_non_vocative(analyzer):
     # the bearer, the token the ending sits on, is the last token kept: every
-    # vocative is left out, and offsets still index the text
+    # vocative is left out, and each token's start still indexes the text
     u = analyzer.normalize("밥 먹었니 민수야")
-    assert u.surfaces == ("밥", "먹었니") and u.tokens[-1].ending.surface == "니"
+    assert _surfaces(u) == ("밥", "먹었니") and u.tokens[-1].ending.surface == "니"
     u = analyzer.normalize("민수야 밥 먹었니")
-    assert u.surfaces == ("밥", "먹었니") and u.tokens[-1].ending.surface == "니"
-    assert u.offsets == (4, 6)
+    assert _surfaces(u) == ("밥", "먹었니") and u.tokens[-1].ending.surface == "니"
+    assert [t.start for t in u.tokens] == [4, 6]
     u = analyzer.normalize("민수야 철수야")
-    assert u.text == "민수야 철수야" and u.tokens == u.surfaces == u.offsets == ()
+    assert u.text == "민수야 철수야" and u.tokens == ()
 
 
 def test_a_negator_or_a_wh_form_is_no_vocative(analyzer):
     # either makes the token content, so normalize keeps it
-    assert analyzer.normalize("밖에 나가지말아 제발").surfaces == ("밖에", "나가지말아", "제발")
-    assert analyzer.normalize("거기 어디야 알려줘").surfaces == ("거기", "어디야", "알려줘")
+    assert _surfaces(analyzer.normalize("밖에 나가지말아 제발")) == ("밖에", "나가지말아", "제발")
+    assert _surfaces(analyzer.normalize("거기 어디야 알려줘")) == ("거기", "어디야", "알려줘")
 
 
 def test_a_final_name_call_follows_an_ending_a_negator_or_a_condition(analyzer):
     for text in ("밥 먹었니 민수야", "밖에 나가지마 민수야", "밖에 나가면 큰일나 민수야"):
-        assert analyzer.normalize(text).surfaces == tuple(text.split()[:-1])
+        assert _surfaces(analyzer.normalize(text)) == tuple(text.split()[:-1])
     # with none before it, the token is the predicate
-    assert analyzer.normalize("사과 민수야").surfaces == ("사과", "민수야")
+    assert _surfaces(analyzer.normalize("사과 민수야")) == ("사과", "민수야")
 
 
 def test_vocative_not_confused_with_periphrastic_ending(analyzer):
     u = analyzer.normalize("버스로 올거야 택시로 올거야")
-    assert u.surfaces == tuple(u.text.split(" "))
+    assert _surfaces(u) == tuple(u.text.split(" "))
 
 
 def test_leading_vocative_flagged(analyzer):
     u = analyzer.normalize("로비야 어디 있니")
-    assert "로비야" not in u.surfaces and len(u.tokens) == 2
+    assert "로비야" not in _surfaces(u) and len(u.tokens) == 2
     assert u.tokens[-1].ending is not None
-    assert u.text[u.offsets[0] :] == "어디 있니"
+    assert u.text[u.tokens[0].start :] == "어디 있니"
 
 
 def test_reconstruction_invariant(analyzer):
@@ -167,7 +174,7 @@ def test_profile_negation_malgo_index(analyzer, classifier):
     u = analyzer.normalize("욕심부리지 말고 지금 팔아")
     c = classifier.classify(u)
     assert c.step == "negation-coordination"
-    assert [e.span for e in c.evidence] == [(u.offsets[1], u.offsets[1] + len("말고"))]
+    assert [e.span for e in c.evidence] == [(u.tokens[1].start, u.tokens[1].start + len("말고"))]
 
 
 def test_profile_negation_danger_pair_not_preverbal(analyzer, classifier):

@@ -337,7 +337,7 @@ def test_a_question_makes_no_danger_lookup(monkeypatch, analyzer, classifier):
     assert calls == []
     # the counter is live: a -면 command reads the table once
     assert classifier.classify(analyzer.normalize("먹으면 혼나")).step == "danger-conditional"
-    assert calls == [("먹으면", "혼나")]  # the last two of NormalizedUtterance.surfaces
+    assert calls == [("먹으면", "혼나")]  # the surfaces of the last two tokens
 
 
 def test_a_polar_question_makes_no_cue_lookup(monkeypatch, lexicon, engine):

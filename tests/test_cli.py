@@ -3,6 +3,7 @@ import io
 import json
 import os
 import select
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -426,6 +427,24 @@ def test_bad_lexicon_path_reports_and_exits_one(
     assert (code, out) == (1, "")
     assert err.startswith("saek: ") and str(path) in err and message in err
     assert "Traceback" not in err
+
+
+def test_a_corrupt_bundled_lexicon_reports_its_line_and_exits_one(tmp_path):
+    # the bundled file goes through the reader a --lexicon path goes through
+    package = tmp_path / "saek"
+    shutil.copytree(Path(saek.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    data = package / "data" / "default_lexicon.tsv"
+    data.write_bytes(b"josa\t\xe9\n" + data.read_bytes())
+    env = dict(_child_env(), PYTHONPATH=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "saek.cli", "extract", "-"],
+        input="손 씻어라\n".encode(),
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == "saek: default_lexicon.tsv:1: not UTF-8 (invalid continuation byte)\n"
 
 
 def test_bad_condition_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ lexicon, and every suffix and argument frame from ``saek.predicate``: no
 other source file spells one out.  Only the classifier reads the cued
 tokens and the danger table to pick a rule, and its ``STEPS`` table is the
 one definition of each cascade step.  Only ``normalize`` knows what a
-vocative is."""
+vocative is, and only the engine falls back to the bundled lexicon."""
 
 import ast
 import re
@@ -176,6 +176,23 @@ def test_only_normalize_knows_what_a_vocative_is():
         if path.name not in ("analyze.py", "lexicon.py"):
             found += names_in(path, attrs, attrs)
     assert not found, "the vocative test belongs in normalize: " + ", ".join(found)
+
+
+def test_only_the_engine_falls_back_to_the_bundled_lexicon():
+    # Analyzer, Classifier and Extractor take the lexicon they are given;
+    # only Engine() reads the bundled tables when it is given none
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("lexicon.py", "engine.py"):
+            found += names_in(path, {"default_lexicon"}, {"default_lexicon"})
+    assert not found, "only the engine falls back to the bundled lexicon: " + ", ".join(found)
+
+
+def test_a_token_carries_its_own_offset():
+    # each Eojeol holds its surface and its start in the text, so no module
+    # reads a surface or offset tuple kept in step with the tokens
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in names_in(path, {"surfaces", "offsets"})]
+    assert not found, "a token's offset is Eojeol.start: " + ", ".join(found)
 
 
 def test_extract_makes_no_malgo_cut():

@@ -98,8 +98,8 @@ def test_spaced_benefactive_info_verb_is_cut(analyzer, classifier, extractor, te
     u = analyzer.normalize(text)
     c = classifier.classify(u)
     assert c.step == step
-    assert "민수야" not in u.surfaces
-    assert u.surfaces[c.end :] == ("말해", "줘")
+    assert "민수야" not in [t.surface for t in u.tokens]
+    assert [t.surface for t in u.tokens[c.end :]] == ["말해", "줘"]
     assert extractor.extract(u, c).text == arg
 
 

@@ -4,8 +4,9 @@ Each relation rewrites an input into a variant a speaker or an ASR front end
 may produce, and ``(label, argument, error)`` must not change (CheckList's
 INV tests, Ribeiro et al., ACL 2020; metamorphic testing, Chen et al.,
 1998).  The fusing relations cover the -지 host and the -(으)면 conditional
-that ``saek.predicate`` decides on, and the vocative relations a name call
-anywhere, which ``normalize`` leaves out of the tokens.
+that ``saek.predicate`` decides on, the vocative relations a name call
+anywhere, which ``normalize`` leaves out of the tokens, and an info verb
+after a polar question, whose step hands extraction the info verb.
 """
 
 import re
@@ -60,6 +61,24 @@ def test_spoken_form_variants_keep_the_output(engine, reference, relation):
         if _output(engine, variant) != expected:
             broken.append((text, variant))
     assert rewritten > 0, f"{relation} rewrote no reference input"
+    assert not broken, broken[:5]
+
+
+def test_an_info_verb_after_a_polar_question_keeps_the_output(engine, lexicon, reference):
+    """``… X니`` -> ``… X니 말해줘``: asked to say whether X, the hearer answers
+    the same yes/no question. A quantifier noun (다) turns the frame into
+    the universal-quantifier step, so a line with one is left out."""
+    rewritten = 0
+    broken = []
+    for text, expected in reference.items():
+        label = expected[0]
+        if label != 0 or not text.endswith("니") or not lexicon.advdet.keys().isdisjoint(text.split()):
+            continue
+        rewritten += 1
+        variant = text + " 말해줘"
+        if _output(engine, variant) != expected:
+            broken.append((text, variant))
+    assert rewritten == 328
     assert not broken, broken[:5]
 
 

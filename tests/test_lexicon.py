@@ -510,7 +510,8 @@ def test_indexed_lookups_equal_a_table_scan(name):
             assert lex.lookup_wh_pair(a, b) == wh_pair_scan(lex, a, b)
         assert lex.match_cue(tokens) == cue_scan(lex, tokens)
         assert lex.is_danger_predicate(tokens) == danger_scan(lex, tokens)
-        items = [Eojeol(s, s) for s in tokens]
+        starts = accumulate((len(s) + 1 for s in tokens[:-1]), initial=0)
+        items = [Eojeol(s, at, s) for s, at in zip(tokens, starts)]
         assert extractor._clause_start(items, len(items)) == trim_scan(lex, conds, tokens)
         # the cue table's gate: the want-to-know decision and the dropped cue
         # are those of matching every window
@@ -567,22 +568,23 @@ def vocative_scan(lex, conds, surfaces, index):
     )
 
 
-def wh_hits_scan(lex, tokens, offsets):
+def wh_hits_scan(lex, tokens):
     """The wh hits as a loop that looks up every token gives them: a
     two-token form first, then the stem, then the surface."""
     hits = []
     i = 0
     while i < len(tokens):
+        start = tokens[i].start
         if i + 1 < len(tokens):
             pair = lex.lookup_wh_pair(tokens[i].stem, tokens[i + 1].stem)
             if pair is not None:
-                end = offsets[i + 1] + len(tokens[i + 1].stem)
-                hits.append(WhHit(pair, i, i + 2, offsets[i], end))
+                end = tokens[i + 1].start + len(tokens[i + 1].stem)
+                hits.append(WhHit(pair, i, i + 2, start, end))
                 i += 2
                 continue
         match = lex.lookup_wh(tokens[i].stem) or lex.lookup_wh(tokens[i].surface)
         if match is not None:
-            hits.append(WhHit(match.kind, i, i + 1, offsets[i] + match.start, offsets[i] + match.end))
+            hits.append(WhHit(match.kind, i, i + 1, start + match.start, start + match.end))
         i += 1
     return tuple(hits)
 
@@ -625,7 +627,7 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
             u = analyzer.normalize(text)
         except EmptyUtterance:
             return
-        assert u.wh_hits == wh_hits_scan(lex, u.tokens, u.offsets)
+        assert u.wh_hits == wh_hits_scan(lex, u.tokens)
         surfaces = u.text.split(" ")
         for i in range(len(surfaces)):
             assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, conds, surfaces, i)
@@ -643,7 +645,7 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
             assert (items, kept) == (([], []) if pronoun else ([t], [dropped]))
 
     for s in sorted(lex.pronouns | lex.lightverb_stems | lex.depnouns | {"사과", "하기"}):
-        e = Eojeol(s, s)
+        e = Eojeol(s, 0, s)
         assert (s in plain) == question_drop_scan(lex, e, s)
         assert extractor._question_items([e]) == (([], []) if s in plain else ([e], [s]))
     check()
@@ -668,10 +670,10 @@ def test_cue_window_equals_reading_every_token(name):
 
 
 def token_scan(analyzer, surfaces):
-    """The tokens, their surfaces and offsets as a loop that looks up every
-    token gives them: the vocative test on each, which leaves a vocative
-    out, the cues and the particle split on each token kept, and the ending
-    match on the last."""
+    """The tokens as a loop that looks up every token gives them: the
+    vocative test on each, which leaves a vocative out, the offset of each
+    token kept, its cues and particle split, and the ending match on the
+    last."""
     lex = analyzer.lexicon
     kept = [i for i in range(len(surfaces)) if not analyzer._is_vocative(surfaces, i)]
     offsets = list(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
@@ -684,8 +686,8 @@ def token_scan(analyzer, surfaces):
             stem, particle = surface[: len(surface) - len(ending.surface)], None
         else:
             stem, particle = analyzer.strip_josa(surface)
-        tokens.append(Eojeol(surface, stem, particle, ending, negation, fused, cond))
-    return tuple(tokens), tuple(surfaces[i] for i in kept), tuple(offsets[i] for i in kept)
+        tokens.append(Eojeol(surface, offsets[i], stem, particle, ending, negation, fused, cond))
+    return tuple(tokens)
 
 
 def negative_imperative_scan(tokens):
@@ -722,10 +724,8 @@ def test_plain_token_shortcut_equals_a_full_scan(name):
             u = analyzer.normalize(text)
         except EmptyUtterance:
             return
-        tokens, surfaces, offsets = token_scan(analyzer, u.text.split(" "))
+        tokens = token_scan(analyzer, u.text.split(" "))
         assert u.tokens == tokens
-        assert u.surfaces == surfaces
-        assert u.offsets == offsets
         assert u.cued == tuple(i for i, t in enumerate(tokens) if t.negation or t.conditional)
         every = u._replace(cued=tuple(range(len(u.tokens))))
         assert classify_or_none(classifier, u) == classify_or_none(classifier, every)
@@ -746,7 +746,7 @@ def _lookup_counts(monkeypatch, filler: str, end: str = "먹어") -> list[Counte
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
-    analyzer = Analyzer()
+    analyzer = Analyzer(default_lexicon())
     out = []
     for n in (10, 1000):
         calls.clear()
@@ -793,7 +793,7 @@ def test_wh_scan_visits_only_anchor_tokens(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(Lexicon, name, counted)
-    analyzer = Analyzer()
+    analyzer = Analyzer(default_lexicon())
     counts = []
     for n in (10, 1000):
         calls.clear()

@@ -19,7 +19,7 @@ from saek.lexicon import (
 )
 
 RECORDS = {
-    "Eojeol": lambda: Eojeol("사과를", "사과", "를"),
+    "Eojeol": lambda: Eojeol("사과를", 0, "사과", "를"),
     "WhHit": lambda: WhHit(ArgumentCategory.PERSON, 0, 1, 0, 2),
     "Evidence": lambda: Evidence("wh-word", (0, 1)),
     "Classification": lambda: Classification(
@@ -62,11 +62,12 @@ def test_normalized_utterance_equality_by_value(analyzer):
 
 
 def test_eojeol_replace_keeps_the_other_fields(analyzer):
-    e = Eojeol("나가지마", "나가지마", negation="ma", fused="마")
+    e = Eojeol("나가지마", 0, "나가지마", negation="ma", fused="마")
     split = e._replace(stem="나가지", particle="마")
-    assert split == Eojeol("나가지마", "나가지", "마", negation="ma", fused="마")
+    assert split == Eojeol("나가지마", 0, "나가지", "마", negation="ma", fused="마")
     assert e.stem == "나가지마" and e.particle is None
-    assert analyzer.normalize("사과를 줘").tokens[0] == Eojeol("사과를", "사과", "를")
+    assert analyzer.normalize("사과를 줘").tokens[0] == Eojeol("사과를", 0, "사과", "를")
+    assert analyzer.normalize("민수야 사과를 줘").tokens[0] == Eojeol("사과를", 4, "사과", "를")
     hits = analyzer.normalize("누가 왔니").wh_hits
     assert [(h.token_start, h.token_end) for h in hits] == [(0, 1)]
 
@@ -79,8 +80,6 @@ def test_positional_builds_keep_their_field_order():
     assert NormalizedUtterance._fields == (
         "text",
         "tokens",
-        "surfaces",
-        "offsets",
         "wh_hits",
         "cued",
         "kept",
