@@ -178,18 +178,20 @@ class Classifier:
         if cue is not None:
             return _fired("want-to-know", (start, stop))
 
-        # steps (5)-(7) read the negation and conditional tags of the cued tokens only
+        # steps (5)-(7) read the negation and conditional tags of the cued
+        # tokens only, and steps (6)-(7) only those from the 말고 cut on
         malgo = myen = None  # first 말고 and first -면 token, never the last token
         ma: list[int] = []
         preverbal = False
         for i in u.cued:
             t = tokens[i]
             negation = t.negation
-            if i < last:
+            if i < u.kept:  # the cut follows every 말고 that is not the last token
                 if malgo is None and negation == "malgo":
                     malgo = i
-                if myen is None and t.conditional:
-                    myen = i
+                continue
+            if myen is None and t.conditional and i < last:
+                myen = i
             if negation == "ma":
                 ma.append(i)
             # a preverbal negator counts up to the first -면 clause, and not

@@ -49,11 +49,8 @@ class Extractor:
     def extract(self, u: NormalizedUtterance, c: Classification) -> Argument:
         """Run the routine ``STEPS`` names for the step that fired, on
         ``u.tokens[u.kept : c.end]``. The step decided the rule and the token
-        the argument ends before (``c.end``), so no routine decides or
-        searches again; 말고 rejects what precedes it, so a token before the
-        last 말고 leaves none."""
-        if c.end is not None and c.end < u.kept:
-            raise ExtractionFailed("the step's token precedes the last 말고")
+        the argument ends before (``c.end``), which lies at or after the 말고
+        cut, so no routine decides or searches again."""
         return self._routines[c.step](u, c, u.tokens[u.kept : c.end])
 
     # -- shared helpers ---------------------------------------------------

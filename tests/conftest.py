@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import fuzz_grammar
 from saek import Analyzer, Classifier, Engine, Extractor, default_lexicon
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -35,3 +36,10 @@ def engine(lexicon):
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def reference(engine):
+    """Each distinct reference input with its record, analyzed once for the
+    relation and property tests."""
+    return {text: engine.process(text) for text in fuzz_grammar.generate(seed=1, per_family=1000)}

@@ -602,73 +602,6 @@ def question_drop_scan(lex, t, content):
     )
 
 
-@pytest.mark.parametrize("name", sorted(LEXICONS))
-def test_per_utterance_shortcuts_equal_a_full_scan(name):
-    """The wh text check and the anchor-only token scan drop no wh hit, the
-    final-position vocative test probes no ending it needs, a plain token's
-    one probe drops what the full question rule drops, and the content
-    extract keeps, which goes on from normalize's particle split, is what
-    stripping the surface gives."""
-    lex, conds = LEXICONS[name], CONDITIONS[name]
-    analyzer = Analyzer(lex)
-    extractor = Extractor(lex)
-    # the shortcut _question_items takes on a plain token
-    plain = extractor._plain_droppable
-
-    @settings(max_examples=400, deadline=None)
-    @given(utterances(lex))
-    @example("몇 시누가 왔니")  # a two-token form takes a token that holds a wh form
-    @example("먹었니 사과 민수야")  # a final name call after an earlier predicate
-    @example("가면 민수야")  # a final name call after a -(으)면 clause
-    @example("나가지말아 거기 어디야 민수야")  # a negator and a wh form are no name calls
-    @example("뭐 하니")  # a light-verb stem under an ending is no plain token
-    def check(text):
-        try:
-            u = analyzer.normalize(text)
-        except EmptyUtterance:
-            return
-        assert u.wh_hits == wh_hits_scan(lex, u.tokens)
-        surfaces = u.text.split(" ")
-        for i in range(len(surfaces)):
-            assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, conds, surfaces, i)
-        for t in u.tokens:
-            # a question drops every particle, a command only case particles
-            if t.ending is None:
-                content = lex.strip_josa_all(t.surface)
-                dropped = lex.strip_josa_all(t.surface, droppable_only=True)
-            else:
-                content = dropped = t.stem  # a token with an ending has no particle
-            items, kept = extractor._question_items([t])
-            assert (items, kept) == (([], []) if question_drop_scan(lex, t, content) else ([t], [content]))
-            pronoun = t.surface in lex.pronouns or dropped in lex.pronouns
-            items, kept = extractor._command_items([t])
-            assert (items, kept) == (([], []) if pronoun else ([t], [dropped]))
-
-    for s in sorted(lex.pronouns | lex.lightverb_stems | lex.depnouns | {"사과", "하기"}):
-        e = Eojeol(s, 0, s)
-        assert (s in plain) == question_drop_scan(lex, e, s)
-        assert extractor._question_items([e]) == (([], []) if s in plain else ([e], [s]))
-    check()
-
-
-@pytest.mark.parametrize("name", sorted(LEXICONS))
-def test_cue_window_equals_reading_every_token(name):
-    """Matching the want-to-know cue on the last ``cue_length`` tokens gives
-    what matching it on all of them gives."""
-    lex = LEXICONS[name]
-    wide = copy.copy(lex)
-    wide.cue_length = 10**6  # every window reaches the first token
-    engine, reference = Engine(lex), Engine(wide)
-
-    @settings(max_examples=400, deadline=None)
-    @given(utterances(lex))
-    @example("밥 먹었는지 알고 민수야 싶다")  # a vocative inside the window
-    def check(text):
-        assert engine.process(text) == reference.process(text)
-
-    check()
-
-
 def token_scan(analyzer, surfaces):
     """The tokens as a loop that looks up every token gives them: the
     vocative test on each, which leaves a vocative out, the offset of each
@@ -710,28 +643,68 @@ def classify_or_none(classifier, u):
 
 
 @pytest.mark.parametrize("name", sorted(LEXICONS))
-def test_plain_token_shortcut_equals_a_full_scan(name):
-    """Skipping the lookups on plain tokens, and reading the negation cues
-    of the cued tokens alone, give what looking up every token gives."""
-    lex = LEXICONS[name]
+def test_per_utterance_shortcuts_equal_a_full_scan(name):
+    """One draw feeds every per-utterance oracle. The want-to-know cue
+    matched on the last ``cue_length`` tokens is the one matched on all of
+    them. Skipping the lookups on plain tokens, and reading the negation
+    cues of the cued tokens alone, give what looking up every token gives.
+    The wh text check and the anchor-only token scan drop no wh hit, the
+    final-position vocative test probes no ending it needs, a plain token's
+    one probe drops what the full question rule drops, and the content
+    extract keeps, which goes on from normalize's particle split, is what
+    stripping the surface gives."""
+    lex, conds = LEXICONS[name], CONDITIONS[name]
     analyzer = Analyzer(lex)
     classifier = Classifier(lex)
+    extractor = Extractor(lex)
+    # the shortcut _question_items takes on a plain token
+    plain = extractor._plain_droppable
+    wide = copy.copy(lex)
+    wide.cue_length = 10**6  # every window reaches the first token
+    engine, reference = Engine(lex), Engine(wide)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(utterances(lex))
+    @example("몇 시누가 왔니")  # a two-token form takes a token that holds a wh form
+    @example("먹었니 사과 민수야")  # a final name call after an earlier predicate
+    @example("가면 민수야")  # a final name call after a -(으)면 clause
+    @example("나가지말아 거기 어디야 민수야")  # a negator and a wh form are no name calls
+    @example("뭐 하니")  # a light-verb stem under an ending is no plain token
+    @example("밥 먹었는지 알고 민수야 싶다")  # a vocative inside the cue window
     def check(text):
+        assert engine.process(text) == reference.process(text)
         try:
             u = analyzer.normalize(text)
         except EmptyUtterance:
             return
-        tokens = token_scan(analyzer, u.text.split(" "))
+        surfaces = u.text.split(" ")
+        tokens = token_scan(analyzer, surfaces)
         assert u.tokens == tokens
         assert u.cued == tuple(i for i, t in enumerate(tokens) if t.negation or t.conditional)
         every = u._replace(cued=tuple(range(len(u.tokens))))
         assert classify_or_none(classifier, u) == classify_or_none(classifier, every)
         ma = [i for i in u.cued if u.tokens[i].negation == "ma"]
         assert negative_imperative(u.tokens, ma) == negative_imperative_scan(tokens)
+        assert u.wh_hits == wh_hits_scan(lex, u.tokens)
+        for i in range(len(surfaces)):
+            assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, conds, surfaces, i)
+        for t in u.tokens:
+            # a question drops every particle, a command only case particles
+            if t.ending is None:
+                content = lex.strip_josa_all(t.surface)
+                dropped = lex.strip_josa_all(t.surface, droppable_only=True)
+            else:
+                content = dropped = t.stem  # a token with an ending has no particle
+            items, kept = extractor._question_items([t])
+            assert (items, kept) == (([], []) if question_drop_scan(lex, t, content) else ([t], [content]))
+            pronoun = t.surface in lex.pronouns or dropped in lex.pronouns
+            items, kept = extractor._command_items([t])
+            assert (items, kept) == (([], []) if pronoun else ([t], [dropped]))
 
+    for s in sorted(lex.pronouns | lex.lightverb_stems | lex.depnouns | {"사과", "하기"}):
+        e = Eojeol(s, 0, s)
+        assert (s in plain) == question_drop_scan(lex, e, s)
+        assert extractor._question_items([e]) == (([], []) if s in plain else ([e], [s]))
     check()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fuzz_grammar
 from saek import Engine, predicate
+from saek.errors import Unclassifiable
 
 
 def test_grammar_fuzz_contract(engine, lexicon):
@@ -56,6 +57,32 @@ def test_sr_malgo_never_leaks_pre_clause(engine):
             continue
         tokens = set(record.argument.split())
         assert pre not in tokens and "말고" not in tokens, (text, record.argument)
+
+
+# the tokens steps (5)-(7) read, with content around them: 말고, -(으)면
+# clauses, ma and preverbal negators and danger predicates
+_CUT_MIX = "말고 놀지말고 마 마세요 나가지마 가지 안 못 가면 먹으면 안매면 큰일나 위험해 돼 혼나 밖에 숙제 약 공부해 가라".split()
+
+
+def test_every_step_decides_on_a_token_from_the_malgo_cut_on(analyzer, classifier, reference):
+    """말고 rejects what precedes it, so the token a step hands extraction
+    (``Classification.end``) is never before the cut (``u.kept``)."""
+    rng = random.Random(20)
+    mixes = [" ".join(rng.choices(_CUT_MIX, k=rng.randint(2, 7))) for _ in range(3000)]
+    cut = 0
+    early = []
+    for text in ["숙제 안 하면 말고 밖에 나가면 큰일나", *reference, *mixes]:
+        u = analyzer.normalize(text)
+        try:
+            c = classifier.classify(u)
+        except Unclassifiable:
+            continue
+        if c.end is not None and u.kept > 0:
+            cut += 1
+            if c.end < u.kept:
+                early.append(text)
+    assert not early, early[:5]
+    assert cut > 100, "too few steps decided after a 말고 cut"
 
 
 @settings(max_examples=300, deadline=None)
