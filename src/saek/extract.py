@@ -101,7 +101,10 @@ class Extractor:
     ) -> Argument:
         lex = self.lexicon
         items, content = self._question_items(tokens)
-        items = self._drop_want_cue(items)
+        uncued = self._drop_want_cue(items)
+        # an info verb or a want-to-know cue frames the material before it
+        framed = c.end is not None or len(uncued) < len(items)
+        items = uncued
 
         head = ""
         if items:
@@ -110,9 +113,9 @@ class Extractor:
             if ending is None and predicate.embedded_question_stem(last.surface) is not None:
                 head = last.surface  # already the embedded form (먹었는지)
                 items = items[:-1]
-            elif ending is None and c.end is not None:
-                # a finite question before the info verb (먹었니 말해줘)
-                stem, ending = self._finite_question(last.surface)
+            elif ending is None and framed:
+                # a finite question before the frame (먹었니 말해줘, 먹었니 궁금해)
+                stem, ending = self._finite_question(last)
             if ending is not None:
                 copula = ending.copula
                 items = items[:-1]
@@ -126,15 +129,17 @@ class Extractor:
             raise ExtractionFailed("no content left for a polar argument")
         return _new(Argument, (predicate.polar(parts), ArgumentCategory.WHETHER, ()))
 
-    def _finite_question(self, surface: str) -> tuple[Optional[str], Optional[Ending]]:
-        """The stem and the interrogative ending of ``surface`` (먹었니 ->
-        먹었, 니), or (None, None); inside an info-seeking frame, normalize
-        matched the ending of the info verb, which ends the tokens, and not
-        this one's."""
+    def _finite_question(self, t: Eojeol) -> tuple[Optional[str], Optional[Ending]]:
+        """The stem and the interrogative ending of ``t`` (먹었니 -> 먹었, 니),
+        or (None, None); inside a frame, normalize matched the ending of the
+        info verb or cue, which ends the tokens, and not this one's. An
+        ending within the particle normalize split off is part of that
+        particle (친구에게: 에게, not 게)."""
         lex = self.lexicon
+        surface = t.surface
         if surface[-1] in lex.ending_ends:
             m = lex.match_ending(surface)
-            if m is not None and m.kind is EndingKind.INTERROGATIVE:
+            if m is not None and m.kind is EndingKind.INTERROGATIVE and len(m.surface) > len(t.particle or ""):
                 return surface[: len(surface) - len(m.surface)], m
         return None, None
 
@@ -201,8 +206,9 @@ class Extractor:
     def extract_wh(
         self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
     ) -> Argument:
-        """The tokens of every wh hit go; a step that hands over a token
-        (``c.end``) ends ``tokens`` before an info verb, an info-seeking frame."""
+        """The tokens of every wh hit go. An info verb (the token ``c.end``
+        that ends ``tokens``) or a want-to-know cue at the end frames the
+        material before it."""
         lex = self.lexicon
         wh_tokens = {i for h in u.wh_hits for i in range(h.token_start, h.token_end)}
         items, content = self._question_items(
@@ -210,7 +216,10 @@ class Extractor:
         )
 
         notes: list[str] = []
-        items = self._drop_want_cue(items)
+        uncued = self._drop_want_cue(items)
+        # an info verb or a want-to-know cue frames the material before it
+        framed = c.end is not None or len(uncued) < len(items)
+        items = uncued
 
         # the predicate's stem, and whether it is a copula (None: no predicate)
         stem: Optional[str] = None
@@ -218,11 +227,11 @@ class Extractor:
         if items and items[-1].ending is not None:
             verb = items.pop()
             stem, copula = verb.stem, verb.ending.copula
-        elif c.end is not None and items:
-            # inside an info-seeking frame, an embedded question form
-            # (먹었는지), or a finite question (먹었니)
-            last = items[-1].surface
-            stem = predicate.embedded_question_stem(last)
+        elif framed and items:
+            # inside a frame, an embedded question form (먹었는지), or a
+            # finite question (먹었니)
+            last = items[-1]
+            stem = predicate.embedded_question_stem(last.surface)
             if stem is None:
                 stem, m = self._finite_question(last)
                 copula = m is not None and m.copula

@@ -138,6 +138,7 @@ ROLE_SCHEMA = {
             "copula": FLAG,
             "prev_coda": _PREV_CODA,
             "stem": VALUE,
+            "polite": FLAG,
         },
         required=("kind",),
         build=lambda s, kind, copula=False, prev_coda=None, stem="": Ending(s, kind, copula, prev_coda, stem),
@@ -161,13 +162,13 @@ ROLE_SCHEMA = {
     ),
     "negation": Role(
         ("negation",),
-        keys={"kind": {kind: kind for kind in ("ma", "malgo", "anh", "preverbal")}},
+        keys={"kind": {kind: kind for kind in ("ma", "malgo", "anh", "preverbal")}, "polite": FLAG},
         required=("kind",),
         build=lambda s, kind: kind,
     ),
     "disjunction": Role(("disjunction",)),
-    "danger": Role(("danger", "danger_pairs"), most=2),
-    "infoverb": Role(("infoverbs",)),
+    "danger": Role(("danger", "danger_pairs"), most=2, keys={"polite": FLAG}),
+    "infoverb": Role(("infoverbs",), keys={"polite": FLAG}),
     "advdet": Role(("advdet",), keys={"det": VALUE}, required=("det",), build=lambda s, det: det),
     "lightverb": Role(("lightverb_stems",)),
     "pronoun": Role(("pronouns",)),
@@ -389,16 +390,22 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         words = tuple(surface.split())
         if not words or " ".join(words) != surface or 0 < spec.most < len(words):
             raise LexiconError(f"{where}: {surface!r} is not {_SHAPES[spec.most]}")
-        if (role, surface) in seen:
-            raise LexiconError(f"{where}: duplicate entry {role} {surface!r}")
-        seen.add((role, surface))
         name = spec.tables[min(len(words), len(spec.tables)) - 1]
-        # a table keyed by tuples holds each surface as its words
-        entry = surface if TABLES[name].__args__[0] is str else words
-        if spec.build is None:
-            tables[name].add(entry)
-        else:
-            tables[name][entry] = spec.build(surface, **fields)
+        forms = [words]
+        if fields.pop("polite", False):
+            # the row's polite form too: 요 on its last word, with the same value
+            forms.append((*words[:-1], words[-1] + "요"))
+        for words in forms:
+            surface = " ".join(words)
+            if (role, surface) in seen:
+                raise LexiconError(f"{where}: duplicate entry {role} {surface!r}")
+            seen.add((role, surface))
+            # a table keyed by tuples holds each surface as its words
+            entry = surface if TABLES[name].__args__[0] is str else words
+            if spec.build is None:
+                tables[name].add(entry)
+            else:
+                tables[name][entry] = spec.build(surface, **fields)
     return Lexicon(**tables)
 
 

@@ -462,6 +462,18 @@ def test_bad_condition_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_a_row_spelling_a_polite_form_reports_its_line_and_exits_one(tmp_path, capsys, monkeypatch):
+    # the bundled 까 row is flagged polite, so it loads 까요 already
+    bundled = (Path(saek.__file__).parent / "data" / "default_lexicon.tsv").read_text("utf-8")
+    lines = bundled.splitlines() + ["ending\t까요\tkind=int"]
+    path = tmp_path / "doubled.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["--lexicon", str(path), "extract", "-"]
+    code, out, err = run_cli(argv, "커피 살까요\n", monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"saek: {path}:{len(lines)}: duplicate entry ending '까요'\n"
+
+
 def test_unknown_attribute_in_lexicon_reports_its_line_and_exits_one(tmp_path, capsys, monkeypatch):
     bundled = (Path(saek.__file__).parent / "data" / "default_lexicon.tsv").read_text("utf-8")
     lines = bundled.splitlines()

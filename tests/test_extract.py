@@ -3,7 +3,7 @@ import pytest
 import saek.classify
 from golden_cases import GOLDEN
 from saek import Extractor
-from saek.classify import Evidence, IntentLabel, Step
+from saek.classify import Classification, Evidence, IntentLabel, Step
 from saek.errors import ExtractionFailed, OptionsNotFound
 from saek.lexicon import ArgumentCategory
 
@@ -49,7 +49,8 @@ def test_yesno_empty_content_fails(analyzer, classifier, extractor):
     with pytest.raises(ExtractionFailed):
         run(analyzer, classifier, extractor, "궁금해")  # nothing but the cue
     with pytest.raises(ExtractionFailed):
-        extractor.extract_yesno(None, None, [])  # a yes/no routine reads only its tokens
+        # a yes/no routine reads only its tokens and the step's hand-off
+        extractor.extract_yesno(None, Classification(IntentLabel.YES_NO, "polar-ending"), [])
 
 
 def test_a_step_without_its_routine_fails_when_the_extractor_is_built(monkeypatch, lexicon):

@@ -5,12 +5,14 @@ may produce, and ``(label, argument, error)`` must not change (CheckList's
 INV tests, Ribeiro et al., ACL 2020; metamorphic testing, Chen et al.,
 1998).  The fusing relations cover the -지 host and the -(으)면 conditional
 that ``saek.predicate`` decides on, the vocative relations a name call
-anywhere, which ``normalize`` leaves out of the tokens, and an info verb
-after a polar question, whose step hands extraction the info verb.
+anywhere, which ``normalize`` leaves out of the tokens, an info verb
+after a polar question, whose step hands extraction the info verb, and the
+polite 요 on a form the lexicon flags ``polite``.
 """
 
 import re
 import unicodedata
+from importlib import resources
 
 import pytest
 
@@ -78,3 +80,31 @@ def test_the_fusing_relations_fuse_only_the_cue_space():
     assert fuse_preverbal("약 안 먹으면 큰일나") == "약 안먹으면 큰일나"
     assert fuse_preverbal("가면 안 돼") == "가면 안돼"
     assert fuse_preverbal("안 먹어") == "안 먹어"
+
+
+def _polite_finals():
+    """The last word of each bundled row flagged polite (살까, 안 돼 -> 돼)."""
+    rows = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8").splitlines()
+    cells = [row.split("\t") for row in rows if not row.startswith("#")]
+    return tuple({c[1].split()[-1] for c in cells if len(c) == 3 and "polite" in c[2].split(";")})
+
+
+def test_the_polite_form_of_the_last_token_keeps_the_output(engine, reference, fixtures_dir):
+    """``… 살까`` -> ``… 살까요``: 요 on an informal form raises the speech
+    level and keeps the intent (Sohn 1999). A line whose last token ends in a
+    flagged form takes 요 on that token; the lines that break are pinned in
+    ``fixtures/polite_breaks.tsv``, so a fix shrinks the set and a regression
+    grows it."""
+    finals = _polite_finals()
+    rewritten = 0
+    broken = set()
+    for text, record in reference.items():
+        if not text.endswith(finals):
+            continue
+        rewritten += 1
+        if _output(engine.process(text + "요")) != _output(record):
+            broken.add(text)
+    assert rewritten == 2890
+    rows = (fixtures_dir / "polite_breaks.tsv").read_text("utf-8").splitlines()
+    pinned = {row for row in rows if not row.startswith("#")}
+    assert broken == pinned, (sorted(broken - pinned)[:5], sorted(pinned - broken)[:5])

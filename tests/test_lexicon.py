@@ -127,6 +127,62 @@ def test_duplicate_entry_is_load_error():
         )
 
 
+def test_a_polite_form_a_row_repeats_is_a_duplicate_entry():
+    # whichever comes first, the flagged row's 요 form or the row spelling it
+    flagged, spelt = "ending\t까\tkind=int;polite", "ending\t까요\tkind=int"
+    for lines in ([flagged, spelt], [spelt, flagged]):
+        with pytest.raises(LexiconError, match=r"^<lexicon>:2: duplicate entry ending '까요'$"):
+            parse_lexicon(lines)
+    with pytest.raises(LexiconError, match=r"^<lexicon>:2: duplicate entry danger '안 돼요'$"):
+        parse_lexicon(["danger\t안 돼\tpolite", "danger\t안 돼요"])
+
+
+# the rows that spelt an informal form plus 요 before the polite flag, as they
+# were bundled; each base row is now flagged polite instead
+DOUBLED_ROWS = [
+    "ending\t어요\tkind=int",
+    "ending\t아요\tkind=imp",
+    "ending\t해요\tkind=imp;stem=하",
+    "ending\t래요\tkind=int",
+    "ending\t줘요\tkind=imp;stem=주",
+    "ending\t인가요\tkind=int;copula",
+    "ending\t부탁해요\tkind=imp",
+    "negation\t마요\tkind=ma",
+    "negation\t말아요\tkind=ma",
+    "danger\t위험해요",
+    "danger\t안돼요",
+    "danger\t안 돼요",
+    "infoverb\t말해요",
+    "infoverb\t말해줘요",
+    "infoverb\t알려줘요",
+]
+
+
+@pytest.mark.parametrize("row", DOUBLED_ROWS)
+def test_each_doubled_row_loads_from_its_flagged_base(lexicon, row):
+    role, surface = row.split("\t")[:2]
+    spelt = {tuple(r.split("\t")[:2]) for r in _default_rows() if not r.startswith("#")}
+    assert (role, surface) not in spelt and (role, surface[:-1]) in spelt
+    # the entry the row loaded, in its table with its value, loads still
+    alone = parse_lexicon([row])
+    (name,) = [name for name in TABLES if getattr(alone, name)]
+    table = getattr(alone, name)
+    if isinstance(table, dict):
+        assert {k: getattr(lexicon, name).get(k) for k in table} == table
+    else:
+        assert table <= getattr(lexicon, name)
+
+
+def test_plain_and_formal_forms_load_no_polite_form(engine, lexicon):
+    # their polite counterparts are other endings (Sohn 1999), and the 요
+    # forms of 큰일나 and 혼나 end in the interrogative 나요
+    assert {s + "요" for s in ("니", "냐", "야", "라", "자", "세요", "습니까")}.isdisjoint(lexicon.endings)
+    assert "마라요" not in lexicon.negation
+    assert {"큰일나요", "혼나요"}.isdisjoint(lexicon.danger)
+    # 아니요 is an answer, not 아니 plus a polite question ending
+    assert engine.process("아니요").error == "unclassifiable"
+
+
 def test_a_whnoun_row_is_an_unknown_role():
     # a wh argument ends in its category's word, which no row sets
     with pytest.raises(LexiconError, match=r"^<lexicon>:1: unknown role 'whnoun'$"):
@@ -193,12 +249,13 @@ def _default_rows() -> list[str]:
 
 # rows that overlap the default ones: nested cues, connectives, danger and
 # negator suffixes, surfaces holding regex metacharacters, and suffixes under
-# the conditions the default rows leave out
+# the conditions the default rows leave out, one of them flagged polite (its
+# conditioned 까나요 overlaps the bundled 나요)
 EXTRA_ROWS = [
     "josa\t께\tcond=batchim_not_rieul",
     "josa\t마저\tcond=any",
     "vocative\t여\tcond=open_or_rieul",
-    "ending\t까요\tkind=int;prev_coda=ㄹ",
+    "ending\t까나\tkind=int;prev_coda=ㄹ;polite",
     "ending\t니다\tkind=int;prev_coda=ㅂ",
     "cue\t좀 궁금",
     "cue\t너무 좀 궁금",
@@ -341,14 +398,17 @@ def admits(condition, prev):
 
 
 def row_conditions(rows):
-    """(role, surface) -> the condition its row spells, for the suffix rows."""
+    """(role, surface) -> the condition its row spells, for the suffix rows;
+    a polite row's 요 form has the row's condition."""
     found = {}
     for row in rows:
         role, surface, attrs = (row.split("\t") + ["", ""])[:3]
+        flags = {c.strip() for c in attrs.split(";")}
         attrs = dict(map(str.strip, c.split("=", 1)) for c in attrs.split(";") if "=" in c)
         key = {"josa": "cond", "vocative": "cond", "ending": "prev_coda"}.get(role)
         if key in attrs:
-            found[role, surface] = (key, attrs[key])
+            for form in [surface, surface + "요"] if "polite" in flags else [surface]:
+                found[role, form] = (key, attrs[key])
     return found
 
 
@@ -497,6 +557,7 @@ def test_indexed_lookups_equal_a_table_scan(name):
 
     @settings(max_examples=300, deadline=None)
     @given(token_lists(lex))
+    @example(["가까나요", "갈까나요", "갈까나"])  # a conditioned polite form, met and not
     def check(tokens):
         for token in tokens:
             assert lex.longest_josa(token) == josa_scan(lex, conds, token, False)
