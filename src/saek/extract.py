@@ -25,6 +25,9 @@ class Argument(NamedTuple):
     notes: tuple[str, ...] = ()  # extraction fallbacks worth surfacing
 
 
+# the codas of a tense (먹었, 겠) or prospective ㄹ (살까, 먹을래) marker
+_MARKED_TAILS = (hangul.TAIL_SSANG_SIOT, hangul.TAIL_RIEUL)
+
 # tuple.__new__ skips a NamedTuple's keyword-handling constructor and its
 # field count: test_records pins the field order each routine writes
 _new = tuple.__new__
@@ -101,10 +104,7 @@ class Extractor:
     ) -> Argument:
         lex = self.lexicon
         items, content = self._question_items(tokens)
-        uncued = self._drop_want_cue(items)
-        # an info verb or a want-to-know cue frames the material before it
-        framed = c.end is not None or len(uncued) < len(items)
-        items = uncued
+        items, frame = self._drop_want_cue(items, c)
 
         head = ""
         if items:
@@ -113,9 +113,9 @@ class Extractor:
             if ending is None and predicate.embedded_question_stem(last.surface) is not None:
                 head = last.surface  # already the embedded form (먹었는지)
                 items = items[:-1]
-            elif ending is None and framed:
+            elif ending is None and frame:
                 # a finite question before the frame (먹었니 말해줘, 먹었니 궁금해)
-                stem, ending = self._finite_question(last)
+                stem, ending = self._finite_question(last, frame)
             if ending is not None:
                 copula = ending.copula
                 items = items[:-1]
@@ -129,30 +129,47 @@ class Extractor:
             raise ExtractionFailed("no content left for a polar argument")
         return _new(Argument, (predicate.polar(parts), ArgumentCategory.WHETHER, ()))
 
-    def _finite_question(self, t: Eojeol) -> tuple[Optional[str], Optional[Ending]]:
+    def _finite_question(self, t: Eojeol, frame: str) -> tuple[Optional[str], Optional[Ending]]:
         """The stem and the interrogative ending of ``t`` (먹었니 -> 먹었, 니),
         or (None, None); inside a frame, normalize matched the ending of the
         info verb or cue, which ends the tokens, and not this one's. An
         ending within the particle normalize split off is part of that
-        particle (친구에게: 에게, not 게)."""
+        particle (친구에게: 에게, not 게). Before a cue, only a stem that ends
+        in a tense or ㄹ marker (먹었, 살, 먹을) is a predicate's: the last
+        syllable of a noun (어머니, 노래, 가게) or of the connective 가니까
+        matches an ending too. After an info verb any stem is taken
+        (어머니 말해줘 is a known defect)."""
         lex = self.lexicon
         surface = t.surface
         if surface[-1] in lex.ending_ends:
             m = lex.match_ending(surface)
-            if m is not None and m.kind is EndingKind.INTERROGATIVE and len(m.surface) > len(t.particle or ""):
-                return surface[: len(surface) - len(m.surface)], m
+            if (
+                m is not None
+                and m.kind is EndingKind.INTERROGATIVE
+                and len(m.surface) > len(t.particle or "")
+            ):
+                stem = surface[: len(surface) - len(m.surface)]
+                if frame == "verb" or hangul.tail(stem[-1:]) in _MARKED_TAILS:
+                    return stem, m
         return None, None
 
-    def _drop_want_cue(self, items: list[Eojeol]) -> list[Eojeol]:
+    def _drop_want_cue(
+        self, items: list[Eojeol], c: Classification
+    ) -> tuple[list[Eojeol], Optional[str]]:
+        """``items`` without a want-to-know cue at the end, and the frame
+        that ends them: "verb" for the info verb of ``c.end``, "cue" for a
+        dropped cue, None for neither. A frame asks for the question before
+        it (먹었니 말해줘, 먹었니 궁금해)."""
         lex = self.lexicon
+        frame = None if c.end is None else "verb"
         # only a last item that starts with a key of the cue table's gate can
         # end a cue; a cue is matched at the end, so the last cue_length
         # items decide it
         if items and items[-1].surface[0] in lex.cue_starts:
             cue = lex.match_cue([t.surface for t in items[-lex.cue_length :]])
             if cue is not None:
-                return items[: len(items) - len(cue)]
-        return items
+                return items[: len(items) - len(cue)], frame or "cue"
+        return items, frame
 
     # -- alternative questions ------------------------------------------------
 
@@ -216,10 +233,7 @@ class Extractor:
         )
 
         notes: list[str] = []
-        uncued = self._drop_want_cue(items)
-        # an info verb or a want-to-know cue frames the material before it
-        framed = c.end is not None or len(uncued) < len(items)
-        items = uncued
+        items, frame = self._drop_want_cue(items, c)
 
         # the predicate's stem, and whether it is a copula (None: no predicate)
         stem: Optional[str] = None
@@ -227,13 +241,13 @@ class Extractor:
         if items and items[-1].ending is not None:
             verb = items.pop()
             stem, copula = verb.stem, verb.ending.copula
-        elif framed and items:
+        elif frame and items:
             # inside a frame, an embedded question form (먹었는지), or a
             # finite question (먹었니)
             last = items[-1]
             stem = predicate.embedded_question_stem(last.surface)
             if stem is None:
-                stem, m = self._finite_question(last)
+                stem, m = self._finite_question(last, frame)
                 copula = m is not None and m.copula
             if stem is not None:
                 items.pop()

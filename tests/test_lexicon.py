@@ -18,7 +18,7 @@ import saek
 from golden_cases import GOLDEN
 from saek import Analyzer, Classifier, Engine, Extractor, hangul
 from saek.analyze import Eojeol, WhHit, negative_imperative
-from saek.classify import Evidence
+from saek.classify import Classification, Evidence, IntentLabel
 from saek.errors import EmptyUtterance, LexiconError, Unclassifiable
 from saek.lexicon import (
     FLAG,
@@ -577,7 +577,9 @@ def test_indexed_lookups_equal_a_table_scan(name):
         # the cue table's gate: the want-to-know decision and the dropped cue
         # are those of matching every window
         cue = cue_scan(lex, tokens)
-        assert extractor._drop_want_cue(items) == (items[: -len(cue)] if cue else items)
+        unframed = Classification(IntentLabel.YES_NO, "polar-ending")
+        expected = (items[: -len(cue)], "cue") if cue else (items, None)
+        assert extractor._drop_want_cue(items, unframed) == expected
         try:
             u = analyzer.normalize(" ".join(tokens))
         except EmptyUtterance:
