@@ -125,16 +125,11 @@ class Classifier:
         stop = start + len(surface)
 
         # (1) information-seeking imperatives are treated as questions: an
-        # info verb is the last token, or precedes a spaced benefactive (말해 줘)
+        # info verb is the last token, or precedes a whole request entry (말해 줘)
         info_idx = None
         if surface in lex.infoverbs:
             info_idx = last
-        elif (
-            ending is not None
-            and ending.stem == predicate.BENEFACTIVE
-            and last > 0
-            and tokens[last - 1].surface in lex.infoverbs
-        ):
+        elif surface in lex.requests and last > 0 and tokens[last - 1].surface in lex.infoverbs:
             info_idx = last - 1
         if info_idx is not None:
             info = tokens[info_idx]
@@ -165,8 +160,14 @@ class Classifier:
             surfaces = tuple(map(attrgetter("surface"), tokens))
             # the first token with the last token's surface: itself when none repeats it
             repeat = surfaces.index(surface)
+            if repeat == last and ending.twin is not None:
+                # or with the other form of its polite pair (먹을래 / 먹을래요)
+                twin = final.stem + ending.twin
+                if twin in surfaces:
+                    repeat = surfaces.index(twin)
             if repeat < last:
-                span = (tokens[repeat].start, tokens[repeat].start + len(surface))
+                earlier = tokens[repeat]
+                span = (earlier.start, earlier.start + len(earlier.surface))
                 return _fired("parallel-clauses", span, (start, stop))
             if not lex.disjunction.isdisjoint(surfaces):
                 t = next(t for t in tokens if t.surface in lex.disjunction)
@@ -200,17 +201,26 @@ class Classifier:
                 if i == last or (t.surface, tokens[i + 1].surface) not in lex.danger_pairs:
                     preverbal = True
 
-        # (5) negated clause coordinated onto a positive imperative (놀지 말고)
-        if malgo is not None and imperative:
+        # the danger predicate that ends at the last token, looked up at most
+        # once: only for a step that reads it, and past its table's gate
+        danger = (
+            (imperative or myen is not None)
+            and surface[-1] in lex.danger_finals
+            and lex.is_danger_predicate(tuple(map(attrgetter("surface"), tokens[-2:])))
+        )
+
+        # (5) negated clause coordinated onto a positive imperative (놀지 말고
+        # 공부해): not a negator (마세요) or a danger predicate (위험해)
+        if malgo is not None and imperative and final.negation != "ma" and not danger:
             if negative_imperative(tokens, (malgo,)) is not None:
                 t = tokens[malgo]
                 return _fired("negation-coordination", (t.start, t.start + len(t.surface)))
 
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is
-        # the predicate that ends at the last token; the clause's core is cut once
+        # the danger predicate; the clause's core is cut once
         core = None
-        if myen is not None and lex.is_danger_predicate(tuple(map(attrgetter("surface"), tokens[-2:]))):
+        if myen is not None and danger:
             core = predicate.conditional_core(tokens[myen].surface)
             required = lex.strip_preverbal(core)
             if preverbal or required != core:
@@ -224,8 +234,8 @@ class Classifier:
             form = predicate.negation_host(core)
             return _fired("danger-conditional", (start, stop), end=myen, form=form)
 
-        # (8) plain imperative / request / wish
-        if imperative:
+        # (8) plain imperative / request / wish, not a danger predicate (위험해)
+        if imperative and not danger:
             return _fired("imperative-ending", (start + len(final.stem), stop))
 
         raise Unclassifiable(f"no rule fires for: {u.text!r}")

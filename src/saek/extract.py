@@ -7,7 +7,8 @@ by one.  The engine never invents tokens that are absent from the input.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import chain, filterfalse, starmap
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from . import hangul, predicate
@@ -27,6 +28,8 @@ class Argument(NamedTuple):
 
 # the codas of a tense (먹었, 겠) or prospective ㄹ (살까, 먹을래) marker
 _MARKED_TAILS = (hangul.TAIL_SSANG_SIOT, hangul.TAIL_RIEUL)
+
+_HIT_TOKENS = attrgetter("token_start", "token_end")
 
 # tuple.__new__ skips a NamedTuple's keyword-handling constructor and its
 # field count: test_records pins the field order each routine writes
@@ -138,7 +141,8 @@ class Extractor:
         in a tense or ㄹ marker (먹었, 살, 먹을) is a predicate's: the last
         syllable of a noun (어머니, 노래, 가게) or of the connective 가니까
         matches an ending too. After an info verb any stem is taken
-        (어머니 말해줘 is a known defect)."""
+        (어머니 말해줘 is a known defect). In either frame a stem that is a
+        pronoun is none, as ``_question_items`` drops it (니까: 니, 까)."""
         lex = self.lexicon
         surface = t.surface
         if surface[-1] in lex.ending_ends:
@@ -149,7 +153,8 @@ class Extractor:
                 and len(m.surface) > len(t.particle or "")
             ):
                 stem = surface[: len(surface) - len(m.surface)]
-                if frame == "verb" or hangul.tail(stem[-1:]) in _MARKED_TAILS:
+                marked = frame == "verb" or hangul.tail(stem[-1:]) in _MARKED_TAILS
+                if marked and stem not in lex.pronouns:
                     return stem, m
         return None, None
 
@@ -227,7 +232,8 @@ class Extractor:
         that ends ``tokens``) or a want-to-know cue at the end frames the
         material before it."""
         lex = self.lexicon
-        wh_tokens = {i for h in u.wh_hits for i in range(h.token_start, h.token_end)}
+        # the indices of the hits' tokens, built in C with no comprehension frame
+        wh_tokens = set(chain.from_iterable(starmap(range, map(_HIT_TOKENS, u.wh_hits))))
         items, content = self._question_items(
             [t for i, t in enumerate(tokens, u.kept) if i not in wh_tokens]
         )

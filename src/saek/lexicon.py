@@ -55,6 +55,7 @@ class Ending(NamedTuple):
     copula: bool = False
     prev_tails: Optional[frozenset[int]] = None  # see _PREV_CODA
     stem: str = ""  # lexical stem recovered when the suffix is the whole token
+    twin: Optional[str] = None  # the other form of a polite pair (래 <-> 래요)
 
 
 class WhMatch(NamedTuple):
@@ -77,6 +78,7 @@ TABLES = {
     "danger": set[str],
     "danger_pairs": set[tuple[str, str]],
     "infoverbs": set[str],
+    "requests": set[str],  # request endings after an info verb's -어 form
     "advdet": dict[str, str],
     "lightverb_stems": set[str],
     "pronouns": set[str],
@@ -114,13 +116,16 @@ class Role(NamedTuple):
     ``most`` words (0: any number). ``keys`` maps each attribute key the
     role reads to its parser, and a row must give each key in ``required``.
     ``build`` makes a dict table's value from the surface and the parsed
-    keys; a role without one fills a set."""
+    keys; a role without one fills a set. A ``twin`` role's build also
+    takes, as ``twin``, the other form of a polite row's pair (None for a
+    row without the flag)."""
 
     tables: tuple[str, ...]
     most: int = 1
     keys: dict[str, object] = {}
     required: tuple[str, ...] = ()
     build: Optional[Callable[..., object]] = None
+    twin: bool = False
 
 
 # every role a row may have; parse_lexicon reads each row through its entry
@@ -141,7 +146,10 @@ ROLE_SCHEMA = {
             "polite": FLAG,
         },
         required=("kind",),
-        build=lambda s, kind, copula=False, prev_coda=None, stem="": Ending(s, kind, copula, prev_coda, stem),
+        build=lambda s, kind, twin, copula=False, prev_coda=None, stem="": Ending(
+            s, kind, copula, prev_coda, stem, twin
+        ),
+        twin=True,
     ),
     "cue": Role(("cues",), most=0),
     "wh": Role(
@@ -169,6 +177,7 @@ ROLE_SCHEMA = {
     "disjunction": Role(("disjunction",)),
     "danger": Role(("danger", "danger_pairs"), most=2, keys={"polite": FLAG}),
     "infoverb": Role(("infoverbs",), keys={"polite": FLAG}),
+    "request": Role(("requests",), keys={"polite": FLAG}),
     "advdet": Role(("advdet",), keys={"det": VALUE}, required=("det",), build=lambda s, det: det),
     "lightverb": Role(("lightverb_stems",)),
     "pronoun": Role(("pronouns",)),
@@ -203,6 +212,7 @@ class Lexicon:
         "ending_ends",
         "negation_ends",
         "danger_ends",
+        "danger_finals",
         "connective_ends",
         "_preverbals",
         "_wh_re",
@@ -221,6 +231,8 @@ class Lexicon:
         self.ending_ends = _suffix_index(self.endings)
         self.negation_ends = _suffix_index(self.negation)
         self.danger_ends = _suffix_index(self.danger)
+        # the last characters a danger predicate, of one token or two, ends in
+        self.danger_finals = frozenset({*self.danger_ends, *(b[-1] for _, b in self.danger_pairs)})
         self.connective_ends = _suffix_index(self.connectives)
         preverbals = [s for s, kind in self.negation.items() if kind == "preverbal"]
         self._preverbals = tuple(sorted(preverbals, key=len, reverse=True))  # longest first
@@ -358,6 +370,7 @@ class Lexicon:
 def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
     tables = {name: table() for name, table in TABLES.items()}
     seen: set[tuple[str, str]] = set()
+    verbs: list[str] = []  # the infoverb rows' own surfaces
     for lineno, raw in enumerate(lines, 1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -391,11 +404,15 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
         if not words or " ".join(words) != surface or 0 < spec.most < len(words):
             raise LexiconError(f"{where}: {surface!r} is not {_SHAPES[spec.most]}")
         name = spec.tables[min(len(words), len(spec.tables)) - 1]
-        forms = [words]
+        if role == "infoverb":
+            verbs.append(surface)
+        forms: dict[tuple[str, ...], Optional[str]] = {words: None}
         if fields.pop("polite", False):
-            # the row's polite form too: 요 on its last word, with the same value
-            forms.append((*words[:-1], words[-1] + "요"))
-        for words in forms:
+            # the row's polite form too: 요 on its last word, with the same
+            # value; each form's twin is the other's last word
+            polite = (*words[:-1], words[-1] + "요")
+            forms = {words: polite[-1], polite: words[-1]}
+        for words, twin in forms.items():
             surface = " ".join(words)
             if (role, surface) in seen:
                 raise LexiconError(f"{where}: duplicate entry {role} {surface!r}")
@@ -404,8 +421,13 @@ def parse_lexicon(lines: Iterable[str], source: str = "<lexicon>") -> Lexicon:
             entry = surface if TABLES[name].__args__[0] is str else words
             if spec.build is None:
                 tables[name].add(entry)
+            elif spec.twin:
+                tables[name][entry] = spec.build(surface, twin=twin, **fields)
             else:
                 tables[name][entry] = spec.build(surface, **fields)
+    # an info verb is also a row's own surface followed by a request entry
+    # (말해 + 줘요 -> 말해줘요); a polite twin takes none (말해요)
+    tables["infoverbs"].update(verb + request for verb in verbs for request in tables["requests"])
     return Lexicon(**tables)
 
 

@@ -33,8 +33,6 @@ _EMBEDDED_Q_SUFFIXES = ("는지", "은지", "인지", "을지")
 
 # the host -지 of the long negation and of a ma/malgo negator (먹지 않기, 나가지 마)
 NEGATION_HOST = "지"
-# the stem of the auxiliary 주다 a spaced benefactive ends on (말해 줘)
-BENEFACTIVE = "주"
 
 # the -기 nominalizer and 하다's nominal; the stems of 하다 that fold onto the
 # verbal noun before them, and the adverb endings that block the fold (조용히 해)

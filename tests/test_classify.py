@@ -7,7 +7,6 @@ import pytest
 import saek.classify
 import saek.extract
 from golden_cases import GOLDEN
-from saek import predicate
 from saek.classify import STEPS, IntentLabel
 from saek.errors import Unclassifiable
 from saek.lexicon import ArgumentCategory, Lexicon
@@ -22,10 +21,10 @@ def test_golden_labels(analyzer, classifier, text, label, _arg, _cat):
 
 
 def test_statement_is_unclassifiable(analyzer, classifier):
-    with pytest.raises(Unclassifiable):
-        classifier.classify(analyzer.normalize("비가 온다"))
-    with pytest.raises(Unclassifiable):
-        classifier.classify(analyzer.normalize("노란 꽃"))
+    # a danger predicate without a -면 clause (위험해) asks for nothing either
+    for text in ["비가 온다", "노란 꽃", "위험해", "밖에 위험해", "위험해요"]:
+        with pytest.raises(Unclassifiable):
+            classifier.classify(analyzer.normalize(text))
 
 
 def test_wh_field_present_exactly_for_label_two(analyzer, classifier):
@@ -76,6 +75,12 @@ def test_polar_info_seeking_counts_the_info_verb_tokens(analyzer, classifier, te
     u = analyzer.normalize(text)
     got = classifier.classify(u)
     assert (got.step, got.end) == ("info-seeking", len(u.tokens) - info)
+
+
+@pytest.mark.parametrize("text, step", [("말해 도와줘", "imperative-ending"), ("말해 궁금해줘", "want-to-know")])
+def test_a_spaced_info_verb_needs_a_whole_request_entry(analyzer, classifier, text, step):
+    # a last token that only ends in a request ending (줘) frames no info verb
+    assert classifier.classify(analyzer.normalize(text)).step == step
 
 
 def test_info_seeking_with_wh_word(analyzer, classifier):
@@ -190,8 +195,8 @@ def test_a_step_given_the_wrong_number_of_spans_raises(step):
 # one input for each pair of steps whose conditions can both hold, and the
 # earlier step fires on it: (earlier, later, text). A step's condition is its
 # own test in Classifier.classify, without the steps before it. A want-to-know
-# cue shares the last token with a danger predicate, or with a benefactive
-# after an info verb, only in a made-up fused token (궁금위험해, 궁금해줘)
+# cue shares the last token with a danger predicate only in a made-up fused
+# token (궁금위험해)
 STEP_ORDER_PINS = [
     ("info-seeking+wh-word", "info-seeking+universal-quantifier", "누가 일정을 모두 정했는지 말해줘"),
     ("info-seeking+wh-word", "info-seeking", "어디 가는지 알려줘"),
@@ -199,7 +204,6 @@ STEP_ORDER_PINS = [
     ("info-seeking+wh-word", "parallel-clauses", "누가 왔는지 알려줄래 누가 갔는지 알려줄래"),
     ("info-seeking+wh-word", "disjunction", "누가 왔는지 아니면 누가 갔는지 알려줄래"),
     ("info-seeking+wh-word", "polar-ending", "누가 왔는지 알려줄래"),
-    ("info-seeking+wh-word", "want-to-know", "뭐 먹었는지 말해 궁금해줘"),
     ("info-seeking+wh-word", "negation-coordination", "놀지 말고 뭐 할지 말해줘"),
     ("info-seeking+wh-word", "negative-imperative", "나가지 마 누가 그랬는지 말해줘"),
     ("info-seeking+wh-word", "imperative-ending", "뭐 먹었는지 말해줘"),
@@ -207,14 +211,12 @@ STEP_ORDER_PINS = [
     ("info-seeking+universal-quantifier", "parallel-clauses", "일정을 모두 알려줄래 메뉴를 모두 알려줄래"),
     ("info-seeking+universal-quantifier", "disjunction", "일정 아니면 메뉴를 모두 알려줄래"),
     ("info-seeking+universal-quantifier", "polar-ending", "일정을 모두 알려줄래"),
-    ("info-seeking+universal-quantifier", "want-to-know", "일정을 모두 말해 궁금해줘"),
     ("info-seeking+universal-quantifier", "negation-coordination", "놀지 말고 일정을 모두 말해줘"),
     ("info-seeking+universal-quantifier", "negative-imperative", "나가지 마 일정을 모두 알려줘"),
     ("info-seeking+universal-quantifier", "imperative-ending", "일정을 모두 알려줘"),
     ("info-seeking", "parallel-clauses", "비 오는지 알려줄래 눈 오는지 알려줄래"),
     ("info-seeking", "disjunction", "비 아니면 눈 오는지 알려줄래"),
     ("info-seeking", "polar-ending", "내일 비 오는지 알려줄래"),
-    ("info-seeking", "want-to-know", "비 오는지 말해 궁금해줘"),
     ("info-seeking", "negation-coordination", "놀지 말고 어제 소식 말해줘"),
     ("info-seeking", "negative-imperative", "나가지 마 어제 소식 말해줘"),
     ("info-seeking", "imperative-ending", "어제 소식 말해줘"),
@@ -241,9 +243,7 @@ STEP_ORDER_PINS = [
     ("want-to-know", "negative-imperative", "밖에 나가지 마 궁금해"),
     ("want-to-know", "danger-conditional", "나가면 궁금위험해"),
     ("want-to-know", "imperative-ending", "밥 먹었는지 궁금해"),
-    ("negation-coordination", "double-negation", "장난치지 말고 안전벨트 안 매면 위험해"),
-    ("negation-coordination", "negative-imperative", "놀지 말고 나가지 마세요"),
-    ("negation-coordination", "danger-conditional", "놀지 말고 밖에 나가면 위험해"),
+    ("negation-coordination", "negative-imperative", "놀지 말고 나가지마 빨리 해"),
     ("negation-coordination", "imperative-ending", "놀지 말고 공부해"),
     ("double-negation", "negative-imperative", "떠들지 마 숙제 안 하면 혼나"),
     ("double-negation", "danger-conditional", "안 가면 큰일나"),
@@ -259,8 +259,18 @@ DANGER_STEPS = ("double-negation", "danger-conditional")
 DISJOINT_STEPS = {
     **dict.fromkeys(
         product(INFO_STEPS, DANGER_STEPS),
-        "the last token is an info verb, or a benefactive after one, and none ends in a"
-        " danger predicate (test_no_info_verb_or_benefactive_ends_in_a_danger_predicate)",
+        "the last token is an info verb, or a request entry after one, and none ends in a"
+        " danger predicate (test_no_info_verb_or_request_ends_in_a_danger_predicate)",
+    ),
+    **dict.fromkeys(
+        product(INFO_STEPS, ["want-to-know"]),
+        "the last token is an info verb, or a request entry after one, and none starts"
+        " a cue's last part (test_no_info_verb_or_request_starts_a_cue)",
+    ),
+    **dict.fromkeys(
+        product(["negation-coordination"], DANGER_STEPS),
+        "negation-coordination skips a last token that ends in a danger predicate,"
+        " which both danger steps need",
     ),
     **dict.fromkeys(
         product(INFO_STEPS[1:], ["wh-word"]),
@@ -288,13 +298,20 @@ def test_every_pair_of_steps_is_pinned_or_disjoint():
     assert sorted(pairs) == sorted(combinations(STEPS, 2))
 
 
-def test_no_info_verb_or_benefactive_ends_in_a_danger_predicate(lexicon):
+def test_no_info_verb_or_request_ends_in_a_danger_predicate(lexicon):
     # a danger predicate ends the last token, or is the last two tokens
-    benefactive = [s for s, e in lexicon.endings.items() if e.stem == predicate.BENEFACTIVE]
     finals = [*lexicon.danger, *(last for _, last in lexicon.danger_pairs)]
-    assert benefactive and finals
-    ends = [*lexicon.infoverbs, *benefactive]
+    assert lexicon.requests and finals
+    ends = [*lexicon.infoverbs, *lexicon.requests]
     assert [(s, d) for s in ends for d in finals if s.endswith(d) or d.endswith(s)] == []
+
+
+def test_no_info_verb_or_request_starts_a_cue(lexicon):
+    # a cue's last part is a prefix of the last token
+    starts = {parts[-1] for parts in lexicon.cues}
+    assert lexicon.requests and starts
+    ends = [*lexicon.infoverbs, *lexicon.requests]
+    assert [(s, c) for s in ends for c in starts if s.startswith(c)] == []
 
 
 def readme_cascade() -> list[tuple[int, str, int, tuple[str, ...], str]]:

@@ -104,6 +104,14 @@ def test_spaced_benefactive_info_verb_is_cut(analyzer, classifier, extractor, te
     assert extractor.extract(u, c).text == arg
 
 
+@pytest.mark.parametrize("text", ["니까", "니까 말씀해줘"])
+def test_a_pronoun_before_an_ending_is_no_finite_question(engine, text):
+    # 니까 ends in the question ending 까 after 니, a pronoun row: no stem is
+    # cut there, and the question argument drops the ending homograph 니까
+    record = engine.process(text)
+    assert (record.label, record.error) == (0, "extraction-failed")
+
+
 def test_command_keeps_locative_particle(analyzer, classifier, extractor):
     got = run(analyzer, classifier, extractor, "태풍 오니까 밖에 나가지 마")
     assert got.text == "밖에 나가지 않기"  # 에 kept, reason clause dropped

@@ -6,8 +6,9 @@ INV tests, Ribeiro et al., ACL 2020; metamorphic testing, Chen et al.,
 1998).  The fusing relations cover the -지 host and the -(으)면 conditional
 that ``saek.predicate`` decides on, the vocative relations a name call
 anywhere, which ``normalize`` leaves out of the tokens, an info verb
-after a polar question, whose step hands extraction the info verb, and the
-polite 요 on a form the lexicon flags ``polite``.
+after a polar question, whose step hands extraction the info verb, a
+request ending spaced off the info verb, and the polite 요 on a form the
+lexicon flags ``polite``.
 """
 
 import re
@@ -82,29 +83,66 @@ def test_the_fusing_relations_fuse_only_the_cue_space():
     assert fuse_preverbal("안 먹어") == "안 먹어"
 
 
+def _bundled_rows():
+    """The bundled lexicon's rows, each split into its cells."""
+    rows = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8").splitlines()
+    return [row.split("\t") for row in rows if row and not row.startswith("#")]
+
+
+def test_a_spaced_request_ending_keeps_the_output(engine, lexicon, reference):
+    """``… 말해줘`` -> ``… 말해 줘``: a request ending spaced off an info
+    verb's -어 form asks what the fused form asks (한글 맞춤법 §47), for each
+    info verb row's form and each request entry, after every 20th line."""
+    verbs = [cells[1] for cells in _bundled_rows() if cells[0] == "infoverb"]
+    pairs = [(verb, request) for verb in verbs for request in sorted(lexicon.requests)]
+    assert len(pairs) == 42
+    broken = []
+    for text in list(reference)[::20]:
+        for verb, request in pairs:
+            fused, spaced = f"{text} {verb}{request}", f"{text} {verb} {request}"
+            if _output(engine.process(fused)) != _output(engine.process(spaced)):
+                broken.append((fused, spaced))
+    assert not broken, broken[:5]
+
+
 def _polite_finals():
     """The last word of each bundled row flagged polite (살까, 안 돼 -> 돼)."""
-    rows = resources.files("saek").joinpath("data/default_lexicon.tsv").read_text("utf-8").splitlines()
-    cells = [row.split("\t") for row in rows if not row.startswith("#")]
-    return tuple({c[1].split()[-1] for c in cells if len(c) == 3 and "polite" in c[2].split(";")})
+    return tuple({c[1].split()[-1] for c in _bundled_rows() if len(c) == 3 and "polite" in c[2].split(";")})
 
 
-def test_the_polite_form_of_the_last_token_keeps_the_output(engine, reference, fixtures_dir):
+def test_the_polite_form_of_the_last_token_keeps_the_output(engine, reference):
     """``… 살까`` -> ``… 살까요``: 요 on an informal form raises the speech
     level and keeps the intent (Sohn 1999). A line whose last token ends in a
-    flagged form takes 요 on that token; the lines that break are pinned in
-    ``fixtures/polite_breaks.tsv``, so a fix shrinks the set and a regression
-    grows it."""
+    flagged form takes 요 on that token, and no line breaks: a parallel-clauses
+    line whose earlier predicate keeps the informal form stays an alternative
+    question."""
     finals = _polite_finals()
     rewritten = 0
-    broken = set()
+    broken = []
     for text, record in reference.items():
         if not text.endswith(finals):
             continue
         rewritten += 1
         if _output(engine.process(text + "요")) != _output(record):
-            broken.add(text)
+            broken.append(text)
     assert rewritten == 2890
-    rows = (fixtures_dir / "polite_breaks.tsv").read_text("utf-8").splitlines()
-    pinned = {row for row in rows if not row.startswith("#")}
-    assert broken == pinned, (sorted(broken - pinned)[:5], sorted(pinned - broken)[:5])
+    assert not broken, broken[:5]
+
+
+def test_the_polite_form_of_an_earlier_predicate_keeps_the_output(engine, reference):
+    """``짜장 먹을래 짬뽕 먹을래`` -> ``짜장 먹을래요 짬뽕 먹을래``: the other
+    order of a mixed-level alternative question. A line whose last token ends
+    in a flagged form and repeats an earlier token takes 요 on that token."""
+    finals = _polite_finals()
+    rewritten = 0
+    broken = []
+    for text, record in reference.items():
+        words = text.split()
+        if not text.endswith(finals) or words[-1] not in words[:-1]:
+            continue
+        rewritten += 1
+        words[words.index(words[-1])] += "요"
+        if _output(engine.process(" ".join(words))) != _output(record):
+            broken.append(text)
+    assert rewritten == 867
+    assert not broken, broken[:5]

@@ -162,11 +162,18 @@ DOUBLED_ROWS = [
 def test_each_doubled_row_loads_from_its_flagged_base(lexicon, row):
     role, surface = row.split("\t")[:2]
     spelt = {tuple(r.split("\t")[:2]) for r in _default_rows() if not r.startswith("#")}
-    assert (role, surface) not in spelt and (role, surface[:-1]) in spelt
-    # the entry the row loaded, in its table with its value, loads still
+    # the base is a row, or for an info verb a row's form plus a request row
+    # (말해줘: 말해 + 줘), so the 요 form comes from the request row's flag
+    verbs = [r[1] for r in spelt if r[0] == "infoverb"]
+    fused = {("infoverb", v + r[1]) for v in verbs for r in spelt if r[0] == "request"}
+    assert (role, surface) not in spelt and (role, surface[:-1]) in spelt | fused
+    # the entry the row loaded, in its table with its value, loads still; an
+    # ending is marked as the polite twin of its base
     alone = parse_lexicon([row])
     (name,) = [name for name in TABLES if getattr(alone, name)]
     table = getattr(alone, name)
+    if role == "ending":
+        table = {k: e._replace(twin=k[:-1]) for k, e in table.items()}
     if isinstance(table, dict):
         assert {k: getattr(lexicon, name).get(k) for k in table} == table
     else:
