@@ -56,7 +56,7 @@ class NormalizedUtterance(NamedTuple):
     tokens: tuple[Eojeol, ...]
     wh_hits: tuple[WhHit, ...]
     cued: tuple[int, ...]  # indices, in order, of the tokens with a negation or conditional cue
-    kept: int  # the first token after the last 말고 before the last token (0: none)
+    kept: int  # the first token after the last 말고 or connective before the last token (0: none)
 
 
 class Analyzer:
@@ -68,7 +68,7 @@ class Analyzer:
         # takes none of its lookups; ``_cues`` reads the negators and the
         # conditional's 면, and a token outside the union carries nothing
         self._cue_finals = frozenset({*lex.negation_ends, CONDITIONAL})
-        self._suffix_finals = frozenset({*self._cue_finals, *lex.josa_ends, *lex.vocative})
+        self._suffix_finals = frozenset({*self._cue_finals, *lex.josa_ends, *lex.vocative, *lex.connective_ends})
 
     # -- normalization -------------------------------------------------
 
@@ -92,17 +92,18 @@ class Analyzer:
         self, surfaces: list[str]
     ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], int]:
         """The analyzed tokens, the indices of the tokens that carry a
-        negation or conditional cue and the first token after the last 말고
-        before the last token (0: none).
+        negation or conditional cue and the clause cut: the first token after
+        the last 말고 or subordinate connective before the last token (0:
+        none), where the main clause starts (Korean is head-final).
 
         Every vocative is left out, and the sentence-final ending sits on
-        the last token kept. Any other token takes only the lookups its last
-        character can match: the cues, the vocative test and the particle
-        split each have their own gate, and a token outside all three is
-        plain, its stem its surface."""
+        the last token kept, unless a connective ends it. Any other token
+        takes only the lookups its last character can match: the cues, the
+        vocative, connective and particle tests each have their own gate,
+        and a token outside all four is plain, its stem its surface."""
         lex = self.lexicon
         suffix_finals, cue_finals = self._suffix_finals, self._cue_finals
-        josa_ends, markers = lex.josa_ends, lex.vocative
+        josa_ends, markers, connective_ends = lex.josa_ends, lex.vocative, lex.connective_ends
         last = len(surfaces) - 1
         while last >= 0 and surfaces[last][-1] in markers and self._is_vocative(surfaces, last):
             last -= 1
@@ -129,9 +130,10 @@ class Analyzer:
                     negation, fused, cond = self._cues(surface)
                     if negation is not None or cond:
                         cued.append(len(tokens))
-                        if negation == "malgo" and i < last:
-                            kept = len(tokens) + 1
-                ending = lex.match_ending(surface) if i == last else None
+                clause_end = final in connective_ends and self._is_connective(surface)
+                if i < last and (negation == "malgo" or clause_end):
+                    kept = len(tokens) + 1
+                ending = lex.match_ending(surface) if i == last and not clause_end else None
                 stem, particle = surface, None
                 if ending is not None:
                     stem = surface[: len(surface) - len(ending.surface)]
@@ -157,6 +159,19 @@ class Analyzer:
                     if lex.negation.get(surface[-k:]) == kind and is_negation_host(surface[:-k]):
                         return kind, surface[-k:], cond
         return negation, None, cond
+
+    def _is_connective(self, surface: str) -> bool:
+        """Whether a stem plus a subordinate connective ends ``surface``
+        (오니까, 늦어서); a connective that is also an ending whose condition
+        the token meets is that ending (갑니까: -ㅂ니까)."""
+        lex = self.lexicon
+        for k in lex.connective_ends.get(surface[-1], ()):
+            conn = surface[-k:]
+            if len(surface) > k and conn in lex.connectives:
+                tails = lex.endings[conn].prev_tails if conn in lex.endings else None
+                if tails is None or hangul.tail(surface[-k - 1]) not in tails:
+                    return True
+        return False
 
     # -- per-token operations -------------------------------------------
 

@@ -53,10 +53,10 @@ class Extractor:
     # -- dispatch --------------------------------------------------------
 
     def extract(self, u: NormalizedUtterance, c: Classification) -> Argument:
-        """Run the routine ``STEPS`` names for the step that fired, on
-        ``u.tokens[u.kept : c.end]``. The step decided the rule and the token
-        the argument ends before (``c.end``), which lies at or after the 말고
-        cut, so no routine decides or searches again."""
+        """Run the routine ``STEPS`` names for the step that fired, on the
+        main clause, ``u.tokens[u.kept : c.end]``. The step decided the rule
+        and the token the argument ends before (``c.end``), at or after the
+        clause cut, so no routine decides, cuts or searches again."""
         return self._routines[c.step](u, c, u.tokens[u.kept : c.end])
 
     # -- shared helpers ---------------------------------------------------
@@ -139,10 +139,10 @@ class Extractor:
         ending within the particle normalize split off is part of that
         particle (친구에게: 에게, not 게). Before a cue, only a stem that ends
         in a tense or ㄹ marker (먹었, 살, 먹을) is a predicate's: the last
-        syllable of a noun (어머니, 노래, 가게) or of the connective 가니까
-        matches an ending too. After an info verb any stem is taken
-        (어머니 말해줘 is a known defect). In either frame a stem that is a
-        pronoun is none, as ``_question_items`` drops it (니까: 니, 까)."""
+        syllable of a noun (어머니, 노래, 가게) matches an ending too. After
+        an info verb any stem is taken (어머니 말해줘 is a known defect). In
+        either frame a stem that is a pronoun is none, as ``_question_items``
+        drops it (니까: 니, 까)."""
         lex = self.lexicon
         surface = t.surface
         if surface[-1] in lex.ending_ends:
@@ -216,7 +216,7 @@ class Extractor:
     def _option_phrases(self, clause: Sequence[Eojeol]) -> list[str]:
         """Option content of a clause, kept as a question argument keeps it;
         the disjunction (아니면) is no option. ``extract`` has cut the
-        material before the last 말고 from the clauses."""
+        material before the last 말고 or connective from the clauses."""
         disjunction = self.lexicon.disjunction
         items, content = self._question_items(clause)
         return self._clean_parts(
@@ -345,47 +345,25 @@ class Extractor:
             content.append(stem)
         return items, content
 
-    def _clause_start(self, items: list[Eojeol], end: int) -> int:
-        """Where the clause that ends before ``items[end]`` starts: after the
-        last token before ``end`` that ends in a subordinate connective, else
-        0. Only tokens that end in a connective's last character are probed,
-        from ``end`` back."""
-        lex = self.lexicon
-        ends, connectives, endings = lex.connective_ends, lex.connectives, lex.endings
-        for i in range(end - 1, -1, -1):
-            s = items[i].surface
-            for k in ends.get(s[-1], ()):
-                conn = s[-k:]
-                if len(s) <= k or conn not in connectives:
-                    continue
-                # a connective that is also an ending whose condition the
-                # token meets is that ending (-ㅂ니까), not a clause boundary
-                tails = endings[conn].prev_tails if conn in endings else None
-                if tails is not None and hangul.tail(s[-k - 1]) in tails:
-                    continue
-                return i + 1
-        return 0
-
     def _prohibition(
         self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
     ) -> Argument:
-        """The prohibited action: the last clause of ``tokens``, which end
-        before the step's token, then the -지 form the step read off that
-        token (``c.form``) and 않기."""
-        items, content = self._command_items(tokens)
-        parts = self._clean_parts(content[self._clause_start(items, len(items)) :])
+        """The prohibited action: ``tokens``, which end before the step's
+        token, then the -지 form the step read off that token (``c.form``)
+        and 않기."""
+        _, content = self._command_items(tokens)
+        parts = self._clean_parts(content)
         text = predicate.prohibition(parts, c.form)
         return _new(Argument, (text, ArgumentCategory.PROHIBITION, ()))
 
     def _sr_from_double_negation(
         self, u: NormalizedUtterance, c: Classification, tokens: Sequence[Eojeol]
     ) -> Argument:
-        """The required action: the last clause of ``tokens``, which end
-        before the step's -(으)면 clause, its negators dropped, then the
-        clause's negator-free core (``c.form``) nominalized."""
+        """The required action: ``tokens``, which end before the step's
+        -(으)면 clause, their negators dropped, then the clause's negator-free
+        core (``c.form``) nominalized."""
         items, content = self._command_items(tokens)
-        start = self._clause_start(items, len(items))
-        keep = [i for i in range(start, len(items)) if items[i].negation != "preverbal"]
+        keep = [i for i in range(len(items)) if items[i].negation != "preverbal"]
         span = [items[i] for i in keep]
         nominal = self._nominalize_stem(c.form, span)  # may pop from span
         parts = self._clean_parts([content[i] for i in keep[: len(span)]])
@@ -398,9 +376,8 @@ class Extractor:
         if not items:
             raise ExtractionFailed("empty required action")
         end = len(items) - 1
-        start = self._clause_start(items, end)
         last = items[end]
-        rest = items[start:end]
+        rest = items[:end]
         # only the last token carries an ending: the imperative the step fired on
         if last.ending is not None:
             stem = last.stem + last.ending.stem  # 확인 + 하 for 확인해
@@ -412,10 +389,10 @@ class Extractor:
                 if not rest:
                     raise ExtractionFailed("request cue with no action span")
                 rest.pop()
-                nominal = predicate.nominal(content[start + len(rest)])
+                nominal = predicate.nominal(content[len(rest)])
         else:
             nominal = predicate.nominal(content[end])
-        parts = self._clean_parts(content[start : start + len(rest)])
+        parts = self._clean_parts(content[: len(rest)])
         return _new(Argument, (" ".join(parts + [nominal]), ArgumentCategory.REQUIREMENT, ()))
 
     def _nominalize_stem(self, stem: str, preceding: list[Eojeol]) -> str:

@@ -27,6 +27,17 @@ def test_statement_is_unclassifiable(analyzer, classifier):
             classifier.classify(analyzer.normalize(text))
 
 
+def test_a_line_final_connective_is_no_question_ending(analyzer, classifier):
+    # 가니까 ends a subordinate clause with no main clause after it, while
+    # -ㅂ니까 is the formal question ending and the pronoun 니 takes 까
+    with pytest.raises(Unclassifiable):
+        classifier.classify(analyzer.normalize("집에 가니까"))
+    for text, label in [("갑니까", 0), ("어디 갑니까", 2), ("니까", 0)]:
+        u = analyzer.normalize(text)
+        assert u.tokens[-1].ending is not None
+        assert int(classifier.classify(u).label) == label
+
+
 def test_wh_field_present_exactly_for_label_two(analyzer, classifier):
     for text, label, _arg, _cat in GOLDEN:
         got = classifier.classify(analyzer.normalize(text))

@@ -196,16 +196,22 @@ def test_a_token_carries_its_own_offset():
 
 
 def test_extract_makes_no_malgo_cut():
-    # normalize finds the 말고 cut once (NormalizedUtterance.kept), and extract
-    # hands every routine the tokens from it on: no routine cuts again
+    # normalize finds the one clause cut (NormalizedUtterance.kept), at the
+    # last 말고 or subordinate connective, and extract hands every routine
+    # the tokens from it on: no routine cuts again
     tree = ast.parse((SRC / "extract.py").read_text("utf-8"))
     found = literals_in(SRC / "extract.py", {"malgo"})
     found += [
         f"extract.py:{node.lineno}: def {node.name}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_after_malgo"
+        if isinstance(node, ast.FunctionDef) and node.name in ("_after_malgo", "_clause_start")
     ]
-    assert not found, "the 말고 cut belongs in normalize: " + ", ".join(found)
+    found += [
+        f"extract.py:{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("connectives", "connective_ends")
+    ]
+    assert not found, "the clause cut belongs in normalize: " + ", ".join(found)
 
 
 def test_only_predicate_forms_rebuild_syllables():

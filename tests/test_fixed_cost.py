@@ -19,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workload_gen  # noqa: E402
 
 LINES = 600
-# the mean "call" events per utterance on CPython 3.11 is 12154/600, about
-# 20.26 (it was 40.58 before the cue table's gate and the direct record
+# the mean "call" events per utterance on CPython 3.11 is 12126/600, about
+# 20.21 (it was 40.58 before the cue table's gate and the direct record
 # build, 31.92 before the suffix conditions were compiled at load, 31.71
 # before the 말고 cut and the wh-anchor scan were made once in normalize,
 # 29.625 before WhKind hashed by identity, 29.25 before the record kept
@@ -34,9 +34,11 @@ LINES = 600
 # each command step handed extraction the form it read off its token and the
 # question and command routines stripped particles without a shared helper,
 # and 12157/600 before the imperative steps read the danger table, once and
-# past its gate, and extract_wh built its wh-token set in C);
+# past its gate, and extract_wh built its wh-token set in C, and 12154/600
+# before normalize made the subordinate-connective cut with the 말고 cut, so
+# the command routines no longer searched for a clause start);
 # interpreters that inline comprehensions (3.12+) count fewer
-BUDGET = 12154 / 600
+BUDGET = 12126 / 600
 
 
 def _profile_calls(engine, lines, on_call) -> None:
@@ -100,10 +102,13 @@ SHAPES = {
     # each 자니 ends in the interrogative 니, so the alternative routine
     # starts a new option clause at each one
     "interrogative clauses": lambda n: ["자니", "커피"] * (n // 2) + ["볼까", "차", "볼까"],
-    # each 교과서 ends in 서, the last character of a connective, so the
-    # clause search of the command routines probes every one
+    # each 교과서 ends in 서, the last character of a connective, so
+    # normalize probes every one for the clause cut
     "double negation": lambda n: ["교과서"] * n + ["안", "나가면", "큰일나"],
     "danger conditional": lambda n: ["교과서"] * n + ["밖에", "나가면", "위험해"],
+    # each 오니까 ends a subordinate clause, so normalize moves the cut
+    # past every one, and the question reads the main clause alone
+    "subordinate clauses": lambda n: ["오니까"] * n + ["뭐", "먹을래"],
 }
 
 

@@ -7,8 +7,11 @@ INV tests, Ribeiro et al., ACL 2020; metamorphic testing, Chen et al.,
 that ``saek.predicate`` decides on, the vocative relations a name call
 anywhere, which ``normalize`` leaves out of the tokens, an info verb
 after a polar question, whose step hands extraction the info verb, a
-request ending spaced off the info verb, and the polite 요 on a form the
-lexicon flags ``polite``.
+request ending spaced off the info verb, the polite 요 on a form the
+lexicon flags ``polite``, and a subordinate clause in front: Korean is
+head-final, so the main clause after a connective (-니까, -어서, -려면,
+-다가) keeps the intent and the argument (Sohn 1999), and ``normalize``
+cuts the clause off.
 """
 
 import re
@@ -32,6 +35,10 @@ RELATIONS = {
     "fused -지 마 / -지 말고": lambda s: _FUSED_NEGATOR.sub("지", s),
     "fused 안 X면 / 안 돼": lambda s: _FUSED_PREVERBAL.sub("안", s),
     "fused 하는 거야": lambda s: s.replace("하는 거야", "하는거야"),
+    "reason clause in front": lambda s: "비 오니까 " + s,
+    "cause clause in front": lambda s: "늦어서 " + s,
+    "condition clause in front": lambda s: "공부하려면 " + s,
+    "interrupted clause in front": lambda s: "집에 가다가 " + s,
 }
 
 

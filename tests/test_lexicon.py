@@ -488,19 +488,17 @@ def preverbal_scan(lex, core):
     return core[len(max(fits, key=len)) :] if fits else core
 
 
-def trim_scan(lex, conds, surfaces):
-    def is_boundary(s):
-        for conn in lex.connectives:
-            if s.endswith(conn) and len(s) > len(conn):
-                # a connective that is a conditioned ending whose condition
-                # the token meets is that ending
-                ending = conds.get(("ending", conn))
-                if ending is not None and admits(ending, s[-len(conn) - 1]):
-                    continue
-                return True
-        return False
-
-    return max((i + 1 for i, s in enumerate(surfaces) if is_boundary(s)), default=0)
+def connective_scan(lex, conds, surface):
+    """Whether a stem plus a connective ends ``surface``, a connective that
+    is a conditioned ending whose condition the surface meets being that
+    ending."""
+    for conn in lex.connectives:
+        if surface.endswith(conn) and len(surface) > len(conn):
+            ending = conds.get(("ending", conn))
+            if ending is not None and admits(ending, surface[-len(conn) - 1]):
+                continue
+            return True
+    return False
 
 
 ROWS = {"default": _default_rows(), "extra": _default_rows() + EXTRA_ROWS}
@@ -574,13 +572,13 @@ def test_indexed_lookups_equal_a_table_scan(name):
             assert (tuple(match) if match else None) == wh_scan(lex, token)
             assert analyzer._cues(token) == cues_scan(lex, token)
             assert lex.strip_preverbal(token) == preverbal_scan(lex, token)
+            assert analyzer._is_connective(token) == connective_scan(lex, conds, token)
         for a, b in zip(tokens, tokens[1:]):
             assert lex.lookup_wh_pair(a, b) == wh_pair_scan(lex, a, b)
         assert lex.match_cue(tokens) == cue_scan(lex, tokens)
         assert lex.is_danger_predicate(tokens) == danger_scan(lex, tokens)
         starts = accumulate((len(s) + 1 for s in tokens[:-1]), initial=0)
         items = [Eojeol(s, at, s) for s, at in zip(tokens, starts)]
-        assert extractor._clause_start(items, len(items)) == trim_scan(lex, conds, tokens)
         # the cue table's gate: the want-to-know decision and the dropped cue
         # are those of matching every window
         cue = cue_scan(lex, tokens)
@@ -672,11 +670,11 @@ def question_drop_scan(lex, t, content):
     )
 
 
-def token_scan(analyzer, surfaces):
+def token_scan(analyzer, conds, surfaces):
     """The tokens as a loop that looks up every token gives them: the
     vocative test on each, which leaves a vocative out, the offset of each
     token kept, its cues and particle split, and the ending match on the
-    last."""
+    last, unless a connective ends it."""
     lex = analyzer.lexicon
     kept = [i for i in range(len(surfaces)) if not analyzer._is_vocative(surfaces, i)]
     offsets = list(accumulate((len(s) + 1 for s in surfaces[:-1]), initial=0))
@@ -684,7 +682,9 @@ def token_scan(analyzer, surfaces):
     for i in kept:
         surface = surfaces[i]
         negation, fused, cond = analyzer._cues(surface)
-        ending = lex.match_ending(surface) if i == kept[-1] else None
+        ending = None
+        if i == kept[-1] and not connective_scan(lex, conds, surface):
+            ending = lex.match_ending(surface)
         if ending is not None:
             stem, particle = surface[: len(surface) - len(ending.surface)], None
         else:
@@ -722,7 +722,9 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
     final-position vocative test probes no ending it needs, a plain token's
     one probe drops what the full question rule drops, and the content
     extract keeps, which goes on from normalize's particle split, is what
-    stripping the surface gives."""
+    stripping the surface gives. The clause cut follows the last 말고 or
+    connective before the last token, and a connective on the last token
+    leaves it no ending."""
     lex, conds = LEXICONS[name], CONDITIONS[name]
     analyzer = Analyzer(lex)
     classifier = Classifier(lex)
@@ -748,8 +750,14 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
         except EmptyUtterance:
             return
         surfaces = u.text.split(" ")
-        tokens = token_scan(analyzer, surfaces)
+        tokens = token_scan(analyzer, conds, surfaces)
         assert u.tokens == tokens
+        cuts = [
+            i + 1
+            for i, t in enumerate(tokens[:-1])
+            if cues_scan(lex, t.surface)[0] == "malgo" or connective_scan(lex, conds, t.surface)
+        ]
+        assert u.kept == max(cuts, default=0)
         assert u.cued == tuple(i for i, t in enumerate(tokens) if t.negation or t.conditional)
         every = u._replace(cued=tuple(range(len(u.tokens))))
         assert classify_or_none(classifier, u) == classify_or_none(classifier, every)

@@ -60,12 +60,17 @@ def test_sr_malgo_never_leaks_pre_clause(engine):
 
 
 # the tokens steps (5)-(7) read, with content around them: 말고, -(으)면
-# clauses, ma and preverbal negators and danger predicates
-_CUT_MIX = "말고 놀지말고 마 마세요 나가지마 가지 안 못 가면 먹으면 안매면 큰일나 위험해 돼 혼나 밖에 숙제 약 공부해 가라".split()
+# clauses, ma and preverbal negators, danger predicates and subordinate
+# connectives (공부하려면 is a -(으)면 clause too)
+_CUT_MIX = (
+    "말고 놀지말고 마 마세요 나가지마 가지 안 못 가면 먹으면 안매면 큰일나 위험해 돼 혼나 밖에 숙제 약 공부해 가라"
+    " 오니까 늦어서 공부하려면"
+).split()
 
 
 def test_every_step_decides_on_a_token_from_the_malgo_cut_on(analyzer, classifier, reference):
-    """말고 rejects what precedes it, so the token a step hands extraction
+    """말고 rejects what precedes it, and a subordinate connective ends a
+    clause before the main one, so the token a step hands extraction
     (``Classification.end``) is never before the cut (``u.kept``)."""
     rng = random.Random(20)
     mixes = [" ".join(rng.choices(_CUT_MIX, k=rng.randint(2, 7))) for _ in range(3000)]
