@@ -49,14 +49,18 @@ class WhHit(NamedTuple):
 
 
 class NormalizedUtterance(NamedTuple):
-    """Normalized text, its tokens and every utterance-level feature; a
-    vocative (민수야) is in ``text`` only, and no token index counts it."""
+    """Normalized text, the tokens of its main clause and every
+    utterance-level feature; what precedes the last 말고 or subordinate
+    connective before the last token, and a vocative (민수야), are in
+    ``text`` only, and no token index counts them."""
 
     text: str
     tokens: tuple[Eojeol, ...]
     wh_hits: tuple[WhHit, ...]
     cued: tuple[int, ...]  # indices, in order, of the tokens with a negation or conditional cue
-    kept: int  # the first token after the last 말고 or connective before the last token (0: none)
+    # char span of the first 말고 before the main clause that follows a -지
+    # host (놀지 말고, 놀지말고); None: no such 말고
+    coordination: Optional[tuple[int, int]]
 
 
 class Analyzer:
@@ -79,22 +83,23 @@ class Analyzer:
         if not surfaces:
             raise EmptyUtterance(f"no content after normalization: {raw!r}")
         text = " ".join(surfaces)
-        tokens, cued, kept = self._analyze_tokens(surfaces)
+        tokens, cued, coordination = self._analyze_tokens(surfaces)
         # every wh surface and wh-pair stem is a substring of the text, so
         # without an anchor in it no token can hold a wh form
         anchors = self.lexicon.wh_anchors(text)
         wh_hits = self.find_wh(anchors, tokens) if anchors else ()
         # positional, as each Eojeol below: test_records pins the field order
-        fields = (text, tokens, wh_hits, cued, kept)
+        fields = (text, tokens, wh_hits, cued, coordination)
         return tuple.__new__(NormalizedUtterance, fields)
 
     def _analyze_tokens(
         self, surfaces: list[str]
-    ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], int]:
-        """The analyzed tokens, the indices of the tokens that carry a
-        negation or conditional cue and the clause cut: the first token after
-        the last 말고 or subordinate connective before the last token (0:
-        none), where the main clause starts (Korean is head-final).
+    ) -> tuple[tuple[Eojeol, ...], tuple[int, ...], Optional[tuple[int, int]]]:
+        """The analyzed tokens of the main clause, the indices of those that
+        carry a negation or conditional cue, and the span of the first 말고
+        cut off that follows a -지 host. The main clause (Korean is
+        head-final) starts after the last 말고 or subordinate connective
+        before the last token: each one clears the tokens built so far.
 
         Every vocative is left out, and the sentence-final ending sits on
         the last token kept, unless a connective ends it. Any other token
@@ -114,7 +119,8 @@ class Analyzer:
         new = tuple.__new__
         tokens: list[Eojeol] = []
         cued: list[int] = []
-        kept = at = 0
+        coordination = None
+        at = 0
         for i, surface in enumerate(surfaces[: last + 1]):
             start = at
             at += len(surface) + 1
@@ -132,7 +138,12 @@ class Analyzer:
                         cued.append(len(tokens))
                 clause_end = final in connective_ends and self._is_connective(surface)
                 if i < last and (negation == "malgo" or clause_end):
-                    kept = len(tokens) + 1
+                    host = fused or tokens and is_negation_host(tokens[-1].surface)
+                    if negation == "malgo" and host and coordination is None:
+                        coordination = (start, start + len(surface))
+                    tokens.clear()
+                    cued.clear()
+                    continue
                 ending = lex.match_ending(surface) if i == last and not clause_end else None
                 stem, particle = surface, None
                 if ending is not None:
@@ -141,7 +152,7 @@ class Analyzer:
                     stem, particle = self.strip_josa(surface)
                 fields = (surface, start, stem, particle, ending, negation, fused, cond)
             tokens.append(new(Eojeol, fields))
-        return tuple(tokens), tuple(cued), kept
+        return tuple(tokens), tuple(cued), coordination
 
     def _cues(self, surface: str) -> tuple[Optional[str], Optional[str], bool]:
         """The one definition of each token cue, as the ``Eojeol`` fields
@@ -261,10 +272,10 @@ class Analyzer:
 def negative_imperative(
     tokens: Sequence[Eojeol], negators: Iterable[int]
 ) -> Optional[tuple[int, str]]:
-    """Index and -지 form of the first -지 host a ma or malgo negator
-    follows, fused or spaced (나가지마 -> 나가지, 나가지 마, 놀지 말고);
-    ``negators``: the indices, in order, of the negator tokens, the only
-    ones it reads, with the token before each."""
+    """Index and -지 form of the first -지 host a ma negator follows, fused
+    or spaced (나가지마 -> 나가지, 나가지 마); ``negators``: the indices, in
+    order, of the negator tokens, the only ones it reads, with the token
+    before each."""
     for i in negators:
         fused = tokens[i].fused
         if fused is not None:

@@ -179,18 +179,14 @@ class Classifier:
         if cue is not None:
             return _fired("want-to-know", (start, stop))
 
-        # steps (5)-(7) read the negation and conditional tags of the cued
-        # tokens only, and steps (6)-(7) only those from the 말고 cut on
-        malgo = myen = None  # first 말고 and first -면 token, never the last token
+        # steps (6)-(7) read the negation and conditional tags of the cued
+        # tokens only
+        myen = None  # first -면 token, never the last token
         ma: list[int] = []
         preverbal = False
         for i in u.cued:
             t = tokens[i]
             negation = t.negation
-            if i < u.kept:  # the cut follows every 말고 that is not the last token
-                if malgo is None and negation == "malgo":
-                    malgo = i
-                continue
             if myen is None and t.conditional and i < last:
                 myen = i
             if negation == "ma":
@@ -211,10 +207,8 @@ class Classifier:
 
         # (5) negated clause coordinated onto a positive imperative (놀지 말고
         # 공부해): not a negator (마세요) or a danger predicate (위험해)
-        if malgo is not None and imperative and final.negation != "ma" and not danger:
-            if negative_imperative(tokens, (malgo,)) is not None:
-                t = tokens[malgo]
-                return _fired("negation-coordination", (t.start, t.start + len(t.surface)))
+        if u.coordination is not None and imperative and final.negation != "ma" and not danger:
+            return _fired("negation-coordination", u.coordination)
 
         # (6) negated conditional whose consequence induces prohibition; the
         # negator may be fused onto the -면 clause (안매면). The consequence is

@@ -54,10 +54,9 @@ class Extractor:
 
     def extract(self, u: NormalizedUtterance, c: Classification) -> Argument:
         """Run the routine ``STEPS`` names for the step that fired, on the
-        main clause, ``u.tokens[u.kept : c.end]``. The step decided the rule
-        and the token the argument ends before (``c.end``), at or after the
-        clause cut, so no routine decides, cuts or searches again."""
-        return self._routines[c.step](u, c, u.tokens[u.kept : c.end])
+        main clause's tokens up to the one the step decided the rule on
+        (``c.end``), so no routine decides, cuts or searches again."""
+        return self._routines[c.step](u, c, u.tokens[: c.end])
 
     # -- shared helpers ---------------------------------------------------
 
@@ -215,8 +214,7 @@ class Extractor:
 
     def _option_phrases(self, clause: Sequence[Eojeol]) -> list[str]:
         """Option content of a clause, kept as a question argument keeps it;
-        the disjunction (아니면) is no option. ``extract`` has cut the
-        material before the last 말고 or connective from the clauses."""
+        the disjunction (아니면) is no option."""
         disjunction = self.lexicon.disjunction
         items, content = self._question_items(clause)
         return self._clean_parts(
@@ -235,7 +233,7 @@ class Extractor:
         # the indices of the hits' tokens, built in C with no comprehension frame
         wh_tokens = set(chain.from_iterable(starmap(range, map(_HIT_TOKENS, u.wh_hits))))
         items, content = self._question_items(
-            [t for i, t in enumerate(tokens, u.kept) if i not in wh_tokens]
+            [t for i, t in enumerate(tokens) if i not in wh_tokens]
         )
 
         notes: list[str] = []

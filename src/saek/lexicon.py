@@ -483,15 +483,9 @@ _DEFAULT: Optional[Lexicon] = None
 
 
 def default_lexicon() -> Lexicon:
-    """The bundled tables, parsed once per process."""
+    """The bundled tables, parsed once per process; this module's loader
+    reads them from a file on disk and from a zip import alike."""
     global _DEFAULT
     if _DEFAULT is None:
-        try:
-            with open(_BUNDLED, "rb") as fh:
-                data = fh.read()
-        except OSError:  # not a file on disk, as in a zip import
-            from importlib import resources
-
-            data = resources.files("saek").joinpath("data/default_lexicon.tsv").read_bytes()
-        _DEFAULT = _decode_lexicon(data, "default_lexicon.tsv")
+        _DEFAULT = _decode_lexicon(__loader__.get_data(_BUNDLED), "default_lexicon.tsv")
     return _DEFAULT

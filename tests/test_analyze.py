@@ -174,7 +174,10 @@ def test_profile_negation_malgo_index(analyzer, classifier):
     u = analyzer.normalize("욕심부리지 말고 지금 팔아")
     c = classifier.classify(u)
     assert c.step == "negation-coordination"
-    assert [e.span for e in c.evidence] == [(u.tokens[1].start, u.tokens[1].start + len("말고"))]
+    assert [e.span for e in c.evidence] == [u.coordination] == [(6, 6 + len("말고"))]
+    assert u.text[6:8] == "말고"
+    # the tokens are the main clause's
+    assert [t.surface for t in u.tokens] == ["지금", "팔아"]
 
 
 def test_profile_negation_danger_pair_not_preverbal(analyzer, classifier):
@@ -199,7 +202,8 @@ def _cues(analyzer, text):
     [
         ("나가지마", [("ma", "마", False)]),
         ("놀지말고", [("malgo", "말고", False)]),
-        ("걱정하지 말고 전해", [(None, None, False), ("malgo", None, False), (None, None, False)]),
+        ("걱정하지 말고", [(None, None, False), ("malgo", None, False)]),
+        ("걱정하지 말고 전해", [(None, None, False)]),  # a non-final 말고 cuts the clause off
         ("안매면", [(None, None, True)]),
         (
             "버스 타 아니면 택시 탈래",

@@ -397,7 +397,7 @@ STEP_ENDS = {
     "info-seeking+universal-quantifier": 4,  # 말해
     "info-seeking": 2,  # 말해줘
     "double-negation": 1,  # 안매면
-    "negative-imperative": 3,  # 나가지 (마)
+    "negative-imperative": 1,  # 나가지 (마), in the main clause after 태풍 오니까
     "danger-conditional": 1,  # 나가면
 }
 
@@ -428,4 +428,4 @@ def test_a_negative_imperative_finds_its_host_once(monkeypatch, engine):
     monkeypatch.setattr(saek.extract, "negative_imperative", counted, raising=False)
     record = engine.process(STEP_INPUTS["negative-imperative"])
     assert (record.label, record.argument) == (3, "밖에 나가지 않기")
-    assert calls == [[4]]
+    assert calls == [[2]]

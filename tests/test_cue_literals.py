@@ -196,9 +196,9 @@ def test_a_token_carries_its_own_offset():
 
 
 def test_extract_makes_no_malgo_cut():
-    # normalize finds the one clause cut (NormalizedUtterance.kept), at the
-    # last 말고 or subordinate connective, and extract hands every routine
-    # the tokens from it on: no routine cuts again
+    # normalize cuts the clause off at the last 말고 or subordinate
+    # connective and hands on the main clause's tokens alone: no routine
+    # cuts again, and neither the cascade nor extraction reads a cut index
     tree = ast.parse((SRC / "extract.py").read_text("utf-8"))
     found = literals_in(SRC / "extract.py", {"malgo"})
     found += [
@@ -211,6 +211,12 @@ def test_extract_makes_no_malgo_cut():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in ("connectives", "connective_ends")
     ]
+    for name in ("classify.py", "extract.py"):
+        found += [
+            f"{name}:{node.lineno}: .{node.attr}"
+            for node in ast.walk(ast.parse((SRC / name).read_text("utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "kept"
+        ]
     assert not found, "the clause cut belongs in normalize: " + ", ".join(found)
 
 

@@ -19,8 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workload_gen  # noqa: E402
 
 LINES = 600
-# the mean "call" events per utterance on CPython 3.11 is 12126/600, about
-# 20.21 (it was 40.58 before the cue table's gate and the direct record
+# the mean "call" events per utterance on CPython 3.11 is 12091/600, about
+# 20.15 (it was 40.58 before the cue table's gate and the direct record
 # build, 31.92 before the suffix conditions were compiled at load, 31.71
 # before the 말고 cut and the wh-anchor scan were made once in normalize,
 # 29.625 before WhKind hashed by identity, 29.25 before the record kept
@@ -36,9 +36,12 @@ LINES = 600
 # and 12157/600 before the imperative steps read the danger table, once and
 # past its gate, and extract_wh built its wh-token set in C, and 12154/600
 # before normalize made the subordinate-connective cut with the 말고 cut, so
-# the command routines no longer searched for a clause start);
+# the command routines no longer searched for a clause start, and 12126/600
+# before normalize handed on the main clause's tokens alone, so classify no
+# longer looked for the coordinating 말고 among the cued tokens or its -지
+# host again);
 # interpreters that inline comprehensions (3.12+) count fewer
-BUDGET = 12126 / 600
+BUDGET = 12091 / 600
 
 
 def _profile_calls(engine, lines, on_call) -> None:

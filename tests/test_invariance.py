@@ -11,7 +11,7 @@ request ending spaced off the info verb, the polite 요 on a form the
 lexicon flags ``polite``, and a subordinate clause in front: Korean is
 head-final, so the main clause after a connective (-니까, -어서, -려면,
 -다가) keeps the intent and the argument (Sohn 1999), and ``normalize``
-cuts the clause off.
+cuts the clause off, a wh word or 아니면 in it too.
 """
 
 import re
@@ -39,6 +39,13 @@ RELATIONS = {
     "cause clause in front": lambda s: "늦어서 " + s,
     "condition clause in front": lambda s: "공부하려면 " + s,
     "interrupted clause in front": lambda s: "집에 가다가 " + s,
+    # the clause in front holds a wh word or a disjunction, which are
+    # context there, not the question the main clause asks
+    "interrupted clause with a wh word in front": lambda s: "어디 가다가 " + s,
+    "reason clause with a wh subject in front": lambda s: "누가 오니까 " + s,
+    "cause clause with a wh adverb in front": lambda s: "왜 늦어서 " + s,
+    "reason clause with a two-token wh form in front": lambda s: "몇 시에 가니까 " + s,
+    "reason clause with a disjunction in front": lambda s: "커피 아니면 차 마시니까 " + s,
 }
 
 

@@ -722,9 +722,10 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
     final-position vocative test probes no ending it needs, a plain token's
     one probe drops what the full question rule drops, and the content
     extract keeps, which goes on from normalize's particle split, is what
-    stripping the surface gives. The clause cut follows the last 말고 or
-    connective before the last token, and a connective on the last token
-    leaves it no ending."""
+    stripping the surface gives. The tokens are the main clause, after the
+    last 말고 or connective before the last token, the coordinating 말고 is
+    the first one cut off with a -지 host, and a connective on the last
+    token leaves it no ending."""
     lex, conds = LEXICONS[name], CONDITIONS[name]
     analyzer = Analyzer(lex)
     classifier = Classifier(lex)
@@ -743,6 +744,9 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
     @example("나가지말아 거기 어디야 민수야")  # a negator and a wh form are no name calls
     @example("뭐 하니")  # a light-verb stem under an ending is no plain token
     @example("밥 먹었는지 알고 민수야 싶다")  # a vocative inside the cue window
+    @example("커피 말고 놀지 말고 공부해")  # the coordinating 말고 is the first with a host
+    @example("놀지 오니까 말고 공부해")  # a cut between a -지 token and 말고
+    @example("놀지 민수야 말고 공부해")  # a name call between a -지 host and 말고
     def check(text):
         assert engine.process(text) == reference.process(text)
         try:
@@ -750,20 +754,31 @@ def test_per_utterance_shortcuts_equal_a_full_scan(name):
         except EmptyUtterance:
             return
         surfaces = u.text.split(" ")
-        tokens = token_scan(analyzer, conds, surfaces)
-        assert u.tokens == tokens
+        line = token_scan(analyzer, conds, surfaces)
         cuts = [
             i + 1
-            for i, t in enumerate(tokens[:-1])
+            for i, t in enumerate(line[:-1])
             if cues_scan(lex, t.surface)[0] == "malgo" or connective_scan(lex, conds, t.surface)
         ]
-        assert u.kept == max(cuts, default=0)
+        tokens = line[max(cuts, default=0) :]  # the main clause
+        assert u.tokens == tokens
+        # the first cut 말고 with a fused -지 host, or a spaced one that no
+        # cut comes between
+        coordination = None
+        for i in cuts:
+            t = line[i - 1]
+            negation, fused, _ = cues_scan(lex, t.surface)
+            spaced = i > 1 and i - 1 not in cuts and line[i - 2].surface.endswith("지")
+            if negation == "malgo" and (fused or spaced):
+                coordination = (t.start, t.start + len(t.surface))
+                break
+        assert u.coordination == coordination
         assert u.cued == tuple(i for i, t in enumerate(tokens) if t.negation or t.conditional)
         every = u._replace(cued=tuple(range(len(u.tokens))))
         assert classify_or_none(classifier, u) == classify_or_none(classifier, every)
         ma = [i for i in u.cued if u.tokens[i].negation == "ma"]
         assert negative_imperative(u.tokens, ma) == negative_imperative_scan(tokens)
-        assert u.wh_hits == wh_hits_scan(lex, u.tokens)
+        assert u.wh_hits == wh_hits_scan(lex, tokens)
         for i in range(len(surfaces)):
             assert analyzer._is_vocative(surfaces, i) == vocative_scan(lex, conds, surfaces, i)
         for t in u.tokens:

@@ -1,13 +1,17 @@
 """Property and fuzz suites: suffix contracts, totality, reconstruction."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fuzz_grammar
+from golden_cases import GOLDEN
 from saek import Engine, predicate
 from saek.errors import Unclassifiable
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_grammar_fuzz_contract(engine, lexicon):
@@ -68,26 +72,48 @@ _CUT_MIX = (
 ).split()
 
 
-def test_every_step_decides_on_a_token_from_the_malgo_cut_on(analyzer, classifier, reference):
+def _fixture_inputs() -> list[str]:
+    """The input of every golden case and fixture row."""
+    texts = [text for text, *_ in GOLDEN]
+    for path in sorted(FIXTURES.glob("*.tsv")):
+        column = 0 if path.name == "known_defects.tsv" else 1
+        for row in path.read_text("utf-8").splitlines():
+            if not row.startswith("#"):
+                texts.append(row.split("\t")[column])
+    return texts
+
+
+def test_every_evidence_span_lies_in_the_main_clause(analyzer, classifier, reference):
     """말고 rejects what precedes it, and a subordinate connective ends a
-    clause before the main one, so the token a step hands extraction
-    (``Classification.end``) is never before the cut (``u.kept``)."""
+    clause before the main one, so every evidence span starts in the main
+    clause, at or after ``u.tokens[0]``; a negation-coordination span is
+    the coordinating 말고 ``normalize`` found before it
+    (``u.coordination``)."""
     rng = random.Random(20)
     mixes = [" ".join(rng.choices(_CUT_MIX, k=rng.randint(2, 7))) for _ in range(3000)]
     cut = 0
-    early = []
-    for text in ["숙제 안 하면 말고 밖에 나가면 큰일나", *reference, *mixes]:
+    outside = []
+    for text in ["숙제 안 하면 말고 밖에 나가면 큰일나", *reference, *_fixture_inputs(), *mixes]:
         u = analyzer.normalize(text)
         try:
             c = classifier.classify(u)
         except Unclassifiable:
             continue
-        if c.end is not None and u.kept > 0:
+        first = u.tokens[0].start
+        # only vocatives and the material up to a cut come before the main
+        # clause, so the word right before it is a vocative or the cut's 말고
+        # or connective
+        words = u.text[:first].split()
+        if words and not analyzer._is_vocative(u.text.split(" "), len(words) - 1):
             cut += 1
-            if c.end < u.kept:
-                early.append(text)
-    assert not early, early[:5]
-    assert cut > 100, "too few steps decided after a 말고 cut"
+        for rule, span in c.evidence:
+            if rule == "negation-coordination":
+                if span != u.coordination:
+                    outside.append((text, rule, span))
+            elif span is not None and span[0] < first:
+                outside.append((text, rule, span))
+    assert not outside, outside[:5]
+    assert cut > 100, "too few classified lines hold a clause cut"
 
 
 @settings(max_examples=300, deadline=None)

@@ -82,7 +82,7 @@ def test_positional_builds_keep_their_field_order():
         "tokens",
         "wh_hits",
         "cued",
-        "kept",
+        "coordination",
     )
     assert Evidence._fields == ("rule", "span")
     assert Classification._fields == ("label", "step", "wh", "evidence", "end", "form")
